@@ -11,8 +11,9 @@ one ``repro-bench-engine/2`` row per measured configuration — wall/RSS
 plus the paper's own measures (rounds, activations), optional per-phase
 timings, and a provenance stamp (git sha, python/numpy versions,
 backend) — merge-updated by key so re-runs refresh rather than
-duplicate.  Rows from a pre-migration v1 file merge cleanly (the compat
-reader in :mod:`repro.telemetry.bench` normalizes them).  CI archives
+duplicate, and written only by ``--runslow`` sessions.  Rows from a
+pre-migration v1 file merge cleanly (the compat reader in
+:mod:`repro.telemetry.bench` normalizes them).  CI archives
 the file; perf gates read their anchors from constants, not from it, so
 a stale file can never relax a gate.
 """
@@ -88,7 +89,10 @@ def _write_bench_file(rootpath) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _BENCH_ROWS:
+    # Only slow-tier sessions refresh the tracked file: a plain tier-1
+    # run must leave the checkout clean, and every CI step whose rows the
+    # archived file carries runs with --runslow.
+    if _BENCH_ROWS and session.config.getoption("--runslow", default=False):
         _write_bench_file(session.config.rootpath)
         print(f"\nBENCH rows written to {_BENCH_FILE}: {len(_BENCH_ROWS)} updated")
     if not _ROWS:

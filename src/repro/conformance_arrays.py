@@ -14,16 +14,14 @@ Representation (see DESIGN.md, "Observer pipeline & conformance"):
 * Node labels are interned to slots ``0..n-1`` in sorted order; int
   labels map through a sorted ``np.searchsorted`` (no Python dict in
   the hot path), anything else falls back to a label->slot dict.
-* The active edge set is one sorted ``int64`` array of packed
-  undirected keys ``(lo << 32) | hi`` (slot space); adjacency is a
-  second sorted array of *directed* keys, so a node's neighbor slice
-  is two ``searchsorted`` probes.  Rounds maintain both by sorted
-  merge/delete (O(E + k) memcpy), never by rebuilding.
-* A whole round's legality is checked as batched membership passes plus
-  one flat-expanded distance-2 pass; connectivity folds activations
-  into a flat-array union-find (min-label hooking + full path
-  compression) and only recomputes from scratch on rounds that actually
-  removed an edge.
+* The active edge set and the adjacency are the sorted packed-key
+  arrays of :mod:`repro.engine.edge_keys` (slot space) — the same
+  primitives the bulk engine's array rounds commit with.
+* A whole round's legality is classified by the shared
+  :func:`~repro.engine.edge_keys.legality_codes`; connectivity folds
+  activations into a flat-array union-find (min-label hooking + full
+  path compression) and only recomputes from scratch on rounds that
+  actually removed an edge.
 * External perturbations are rare and semantically fiddly, so they are
   folded by the *dict* replay itself on a materialized adjacency
   (equality with ``Network.apply_external`` by shared code), then the
@@ -37,6 +35,21 @@ from itertools import chain
 import numpy as np
 
 from .conformance import _MAX_DETAILS, InvariantChecker, _EdgeReplay, _lbl, _le
+from .engine.edge_keys import (
+    ACTIVE,
+    EMPTY,
+    MASK,
+    SELF_LOOP,
+    SHIFT,
+    UNKNOWN,
+    both_dirs,
+    delete_from,
+    identity_slots,
+    legality_codes,
+    member,
+    merge_in,
+    pack,
+)
 from .engine.trace import sorted_edges
 from .errors import ConfigurationError
 
@@ -46,50 +59,9 @@ __all__ = [
     "ArrayTemporalLegalityChecker",
 ]
 
-_SHIFT = 32
-_MASK = np.int64((1 << _SHIFT) - 1)
 #: Slot ids must leave the packed key positive in an int64 (and the
 #: ``(slot + 1) << 32`` adjacency-slice bound representable).
 _MAX_SLOTS = (1 << 31) - 1
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _pack(su, sv):
-    """Undirected packed keys for directed slot pairs (smaller slot in
-    the high bits, matching ``repro.engine.dense``)."""
-    lo = np.minimum(su, sv)
-    hi = np.maximum(su, sv)
-    return (lo << _SHIFT) | hi
-
-
-def _both_dirs(keys):
-    """Sorted directed keys (both orientations) for undirected keys."""
-    swapped = ((keys & _MASK) << _SHIFT) | (keys >> _SHIFT)
-    return np.sort(np.concatenate([keys, swapped]))
-
-
-def _member(base, vals):
-    """Boolean membership of ``vals`` in the sorted array ``base``."""
-    if base.size == 0 or vals.size == 0:
-        return np.zeros(vals.shape, dtype=bool)
-    pos = np.searchsorted(base, vals)
-    pos[pos == base.size] = base.size - 1
-    return base[pos] == vals
-
-
-def _merge_in(base, add):
-    """Sorted merge of ``add`` (sorted, disjoint from ``base``)."""
-    if add.size == 0:
-        return base
-    return np.insert(base, np.searchsorted(base, add), add)
-
-
-def _delete_from(base, rem):
-    """Remove ``rem`` (sorted, a subset of ``base``) from ``base``."""
-    if rem.size == 0:
-        return base
-    return np.delete(base, np.searchsorted(base, rem))
 
 
 def _uf_fold(parent, uu, vv):
@@ -165,8 +137,8 @@ class _ArrayReplay(InvariantChecker):
         )
         su, sv, _ = self._to_slots(edges)
         valid = (su >= 0) & (sv >= 0) & (su != sv)
-        self._keys = np.unique(_pack(su[valid], sv[valid])) if valid.any() else _EMPTY
-        self._dir = _both_dirs(self._keys) if self._needs_dir else _EMPTY
+        self._keys = np.unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
+        self._dir = both_dirs(self._keys) if self._needs_dir else EMPTY
 
     def _label_index(self) -> dict:
         if self._index is None:
@@ -179,7 +151,7 @@ class _ArrayReplay(InvariantChecker):
         if ua.size == 0:
             return np.full(labels.shape, -1, dtype=np.int64)
         if self._ident:
-            return np.where((labels >= 0) & (labels < ua.size), labels, np.int64(-1))
+            return identity_slots(labels, ua.size)
         pos = np.searchsorted(ua, labels)
         pos[pos == ua.size] = ua.size - 1
         return np.where(ua[pos] == labels, pos, np.int64(-1))
@@ -194,8 +166,9 @@ class _ArrayReplay(InvariantChecker):
         int tuples — and slot through ``searchsorted``)."""
         uarr = getattr(edges, "u", None)
         if uarr is not None:
-            # tracebin _PairsView: endpoint label arrays already in
-            # canonical (sorted_edges) order — no flatten, no sort.
+            # _PairsView (.rtb array decode, bulk kernel rounds): endpoint
+            # label arrays already in canonical (sorted_edges) order — no
+            # flatten, no sort.
             varr = edges.v
             if self._uid_arr is not None:
                 return (
@@ -215,11 +188,11 @@ class _ArrayReplay(InvariantChecker):
                 flat = None
             if flat is not None:
                 uu, vv = flat[0::2], flat[1::2]
-                if m and flat.min() >= 0 and flat.max() < (1 << _SHIFT):
+                if m and flat.min() >= 0 and flat.max() < (1 << SHIFT):
                     # Distinct pairs pack to distinct keys whose sort
                     # order is exactly lexicographic (u, v) — one int64
                     # sort, ~10x cheaper than the general lexsort.
-                    order = np.argsort((uu << _SHIFT) | vv)
+                    order = np.argsort((uu << SHIFT) | vv)
                 else:
                     order = np.lexsort((vv, uu))
                 uu, vv = uu[order], vv[order]
@@ -244,13 +217,13 @@ class _ArrayReplay(InvariantChecker):
         collapse exactly as sequential dict adds do."""
         valid = (su >= 0) & (sv >= 0) & (su != sv)
         if not valid.any():
-            return _EMPTY
-        keys = np.unique(_pack(su[valid], sv[valid]))
-        new = keys[~_member(self._keys, keys)]
+            return EMPTY
+        keys = np.unique(pack(su[valid], sv[valid]))
+        new = keys[~member(self._keys, keys)]
         if new.size:
-            self._keys = _merge_in(self._keys, new)
+            self._keys = merge_in(self._keys, new)
             if self._needs_dir:
-                self._dir = _merge_in(self._dir, _both_dirs(new))
+                self._dir = merge_in(self._dir, both_dirs(new))
         return new
 
     def _apply_drops(self, du, dv):
@@ -259,13 +232,13 @@ class _ArrayReplay(InvariantChecker):
         active edges drop (self-loops and unknown pairs never match)."""
         valid = (du >= 0) & (dv >= 0)
         if not valid.any():
-            return _EMPTY
-        keys = np.unique(_pack(du[valid], dv[valid]))
-        gone = keys[_member(self._keys, keys)]
+            return EMPTY
+        keys = np.unique(pack(du[valid], dv[valid]))
+        gone = keys[member(self._keys, keys)]
         if gone.size:
-            self._keys = _delete_from(self._keys, gone)
+            self._keys = delete_from(self._keys, gone)
             if self._needs_dir:
-                self._dir = _delete_from(self._dir, _both_dirs(gone))
+                self._dir = delete_from(self._dir, both_dirs(gone))
         return gone
 
     def fold_round(self, record) -> None:
@@ -280,8 +253,8 @@ class _ArrayReplay(InvariantChecker):
         running the dict replay's fold, and re-interning the result."""
         uids = self._uids
         adj: dict = {u: set() for u in uids}
-        lo = (self._keys >> _SHIFT).tolist()
-        hi = (self._keys & _MASK).tolist()
+        lo = (self._keys >> SHIFT).tolist()
+        hi = (self._keys & MASK).tolist()
         for a, b in zip(lo, hi):
             u, v = uids[a], uids[b]
             adj[u].add(v)
@@ -295,8 +268,8 @@ class _ArrayReplay(InvariantChecker):
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists."""
         uids = self._uids
-        lo = (self._keys >> _SHIFT).tolist()
-        hi = (self._keys & _MASK).tolist()
+        lo = (self._keys >> SHIFT).tolist()
+        hi = (self._keys & MASK).tolist()
         return list(uids), [(uids[a], uids[b]) for a, b in zip(lo, hi)]
 
 
@@ -323,7 +296,7 @@ class ArrayConnectivityChecker(_ArrayReplay):
     def _rebuild(self) -> None:
         parent = np.arange(self._n, dtype=np.int64)
         if self._keys.size:
-            parent = _uf_fold(parent, self._keys >> _SHIFT, self._keys & _MASK)
+            parent = _uf_fold(parent, self._keys >> SHIFT, self._keys & MASK)
         self._parent = parent
         self._components = int((parent == np.arange(self._n)).sum())
 
@@ -335,7 +308,7 @@ class ArrayConnectivityChecker(_ArrayReplay):
         if gone.size:
             self._rebuild()
         elif added.size:
-            parent = _uf_fold(self._parent, added >> _SHIFT, added & _MASK)
+            parent = _uf_fold(self._parent, added >> SHIFT, added & MASK)
             self._parent = parent
             self._components = int((parent == np.arange(self._n)).sum())
         if self._components > 1:
@@ -366,51 +339,14 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
-        self._act_keys = _EMPTY  # activated-only edges (E(i) \ E(1))
-
-    def _dist2_ok(self, su, sv, idx):
-        """For pair indices ``idx``: do the endpoints share a neighbor?
-        Expands the smaller-degree endpoint's adjacency slice flat and
-        probes the directed key array for (neighbor, other) edges."""
-        ok = np.zeros(idx.size, dtype=bool)
-        if idx.size == 0:
-            return ok
-        a, b = su[idx], sv[idx]
-        d = self._dir
-        sa, ea = np.searchsorted(d, a << _SHIFT), np.searchsorted(d, (a + 1) << _SHIFT)
-        sb, eb = np.searchsorted(d, b << _SHIFT), np.searchsorted(d, (b + 1) << _SHIFT)
-        small_is_a = (ea - sa) <= (eb - sb)
-        starts = np.where(small_is_a, sa, sb)
-        cnt = np.where(small_is_a, ea - sa, eb - sb)
-        other = np.where(small_is_a, b, a)
-        total = int(cnt.sum())
-        if total == 0:
-            return ok
-        seg = np.repeat(np.arange(idx.size), cnt)
-        offs = np.concatenate(([0], np.cumsum(cnt)))[:-1]
-        flat = starts[seg] + (np.arange(total) - offs[seg])
-        nbrs = d[flat] & _MASK
-        hits = _member(d, (nbrs << _SHIFT) | other[seg])
-        ok[np.bincount(seg, weights=hits, minlength=idx.size) > 0] = True
-        return ok
+        self._act_keys = EMPTY  # activated-only edges (E(i) \ E(1))
 
     def on_round(self, record) -> None:
         where = self._where(record.round)
         su, sv, albl = self._to_slots(record.activations)
         du, dv, dlbl = self._to_slots(record.deactivations)
         # -- legality, all against the pre-round state ------------------
-        unknown = (su < 0) | (sv < 0)
-        selfloop = ~unknown & (su == sv)
-        rem = ~(unknown | selfloop)
-        akeys = _pack(su, sv)
-        active = np.zeros(su.shape, dtype=bool)
-        active[rem] = _member(self._keys, akeys[rem])
-        cand = np.nonzero(rem & ~active)[0]
-        not2 = np.zeros(su.shape, dtype=bool)
-        not2[cand[~self._dist2_ok(su, sv, cand)]] = True
-        code = (
-            1 * unknown + 2 * selfloop + 3 * active + 4 * not2
-        )
+        code, _ = legality_codes(self._keys, self._dir, su, sv)
         for k in np.nonzero(code)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 # Everything from here on is past the cap: count it
@@ -420,25 +356,25 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
                 break
             u, v = albl(int(k))
             c = code[k]
-            if c == 1:
+            if c == UNKNOWN:
                 self._fail(
                     f"{where}: activation ({_lbl(u)}, {_lbl(v)}) names an "
                     f"unknown node"
                 )
-            elif c == 2:
+            elif c == SELF_LOOP:
                 self._fail(f"{where}: activated self-loop ({_lbl(u)}, {_lbl(v)})")
-            elif c == 3:
+            elif c == ACTIVE:
                 self._fail(
                     f"{where}: activated already-active edge ({_lbl(u)}, {_lbl(v)})"
                 )
-            else:
+            else:  # NOT_DIST2
                 self._fail(
                     f"{where}: activated ({_lbl(u)}, {_lbl(v)}) but endpoints "
                     f"are not at distance 2"
                 )
         dbad = np.ones(du.shape, dtype=bool)
         dknown = (du >= 0) & (dv >= 0)
-        dbad[dknown] = ~_member(self._keys, _pack(du, dv)[dknown])
+        dbad[dknown] = ~member(self._keys, pack(du, dv)[dknown])
         for k in np.nonzero(dbad)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 self._suppressed += int(np.count_nonzero(dbad[k:]))
@@ -447,9 +383,9 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
             self._fail(f"{where}: deactivated inactive edge ({_lbl(u)}, {_lbl(v)})")
         # -- apply: adds first, then drops (dict loop order) ------------
         added = self._apply_adds(su, sv)
-        self._act_keys = _merge_in(self._act_keys, added)
+        self._act_keys = merge_in(self._act_keys, added)
         gone = self._apply_drops(du, dv)
-        self._act_keys = _delete_from(self._act_keys, gone[_member(self._act_keys, gone)])
+        self._act_keys = delete_from(self._act_keys, gone[member(self._act_keys, gone)])
         # -- the tamper check: committed counters vs the replay ---------
         if record.active_edges != self._keys.size:
             self._fail(
@@ -469,18 +405,18 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
         uids = self._uids
         pairs = set()
         for key in self._act_keys.tolist():
-            x, y = uids[key >> _SHIFT], uids[key & int(_MASK)]
+            x, y = uids[key >> SHIFT], uids[key & int(MASK)]
             pairs.add((x, y) if _le(x, y) else (y, x))
         self._apply_perturbation(record)
         for u, v in record.drops:
             pairs.discard((u, v) if _le(u, v) else (v, u))
-        for u in record.crashes:
-            for e in [e for e in pairs if u in e]:
-                pairs.discard(e)
+        crashed = set(record.crashes)
+        if crashed:
+            pairs = {e for e in pairs if e[0] not in crashed and e[1] not in crashed}
         get = self._label_index().get
         repacked = np.fromiter(
             (
-                _pack(np.int64(get(u)), np.int64(get(v)))
+                pack(np.int64(get(u)), np.int64(get(v)))
                 for u, v in pairs
             ),
             dtype=np.int64,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import networkx as nx
 
 from ..engine import NodeProgram, PhaseKernel, RunResult, SynchronousRunner
-from ..engine.actions import RoundActions
+from ..engine.actions import RequestArrays
 from .modes import Mode
 
 PHASE_LEN = 5
@@ -125,9 +125,10 @@ class StarDenseKernel(StarPhaseKernel):
 
     * committee membership is the ``cid`` array itself (leader of
       committee ``c`` is node ``c``, a paper invariant);
-    * the boundary adjacency is kept as parallel directed ``(src, dst)``
-      edge arrays, maintained incrementally from each round's effective
-      action sets (:meth:`apply_effective`);
+    * the boundary adjacency is read straight off the network's sorted
+      directed key array (:meth:`DenseNetwork.key_arrays`), which the
+      network's array apply keeps current — the kernel holds no
+      adjacency of its own;
     * the r2 candidate selection is one masked lexicographic reduction
       over the phase's sensed boundary entries — sort by (committee,
       candidate cid, preference key) and keep each committee's last row;
@@ -135,8 +136,9 @@ class StarDenseKernel(StarPhaseKernel):
       are fancy-indexed gather/scatter passes over the public plane.
 
     The kernel produces the exact per-actor action-request multiset the
-    per-node programs would issue; the runner pushes it through the
-    network's legality pipeline and the metrics recorder unchanged, so
+    per-node programs would issue, as :class:`RequestArrays`; the runner
+    pushes it through the network's array legality pipeline
+    (:meth:`DenseNetwork.apply_arrays`) and the metrics recorder, so
     traces and metrics stay byte-identical by construction (the
     differential harness and the hypothesis lockstep suite are the
     oracle).  Reads assume the execution is legal — the per-node
@@ -155,7 +157,6 @@ class StarDenseKernel(StarPhaseKernel):
         ("llp/llt", "int64[n]", "last leader-edge (phase, target)"),
         ("tlink", "int64[n]", "current attachment (-1: none)"),
         ("p_*", "mirrors", "public plane as of each node's last refresh"),
-        ("src/dst", "int64[2E]", "directed active-edge arrays"),
         ("ent_*", "int64[B]", "r1-sensed boundary entries (r2 reduction)"),
     )
 
@@ -172,21 +173,14 @@ class StarDenseKernel(StarPhaseKernel):
 
         net = runner.network
         n = net.n
-        deg = np.fromiter((len(s) for s in net._iadj), dtype=np.int64, count=n)
-        m = int(deg.sum())
-        src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        dst = np.fromiter((j for s in net._iadj for j in s), dtype=np.int64, count=m)
-        orig = np.fromiter(net._orig_pairs, dtype=np.int64, count=len(net._orig_pairs))
-        orig.sort()
         idx = np.arange(n, dtype=np.int64)
         none = np.full(n, -1, dtype=np.int64)
         st = {
             "n": n,
             "net": net,
-            "src": src,
-            "dst": dst,
-            "orig": orig,
-            "actions": RoundActions(),
+            # E(1) never changes on the kernel path (no adversary).
+            "orig": net.key_arrays()[2],
+            "no_requests": RequestArrays(*[idx[:0]] * 6),
             # program state: every node starts as a singleton leader
             "cid": idx.copy(),
             "leader": np.ones(n, dtype=bool),
@@ -231,37 +225,37 @@ class StarDenseKernel(StarPhaseKernel):
             st["p_" + f][rows] = st[f][rows]
 
     @staticmethod
+    def _edges(st):
+        """The active edges as parallel directed ``(src, dst)`` arrays."""
+        from ..engine.edge_keys import MASK, SHIFT
+
+        dirs = st["net"].key_arrays()[1]
+        return dirs >> SHIFT, dirs & MASK
+
+    @staticmethod
     def _orig_edge(st, u, v):
         """Vectorized ``is_original`` over uid arrays (identity interning)."""
-        import numpy as np
+        from ..engine.edge_keys import member, pack
 
-        orig = st["orig"]
-        if not len(orig):
-            return np.zeros(len(u), dtype=bool)
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = (lo << 32) | hi
-        pos = np.searchsorted(orig, key).clip(max=len(orig) - 1)
-        return orig[pos] == key
+        return member(st["orig"], pack(u, v))
 
     # -- the round dispatch ------------------------------------------------
 
     def step_round(self, state, round_no: int):
         phase, pos = StarPhaseKernel.phase_of(round_no)
-        actions = state["actions"]
-        actions.clear()
         halted: list = []
+        requests = state["no_requests"]
         if pos == 0:
             self._round0(state)
         elif pos == 1:
             self._round1(state, phase)
         elif pos == 2:
-            self._round2(state, phase, actions)
+            requests = self._round2(state, phase)
         elif pos == 3:
-            self._round3(state, phase, actions)
+            requests = self._round3(state, phase)
         else:
             halted = self._round4(state, phase)
-        return halted, actions
+        return halted, requests
 
     @staticmethod
     def _round0(st) -> None:
@@ -295,7 +289,7 @@ class StarDenseKernel(StarPhaseKernel):
         leader = st["leader"]
         cid = st["cid"]
         mode = st["mode"]
-        src, dst = st["src"], st["dst"]
+        src, dst = K._edges(st)
         p_cid, p_mode = st["p_cid"], st["p_mode"]
         p_leader, p_mtgt = st["p_leader"], st["p_mtgt"]
         p_llp, p_llt = st["p_llp"], st["p_llt"]
@@ -337,10 +331,12 @@ class StarDenseKernel(StarPhaseKernel):
         K._publish(st, np.nonzero(ldr)[0])
 
     @staticmethod
-    def _round2(st, phase: int, actions) -> None:
+    def _round2(st, phase: int) -> RequestArrays:
         """r2: reports + candidate selection + first hop; merge transfer;
         pulling jump; termination fan-out."""
         import numpy as np
+
+        from ..engine.edge_keys import member, pack
 
         K = StarDenseKernel
         n = st["n"]
@@ -348,7 +344,7 @@ class StarDenseKernel(StarPhaseKernel):
         leader = st["leader"]
         cid = st["cid"]
         mode = st["mode"]
-        src, dst = st["src"], st["dst"]
+        src, dst = K._edges(st)
         p_mode, p_mtgt = st["p_mode"], st["p_mtgt"]
 
         # --- start-of-round reads (before any state mutation) ---------
@@ -400,29 +396,18 @@ class StarDenseKernel(StarPhaseKernel):
         pj_orig = K._orig_edge(st, pj, pj_p)
         md = np.nonzero(live & leader & (mode == K._MRG))[0]
 
-        # --- emit the raw requests (per-node order preserved) ----------
-        act = actions.activations.append
-        dea = actions.deactivations.append
-        iadj = st["net"]._iadj
-        for u, t, old, keep in zip(
-            mg.tolist(), mg_t.tolist(), mg_old.tolist(), mg_keep.tolist()
-        ):
-            act((u, u, t))
-            if not keep:
-                dea((u, u, old))
-        for u, v in zip(t_u.tolist(), t_v.tolist()):
-            dea((u, u, v))
-        act1_done = st["act1_done"]
-        for L, yy in zip(sel_L.tolist(), sel_y.tolist()):
-            if yy not in iadj[L]:
-                act((L, L, yy))
-                act1_done[L] = True
-        for L, t, p, is_orig in zip(
-            pj.tolist(), pj_t.tolist(), pj_p.tolist(), pj_orig.tolist()
-        ):
-            act((L, L, t))
-            if p in iadj[L] and not is_orig:
-                dea((L, L, p))
+        # --- the raw requests, by group: transfers, the termination
+        # fan-out, first hops, pulling jumps (each group in row order) --
+        keys = st["net"].key_arrays()[0]
+        hop = ~member(keys, pack(sel_L, sel_y))  # first-hop edge not yet active
+        st["act1_done"][sel_L[hop]] = True
+        drop_p = member(keys, pack(pj, pj_p)) & ~pj_orig
+        act_u = np.concatenate([mg, sel_L[hop], pj])
+        dea_u = np.concatenate([mg[~mg_keep], t_u, pj[drop_p]])
+        requests = RequestArrays(
+            act_u, act_u, np.concatenate([mg_t, sel_y[hop], pj_t]),
+            dea_u, dea_u, np.concatenate([mg_old[~mg_keep], t_v, pj_p[drop_p]]),
+        )
 
         # --- state updates ---------------------------------------------
         cid[mg] = mg_t
@@ -440,9 +425,10 @@ class StarDenseKernel(StarPhaseKernel):
         st["mtgt"][md] = -1
         st["tlink"][md] = -1
         K._publish(st, np.nonzero(live)[0])
+        return requests
 
     @staticmethod
-    def _round3(st, phase: int, actions) -> None:
+    def _round3(st, phase: int) -> RequestArrays:
         """r3: the leader-to-leader edge, re-targeted through the gateway."""
         import numpy as np
 
@@ -451,27 +437,24 @@ class StarDenseKernel(StarPhaseKernel):
         g = np.nonzero(
             live & st["leader"] & (st["mode"] == K._SEL) & (st["sel"] != -1)
         )[0]
+        requests = st["no_requests"]
         if len(g):
             y = st["act1"][g]
             t = st["p_cid"][y]
             ok = t != g
             rows, yk, tk = g[ok], y[ok], t[ok]
             is_orig = K._orig_edge(st, rows, yk)
-            act = actions.activations.append
-            dea = actions.deactivations.append
-            a1d = st["act1_done"]
-            for L, yy, tt, o in zip(
-                rows.tolist(), yk.tolist(), tk.tolist(), is_orig.tolist()
-            ):
-                if tt != yy:
-                    act((L, L, tt))
-                if a1d[L] and yy != tt and not o:
-                    dea((L, L, yy))
+            moved = tk != yk  # the gateway's committee merged away
+            drop = st["act1_done"][rows] & moved & ~is_orig
+            requests = RequestArrays(
+                rows[moved], rows[moved], tk[moved], rows[drop], rows[drop], yk[drop]
+            )
             st["sel"][rows] = tk
             st["tlink"][rows] = tk
             st["llp"][rows] = phase
             st["llt"][rows] = tk
         K._publish(st, np.nonzero(live & st["leader"])[0])
+        return requests
 
     @staticmethod
     def _round4(st, phase: int) -> list:
@@ -485,7 +468,7 @@ class StarDenseKernel(StarPhaseKernel):
         mode = st["mode"]
         mode0 = mode.copy()
         cid = st["cid"]
-        src, dst = st["src"], st["dst"]
+        src, dst = K._edges(st)
         p_leader, p_tlink = st["p_leader"], st["p_tlink"]
         p_cid, p_llp = st["p_cid"], st["p_llp"]
 
@@ -523,28 +506,6 @@ class StarDenseKernel(StarPhaseKernel):
         st["halted"][halt_rows] = True
         K._publish(st, np.nonzero(ldr)[0])
         return halt_rows.tolist()
-
-    def apply_effective(self, state, activations, deactivations) -> None:
-        import numpy as np
-
-        src, dst = state["src"], state["dst"]
-        if activations:
-            m = len(activations)
-            au = np.fromiter((e[0] for e in activations), dtype=np.int64, count=m)
-            av = np.fromiter((e[1] for e in activations), dtype=np.int64, count=m)
-            src = np.concatenate([src, au, av])
-            dst = np.concatenate([dst, av, au])
-        if deactivations:
-            m = len(deactivations)
-            du = np.fromiter((e[0] for e in deactivations), dtype=np.int64, count=m)
-            dv = np.fromiter((e[1] for e in deactivations), dtype=np.int64, count=m)
-            rem = np.concatenate([(du << 32) | dv, (dv << 32) | du])
-            rem.sort()
-            pk = (src << 32) | dst
-            pos = np.searchsorted(rem, pk).clip(max=len(rem) - 1)
-            keep = rem[pos] != pk
-            src, dst = src[keep], dst[keep]
-        state["src"], state["dst"] = src, dst
 
     def finalize(self, state, runner) -> None:
         modes = self._MODES

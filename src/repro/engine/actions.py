@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def _type_order(x) -> tuple:
@@ -79,3 +80,20 @@ class RoundActions:
 
     def __bool__(self) -> bool:
         return bool(self.activations or self.deactivations)
+
+
+class RequestArrays(NamedTuple):
+    """One round's raw requests as parallel int64 arrays, in request order.
+
+    The array form of :class:`RoundActions` that dense-activity kernels
+    return: activation ``k`` is ``(act_actor[k], act_u[k], act_v[k])``,
+    deactivation ``k`` likewise.  Consumed by
+    :meth:`repro.engine.dense.DenseNetwork.apply_arrays`.
+    """
+
+    act_actor: object
+    act_u: object
+    act_v: object
+    dea_actor: object
+    dea_u: object
+    dea_v: object

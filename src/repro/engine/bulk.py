@@ -46,6 +46,8 @@ except ImportError as exc:  # pragma: no cover - numpy is a core dependency
 
 from ..errors import ProtocolViolation
 from .dense import _EMPTY_INBOX, DenseRunner
+from .edge_keys import request_max
+from .observers import _PairsView
 
 #: Sentinel wake round for "parked until an external wake condition".
 _NEVER = np.iinfo(np.int64).max // 2
@@ -368,32 +370,28 @@ class BulkRunner(DenseRunner):
             for obs in observers:
                 obs.on_round_start(round_no)
 
-        # Dense-activity kernels return the round's raw action requests
-        # alongside the halting wave; quiescent-phase kernels touch no
-        # edges and return only the halting wave.  Either way the
-        # requests go through the network's legality pipeline and the
-        # recorder exactly as on the per-node backends.
+        # Dense-activity kernels return the round's raw requests as int64
+        # arrays alongside the halting wave, and the round stays in array
+        # form from there on: the network's array legality pipeline
+        # commits sorted packed keys, which the recorder, the
+        # connectivity guard and (as pair views) the observers read
+        # directly.  Quiescent-phase kernels touch no edges and return
+        # only the halting wave.
         if kernel.produces_actions:
-            newly_halted, actions = kernel.step_round(self._kstate, round_no)
-            per_node = (
-                actions.activation_count_by_actor() if actions.activations else None
-            )
+            newly_halted, requests = kernel.step_round(self._kstate, round_no)
+            akeys, dkeys = net.apply_arrays(requests, strict=self.strict)
+            recorder.record_keys(akeys, dkeys, request_max(requests.act_actor))
+            connected = self._conn is None or self._conn.update_keys(akeys, dkeys)
+            activations = _PairsView.of_keys(akeys)
+            deactivations = _PairsView.of_keys(dkeys)
         else:
             newly_halted = kernel.step_round(self._kstate, round_no)
-            actions = self._actions
-            actions.clear()
-            per_node = None
-
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-        if kernel.produces_actions and (activations or deactivations):
-            kernel.apply_effective(self._kstate, activations, deactivations)
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
+            self._actions.clear()
+            activations, deactivations = net.apply(self._actions, strict=self.strict)
+            recorder.record_round(activations, deactivations, None)
+            connected = self._conn is None or self._conn.update(activations, deactivations)
+        if not connected:
+            raise ProtocolViolation(f"round {round_no} broke connectivity")
 
         if observers is not None:
             self._emit_round(

@@ -63,12 +63,43 @@ def _pack(i: int, j: int) -> int:
     return (i << _SHIFT) | j if i < j else (j << _SHIFT) | i
 
 
+def _illegal(kind: str, actor, u, v) -> ProtocolViolation:
+    """The strict-mode error for one illegal request, worded once for
+    both :meth:`DenseNetwork.apply` and :meth:`DenseNetwork.apply_arrays`
+    (the reference :class:`~repro.engine.network.Network` words it the
+    same way; the property suite pins all three)."""
+    if kind == "unknown":
+        return ProtocolViolation(
+            f"node {actor} activated ({u}, {v}) referencing an unknown node"
+        )
+    if kind == "self-loop":
+        return ProtocolViolation(f"node {actor} attempted a self-loop at {u}")
+    if kind == "distance":
+        return ProtocolViolation(
+            f"node {actor} activated {edge_key(u, v)} "
+            f"but endpoints are not at distance 2"
+        )
+    return ProtocolViolation(
+        f"node {actor} deactivated ({u}, {v}) referencing an unknown node"
+    )
+
+
 class DenseNetwork:
     """Index-interned actively dynamic network state.
 
     API-compatible with :class:`repro.engine.network.Network` (the full
     read protocol plus :meth:`apply` / :meth:`apply_external`), with all
     membership-style queries answered from the interned index space.
+
+    The bulk backend's kernel rounds use :meth:`apply_arrays` instead,
+    which keeps the active state as sorted packed-key arrays
+    (:meth:`key_arrays`) and leaves the Python views — ``_iadj``,
+    ``_active_pairs``, ``_frozen`` — behind until a read needs them:
+    every public read method, :meth:`apply` and :meth:`apply_external`
+    first patch them from the arrays (:meth:`_sync_views`), so they are
+    brought up to date at most once per array run.  Code reading those
+    attributes directly (contexts, the sparse scheduler) never runs
+    while the arrays lead.
     """
 
     def __init__(self, graph: nx.Graph, *, require_connected: bool = True) -> None:
@@ -103,6 +134,10 @@ class DenseNetwork:
         # Per-index canonical neighborhood snapshot slots (None = stale).
         self._frozen: list = [None] * len(uid_of)
         self._original_view: frozenset | None = None
+        # Array mode (see key_arrays): sorted undirected / directed /
+        # baseline key arrays, and the undirected array the Python views
+        # currently reflect.  All None until the first array round.
+        self._keys = self._dir = self._orig_keys = self._view_keys = None
         self.round = 1
 
     # ------------------------------------------------------------------
@@ -145,14 +180,20 @@ class DenseNetwork:
 
     def neighbors(self, u) -> frozenset:
         """``N_1(u)`` as a canonical read-only snapshot (see Network)."""
+        if self._keys is not self._view_keys:
+            self._sync_views()
         i = self._idx_of[u]
         view = self._frozen[i]
         return view if view is not None else self._freeze(i)
 
     def degree(self, u) -> int:
+        if self._keys is not self._view_keys:
+            self._sync_views()
         return len(self._iadj[self._idx_of[u]])
 
     def has_edge(self, u, v) -> bool:
+        if self._keys is not self._view_keys:
+            self._sync_views()
         i = self._idx_of.get(u)
         if i is None:
             return False
@@ -166,15 +207,20 @@ class DenseNetwork:
         return _pack(i, j) in self._orig_pairs
 
     def edges(self):
+        if self._keys is not self._view_keys:
+            self._sync_views()
         unpack = self._unpack
         return (unpack(p) for p in self._active_pairs)
 
     @property
     def num_active_edges(self) -> int:
-        return len(self._active_pairs)
+        keys = self._keys
+        return len(self._active_pairs) if keys is None else keys.size
 
     def activated_edges(self) -> set:
         """``E(i) \\ E(1)``: currently active edges not in the baseline."""
+        if self._keys is not self._view_keys:
+            self._sync_views()
         unpack = self._unpack
         return {unpack(p) for p in self._active_pairs - self._orig_pairs}
 
@@ -185,6 +231,8 @@ class DenseNetwork:
 
     def potential_neighbors(self, u) -> set:
         """``N_2(u)``: nodes at distance exactly two from ``u``."""
+        if self._keys is not self._view_keys:
+            self._sync_views()
         iadj = self._iadj
         i = self._idx_of[u]
         direct = iadj[i]
@@ -197,6 +245,8 @@ class DenseNetwork:
         return {uid_of[j] for j in result}
 
     def common_neighbor_exists(self, u, v) -> bool:
+        if self._keys is not self._view_keys:
+            self._sync_views()
         a = self._iadj[self._idx_of[u]]
         b = self._iadj[self._idx_of[v]]
         if len(a) > len(b):
@@ -210,6 +260,8 @@ class DenseNetwork:
         return g
 
     def is_connected(self) -> bool:
+        if self._keys is not self._view_keys:
+            self._sync_views()
         n = len(self._nodes)
         if n <= 1:
             return True
@@ -240,6 +292,8 @@ class DenseNetwork:
             # Idle round: nothing to filter, nothing to apply.
             self.round += 1
             return set(), set()
+        if self._keys is not None:
+            self._drop_arrays()
 
         idx_of = self._idx_of
         iadj = self._iadj
@@ -251,13 +305,11 @@ class DenseNetwork:
             j = idx_of.get(v)
             if i is None or j is None:
                 if strict:
-                    raise ProtocolViolation(
-                        f"node {actor} activated ({u}, {v}) referencing an unknown node"
-                    )
+                    raise _illegal("unknown", actor, u, v)
                 continue
             if i == j:
                 if strict:
-                    raise ProtocolViolation(f"node {actor} attempted a self-loop at {u}")
+                    raise _illegal("self-loop", actor, u, v)
                 continue
             pair = (i << _SHIFT) | j if i < j else (j << _SHIFT) | i
             if pair in active:
@@ -268,10 +320,7 @@ class DenseNetwork:
                 a, b = b, a
             if b.isdisjoint(a):
                 if strict:
-                    raise ProtocolViolation(
-                        f"node {actor} activated {edge_key(u, v)} "
-                        f"but endpoints are not at distance 2"
-                    )
+                    raise _illegal("distance", actor, u, v)
                 continue
             act_pairs.add(pair)
 
@@ -281,9 +330,7 @@ class DenseNetwork:
             j = idx_of.get(v)
             if i is None or j is None:
                 if strict:
-                    raise ProtocolViolation(
-                        f"node {actor} deactivated ({u}, {v}) referencing an unknown node"
-                    )
+                    raise _illegal("deactivated-unknown", actor, u, v)
                 continue
             pair = (i << _SHIFT) | j if i < j else (j << _SHIFT) | i
             if pair not in active and pair not in act_pairs:
@@ -331,6 +378,137 @@ class DenseNetwork:
         return activations, deactivations
 
     # ------------------------------------------------------------------
+    # array rounds (the bulk backend's kernel path)
+    # ------------------------------------------------------------------
+
+    def key_arrays(self) -> tuple:
+        """The state as sorted packed-key arrays ``(active, directed,
+        original)`` (:mod:`repro.engine.edge_keys` layout, index space).
+
+        The first call switches the network into array mode, which
+        :meth:`apply_arrays` keeps: the arrays lead, and the Python views
+        follow on the next read.  Identity-interned networks only (uids
+        exactly ``0..n-1``, none crashed) — the networks the array
+        kernels accept.
+        """
+        if self._keys is None:
+            import numpy as np
+
+            from .edge_keys import both_dirs
+
+            if not self._identity or len(self._idx_of) != len(self._uid_of):
+                raise ConfigurationError(
+                    "array rounds need uids 0..n-1 with none crashed"
+                )
+            keys = np.fromiter(self._active_pairs, np.int64, len(self._active_pairs))
+            keys.sort()
+            orig = np.fromiter(self._orig_pairs, np.int64, len(self._orig_pairs))
+            orig.sort()
+            self._keys = self._view_keys = keys
+            self._dir = both_dirs(keys)
+            self._orig_keys = orig
+        return self._keys, self._dir, self._orig_keys
+
+    def apply_arrays(self, requests, *, strict: bool = True) -> tuple:
+        """Apply one round's :class:`~repro.engine.actions.RequestArrays`.
+
+        The legality pipeline of :meth:`apply`, as whole-round array
+        passes against the pre-round state: per activation, unknown node
+        → self-loop → already active (a no-op) → not at distance 2
+        (:func:`~repro.engine.edge_keys.legality_codes`); then the
+        conflict rule (an edge both activated and deactivated stays as
+        it was), then "deactivate only active edges".  In strict mode the
+        first offending request in request order raises the exact
+        :class:`ProtocolViolation` :meth:`apply` would, before anything
+        is committed.  Returns the committed activations and
+        deactivations as sorted packed keys (identity interning makes
+        them uid pairs too).
+        """
+        import numpy as np
+
+        from . import edge_keys as ek
+
+        if not requests.act_u.size and not requests.dea_u.size:
+            self.round += 1
+            return ek.EMPTY, ek.EMPTY
+        keys, dirs, orig = self.key_arrays()
+        size = len(self._uid_of)
+        codes, packed = ek.legality_codes(
+            keys,
+            dirs,
+            ek.identity_slots(requests.act_u, size),
+            ek.identity_slots(requests.act_v, size),
+        )
+        du = ek.identity_slots(requests.dea_u, size)
+        dv = ek.identity_slots(requests.dea_v, size)
+        dknown = (du >= 0) & (dv >= 0)
+        if strict:
+            bad = np.flatnonzero((codes != 0) & (codes != ek.ACTIVE))
+            if bad.size:
+                k = int(bad[0])
+                kinds = {ek.UNKNOWN: "unknown", ek.SELF_LOOP: "self-loop",
+                         ek.NOT_DIST2: "distance"}
+                raise _illegal(
+                    kinds[int(codes[k])],
+                    int(requests.act_actor[k]),
+                    int(requests.act_u[k]),
+                    int(requests.act_v[k]),
+                )
+            bad = np.flatnonzero(~dknown)
+            if bad.size:
+                k = int(bad[0])
+                raise _illegal(
+                    "deactivated-unknown",
+                    int(requests.dea_actor[k]),
+                    int(requests.dea_u[k]),
+                    int(requests.dea_v[k]),
+                )
+        act = np.unique(packed[codes == 0])
+        requested_off = np.unique(ek.pack(du[dknown], dv[dknown]))
+        act = act[~ek.member(requested_off, act)]
+        dea = requested_off[ek.member(keys, requested_off)]
+        if act.size or dea.size:
+            self._keys = ek.merge_in(ek.delete_from(keys, dea), act)
+            self._dir = ek.merge_in(
+                ek.delete_from(dirs, ek.both_dirs(dea)), ek.both_dirs(act)
+            )
+            self._n_activated += int(
+                np.count_nonzero(~ek.member(orig, act))
+                - np.count_nonzero(~ek.member(orig, dea))
+            )
+        self.round += 1
+        return act, dea
+
+    def _sync_views(self) -> None:
+        """Patch the Python views to the key arrays: only the edges that
+        changed since the views were last current are touched."""
+        from .edge_keys import member
+
+        old, new = self._view_keys, self._keys
+        added = new[~member(old, new)].tolist()
+        removed = old[~member(new, old)].tolist()
+        iadj, frozen = self._iadj, self._frozen
+        for p in removed:
+            i, j = p >> _SHIFT, p & _MASK
+            iadj[i].discard(j)
+            iadj[j].discard(i)
+            frozen[i] = frozen[j] = None
+        for p in added:
+            i, j = p >> _SHIFT, p & _MASK
+            iadj[i].add(j)
+            iadj[j].add(i)
+            frozen[i] = frozen[j] = None
+        self._active_pairs.difference_update(removed)
+        self._active_pairs.update(added)
+        self._view_keys = new
+
+    def _drop_arrays(self) -> None:
+        """Leave array mode: the Python views lead again."""
+        if self._keys is not self._view_keys:
+            self._sync_views()
+        self._keys = self._dir = self._orig_keys = self._view_keys = None
+
+    # ------------------------------------------------------------------
     # external (adversarial) mutation — outside the model's legality rules
     # ------------------------------------------------------------------
 
@@ -340,6 +518,8 @@ class DenseNetwork:
         Crashed nodes' index slots are retired, never reused — exactly
         like uids.  Joined nodes extend the interning tables.
         """
+        if self._keys is not None:
+            self._drop_arrays()
         dropped: set = set()
         added: set = set()
         nodes = set(self._nodes)
@@ -443,13 +623,15 @@ class DenseConnectivityTracker:
         self._network = network
         self._rebuild()
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, keys=None) -> None:
+        """Recompute from the network's active pairs, or from its active
+        key array in array rounds (``keys``)."""
         net = self._network
         size = len(net._uid_of)
         self._parent = list(range(size))
         self._rank = [0] * size
         self._components = net.n
-        for pair in net._active_pairs:
+        for pair in net._active_pairs if keys is None else keys.tolist():
             self._union(pair >> _SHIFT, pair & _MASK)
 
     def _find(self, x: int) -> int:
@@ -490,6 +672,16 @@ class DenseConnectivityTracker:
             idx_of = self._network._idx_of
             for u, v in activations:
                 self._union(idx_of[u], idx_of[v])
+        return self._components <= 1
+
+    def update_keys(self, activations, deactivations) -> bool:
+        """Fold one array round's committed sets (sorted packed keys,
+        :meth:`DenseNetwork.apply_arrays`)."""
+        if deactivations.size:
+            self._rebuild(self._network.key_arrays()[0])
+        else:
+            for pair in activations.tolist():
+                self._union(pair >> _SHIFT, pair & _MASK)
         return self._components <= 1
 
     def is_connected(self) -> bool:

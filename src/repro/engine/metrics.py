@@ -5,7 +5,9 @@
 * **maximum activated degree** — ``max_i deg(D(i) \\ D(1))``
 
 The recorder is fed the effective activation/deactivation sets of every
-round and maintains the activated-only subgraph incrementally.
+round — as uid-pair sets, or on the bulk kernel path as sorted packed
+keys (:meth:`MetricsRecorder.record_keys`) — and maintains the
+activated-only subgraph incrementally.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ class MetricsRecorder:
                     orig.sort()
                     self._orig_arr = orig
                     self._degree_arr = numpy.zeros(network.n, numpy.int64)
+                    # Activated-only keys, for runs fed by record_keys.
+                    self._act_keys = orig[:0]
 
     def record_round(
         self,
@@ -185,6 +189,46 @@ class MetricsRecorder:
                     degree[e[0]] -= 1
                     degree[e[1]] -= 1
         m.max_activated_edges = max(m.max_activated_edges, len(self._activated_now))
+
+    def record_keys(self, activations, deactivations, per_node_max: int) -> None:
+        """:meth:`record_round` for array rounds (the bulk kernel path).
+
+        ``activations`` / ``deactivations`` are the committed sets as
+        sorted packed keys (:meth:`DenseNetwork.apply_arrays`, identity
+        interning) and ``per_node_max`` is the round's largest per-actor
+        activation request count.  The activated-only subgraph is one
+        sorted key array here, so a run feeds either this method or
+        :meth:`record_round`, never both.
+        """
+        from .edge_keys import MASK, SHIFT, delete_from, member, merge_in
+
+        np = self._np
+        m = self.metrics
+        k = activations.size
+        m.rounds += 1
+        m.total_activations += k
+        m.total_deactivations += deactivations.size
+        m.per_round_activations.append(k)
+        m.max_activations_per_round = max(m.max_activations_per_round, k)
+        m.max_activations_per_node_round = max(
+            m.max_activations_per_node_round, per_node_max
+        )
+        degree = self._degree_arr
+        fresh = activations[~member(self._orig_arr, activations)]
+        if fresh.size:
+            u, v = fresh >> SHIFT, fresh & MASK
+            np.add.at(degree, u, 1)
+            np.add.at(degree, v, 1)
+            m.max_activated_degree = max(
+                m.max_activated_degree, int(degree[u].max()), int(degree[v].max())
+            )
+            self._act_keys = merge_in(self._act_keys, fresh)
+        gone = deactivations[member(self._act_keys, deactivations)]
+        if gone.size:
+            np.add.at(degree, gone >> SHIFT, -1)
+            np.add.at(degree, gone & MASK, -1)
+            self._act_keys = delete_from(self._act_keys, gone)
+        m.max_activated_edges = max(m.max_activated_edges, self._act_keys.size)
 
     def _bulk_activations(self, activations: set) -> int:
         """Array-path activation counters; returns the touched-degree max.

@@ -73,15 +73,49 @@ class RoundObserver:
         """The run finished normally (``metrics`` is the final Metrics)."""
 
 
+class _PairsView:
+    """Lazy pair view over int64 endpoint arrays.
+
+    Iterates Python ``(u, v)`` int tuples, so every record-stream
+    consumer works unchanged; array-capable consumers (the conformance
+    checkers in :mod:`repro.conformance_arrays`) read ``.u`` / ``.v``
+    directly.  Order is canonical — exactly ``sorted_edges`` of the set:
+    the ``.rtb`` writer sorts before delta coding, and sorted packed keys
+    (:meth:`of_keys`) unpack in ``(u, v)`` order.
+    """
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u, v) -> None:
+        self.u = u
+        self.v = v
+
+    @classmethod
+    def of_keys(cls, keys) -> "_PairsView":
+        """The view of sorted packed keys (:mod:`repro.engine.edge_keys`)
+        under identity interning, where slots are uids."""
+        return cls(keys >> 32, keys & 0xFFFFFFFF)
+
+    def __len__(self) -> int:
+        return self.u.size
+
+    def __bool__(self) -> bool:
+        return self.u.size > 0
+
+    def __iter__(self):
+        return iter(zip(self.u.tolist(), self.v.tolist()))
+
+
 class RawRound:
     """A committed round as the runner holds it, before materialization.
 
     Field-compatible with :class:`~repro.engine.trace.RoundRecord`, but
     ``activations`` / ``deactivations`` are the runner's own raw
-    collections (lists/sets of uid pairs), **borrowed** — valid only
-    for the duration of the ``on_round`` call that delivers them.
-    Handed exclusively to observers declaring
-    ``accepts_raw_rounds = True``.
+    collections — sets of uid pairs, or a :class:`_PairsView` on array
+    rounds and ``.rtb`` array decoding — **borrowed**: valid only for the
+    duration of the ``on_round`` call that delivers them.  Handed
+    exclusively to observers declaring ``accepts_raw_rounds = True``
+    (and yielded by ``tracebin.iter_segment(..., arrays=True)``).
     """
 
     __slots__ = (

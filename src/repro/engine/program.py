@@ -246,11 +246,12 @@ class PhaseKernel:
       set; ``step_round`` returns only the newly halted uids.
     * *Dense-activity kernels* (``produces_actions = True``, the star
       kernel) cover families whose rounds request edge actions;
-      ``step_round`` returns ``(newly_halted_uids, RoundActions)`` and
-      the runner pushes the requests through the network's legality
-      pipeline exactly as the per-node backends do, then reports the
-      effective sets back through :meth:`apply_effective` so the kernel
-      can maintain its adjacency arrays incrementally.
+      ``step_round`` returns ``(newly_halted_uids, RequestArrays)`` and
+      the runner pushes the requests through the network's array
+      legality pipeline (:meth:`DenseNetwork.apply_arrays`, the same
+      rules the per-node backends apply edge by edge).  The kernel reads
+      adjacency from the network's key arrays
+      (:meth:`DenseNetwork.key_arrays`) rather than keeping its own.
 
     Either way the observable execution — raw action requests, effective
     action sets, round records, metrics, halting rounds — must be
@@ -307,17 +308,13 @@ class PhaseKernel:
         """Execute one full round as array ops.
 
         Returns the newly halted uids — or, when
-        :attr:`produces_actions` is set, ``(newly_halted_uids, actions)``
-        with ``actions`` the round's raw :class:`RoundActions` requests
-        (the exact per-actor multiset the per-node programs would have
-        issued, so request-count metrics match to the unit).
+        :attr:`produces_actions` is set, ``(newly_halted_uids, requests)``
+        with ``requests`` the round's raw
+        :class:`~repro.engine.actions.RequestArrays` (the exact per-actor
+        multiset the per-node programs would have issued, so
+        request-count metrics match to the unit).
         """
         raise NotImplementedError
-
-    def apply_effective(self, state, activations, deactivations) -> None:
-        """Fold the round's *effective* uid-space action sets back into
-        the kernel state (action-producing kernels maintain adjacency
-        incrementally from exactly what the network committed)."""
 
     def finalize(self, state, runner) -> None:
         """Scatter bulk state back into the per-node program objects."""

@@ -56,7 +56,7 @@ except ImportError:  # pragma: no cover - numpy is a core dependency
     _np = None
 
 from ..errors import ConfigurationError, TraceError
-from .observers import JsonlSink, RoundObserver
+from .observers import JsonlSink, RawRound, RoundObserver, _PairsView
 from .trace import (
     PerturbationRecord,
     RoundRecord,
@@ -325,72 +325,6 @@ def _decode_pert(payload) -> PerturbationRecord:
 # ----------------------------------------------------------------------
 
 
-class _PairsView:
-    """Lazy pair view over int64 endpoint arrays.
-
-    Iterates Python ``(u, v)`` int tuples, so every record-stream
-    consumer works unchanged; array-capable consumers (the conformance
-    checkers in :mod:`repro.conformance_arrays`) read ``.u`` / ``.v``
-    directly.  Order is the canonical archive order — exactly
-    ``sorted_edges`` of the set (the writer sorts before delta coding).
-    """
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v) -> None:
-        self.u = u
-        self.v = v
-
-    def __len__(self) -> int:
-        return self.u.size
-
-    def __bool__(self) -> bool:
-        return self.u.size > 0
-
-    def __iter__(self):
-        return iter(zip(self.u.tolist(), self.v.tolist()))
-
-
-class ArrayRound:
-    """A round decoded straight into endpoint arrays.
-
-    Field-compatible with :class:`~repro.engine.trace.RoundRecord`
-    (``activations`` / ``deactivations`` are :class:`_PairsView`s);
-    yielded by ``iter_segment(..., arrays=True)`` instead of a
-    ``RoundRecord`` whenever the frame's edge blocks are int-delta
-    coded.  Tagged (str-label) and out-of-range frames fall back to the
-    scalar decoder transparently.
-    """
-
-    __slots__ = (
-        "round",
-        "activations",
-        "deactivations",
-        "active_edges",
-        "activated_edges",
-        "connected",
-        "barrier_epoch",
-    )
-
-    def __init__(
-        self,
-        round,
-        activations,
-        deactivations,
-        active_edges,
-        activated_edges,
-        connected,
-        barrier_epoch,
-    ) -> None:
-        self.round = round
-        self.activations = activations
-        self.deactivations = deactivations
-        self.active_edges = active_edges
-        self.activated_edges = activated_edges
-        self.connected = connected
-        self.barrier_epoch = barrier_epoch
-
-
 #: Per-delta magnitude / per-block count ceilings for the vectorized
 #: path: values any real archive stays far under, chosen so the int64
 #: cumsum provably cannot wrap (2^26 * 2^35 < 2^62).  Beyond them the
@@ -461,7 +395,8 @@ def _edges_arrays(cur, b):
 
 
 def _decode_round_arrays(payload):
-    """Decode a round frame into an :class:`ArrayRound`; any reason the
+    """Decode a round frame into a :class:`RawRound` over
+    :class:`_PairsView` edge blocks; any reason the
     vector path cannot represent it exactly — tagged labels, huge
     values — falls back to :func:`_decode_round` on the same payload.
     Errors are raised by re-running the scalar decoder, so malformed
@@ -485,7 +420,7 @@ def _decode_round_arrays(payload):
         cur.done()
     except TraceError:
         return _decode_round(payload)  # fail with the scalar diagnostics
-    return ArrayRound(
+    return RawRound(
         round=round_no,
         activations=_PairsView(*acts),
         deactivations=_PairsView(*deacts),
@@ -797,7 +732,8 @@ class BinaryTraceReader:
         interleaved in file order), streaming and fully validated.
 
         With ``arrays=True`` (and numpy importable), int-delta round
-        frames decode into :class:`ArrayRound`s — whole edge blocks as
+        frames decode into :class:`~repro.engine.observers.RawRound`s
+        over :class:`~repro.engine.observers._PairsView`s — whole edge blocks as
         int64 endpoint arrays via a vectorized varint pass, no per-pair
         Python — which the conformance checkers consume natively.
         Frames the vector path cannot represent exactly fall back to

@@ -18,7 +18,7 @@ suite pins that contract:
   oracle's exact failure strings, including the ``+N more``
   suppression past ``_MAX_DETAILS``;
 * **decode equality** — ``iter_segment(..., arrays=True)`` yields
-  ``ArrayRound``/``_PairsView`` records that are field-equal to the
+  ``RawRound``/``_PairsView`` records that are field-equal to the
   scalar decoder's ``RoundRecord``s;
 * **tracker equivalence** — ``ArrayReplayTracker`` folds rounds and
   strikes to the same snapshot as ``_EdgeReplay``.
@@ -249,6 +249,33 @@ class TestTamperNegatives:
         assert not verdict.ok
         assert "more" in verdict.detail
 
+    def test_multi_crash_strike_purges_like_the_oracle(self, star_run):
+        """One strike crashing several endpoints of activated edges: the
+        array checker's one-pass purge must leave the oracle's
+        activated-only set, which the next round's tamper check prints
+        as the replay count."""
+        from repro.engine.trace import RoundRecord
+
+        graph, trace = star_run
+        k = next(i for i, r in enumerate(trace.records) if r.activated_edges >= 4)
+        touched = sorted({u for r in trace.records[: k + 1] for e in r.activations for u in e})
+        crashes = tuple(touched[:3])
+        head = trace.records[k].round
+        forged = RoundRecord(
+            round=head + 1, activations=frozenset(), deactivations=frozenset(),
+            active_edges=0, activated_edges=0, connected=True, barrier_epoch=0,
+        )
+        clone = type(trace)(
+            records=[*trace.records[: k + 1], forged],
+            perturbations=[PerturbationRecord(
+                round=head + 1, drops=frozenset(), adds=frozenset(),
+                crashes=crashes, joins=(),
+            )],
+        )
+        verdict = self._both(graph, clone)
+        assert not verdict.ok
+        assert "activated_edges says 0" in verdict.detail
+
     def test_connectivity_break_caught(self, star_run):
         """Deactivating a cut edge (without its replacement) must read
         as a disconnection in both implementations."""
@@ -275,7 +302,8 @@ class TestTamperNegatives:
 
 
 def test_rtb_array_decode_matches_scalar(tmp_path):
-    from repro.engine.tracebin import ArrayRound, BinaryTraceReader
+    from repro.engine.observers import RawRound
+    from repro.engine.tracebin import BinaryTraceReader
 
     family, n = CORPUS["star-heal"]
     trace = _record(get_scenario("star-heal"), families.make(family, n))
@@ -291,7 +319,7 @@ def test_rtb_array_decode_matches_scalar(tmp_path):
             if isinstance(s, PerturbationRecord):
                 assert v == s
                 continue
-            saw_array = saw_array or isinstance(v, ArrayRound)
+            saw_array = saw_array or isinstance(v, RawRound)
             assert v.round == s.round
             assert v.active_edges == s.active_edges
             assert v.activated_edges == s.activated_edges

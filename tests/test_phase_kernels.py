@@ -377,6 +377,100 @@ class TestStarDenseKernelLockstep:
         assert runner._kernel is not None
 
 
+def _consumer_run(scenario, graph, backend, consumer):
+    """Run ``scenario`` with one kernel-round consumer attached; return
+    what that consumer saw plus the result's metrics and final graph."""
+    import io
+
+    from repro import conformance
+    from repro.engine import JsonlSink
+    from repro.engine.trace import iter_traces
+    from repro.engine.tracebin import BinarySink
+    from repro.registry import get_scenario
+
+    spec = get_scenario(scenario)
+    kwargs = {"backend": backend}
+    seen = None
+    if consumer == "collect_trace":
+        kwargs["collect_trace"] = True
+    elif consumer == "jsonl":
+        seen = JsonlSink(io.StringIO())
+        kwargs["observers"] = [seen]
+    elif consumer == "rtb":
+        seen = BinarySink(io.BytesIO(), meta={"provenance": None})
+        kwargs["observers"] = [seen]
+    elif consumer == "dict-checkers":
+        seen = conformance.make_checkers(spec.invariants)
+        kwargs["observers"] = seen
+    else:
+        kwargs["check_connectivity"] = True
+    result = spec.runner(graph, **kwargs)
+    if consumer == "collect_trace":
+        seen = [t.to_jsonl() for _, t in iter_traces(result)]
+    elif consumer == "jsonl":
+        seen = seen._fh.getvalue()
+    elif consumer == "rtb":
+        seen.close()
+        seen = seen._fh.getvalue()
+    elif consumer == "dict-checkers":
+        seen = [(c.name, c.verdict().ok, c.verdict().detail) for c in seen]
+    final = result.final_graph()
+    # Every stage's network as programs would read it afterwards: the
+    # Python views a kernel run leaves behind are synced on first read.
+    nets = [res.network for _, res in getattr(result, "stages", [(None, result)])]
+    views = [
+        ({u: list(net.neighbors(u)) for u in sorted(net.nodes)},
+         net.num_active_edges, net.num_activated_edges)
+        for net in nets
+    ]
+    return (
+        seen, result.metrics, views,
+        set(final.nodes), {tuple(sorted(e)) for e in final.edges},
+    )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestStarArrayRoundConsumers:
+    """Kernel rounds stay in array form from the kernel to the
+    observers: every consumer of them — trace, sinks, the dict checkers
+    (which iterate the pair views), the connectivity guard — and the
+    next pipeline stage, which reads the network the kernel left behind,
+    must see exactly what the reference backend produces."""
+
+    @pytest.mark.parametrize("scenario,family", [
+        ("star", "ring"), ("star+flood", "line"), ("star+leader", "random_tree"),
+    ])
+    @pytest.mark.parametrize("consumer", [
+        "collect_trace", "jsonl", "rtb", "dict-checkers", "check_connectivity",
+    ])
+    def test_bulk_matches_reference(self, scenario, family, consumer, monkeypatch):
+        from repro.graphs import families
+
+        monkeypatch.setenv("REPRO_CHECKERS", "dict")
+        graph = families.make(family, 40, seed=3)
+        ref = _consumer_run(scenario, graph, "reference", consumer)
+        bulk = _consumer_run(scenario, graph, "bulk", consumer)
+        assert bulk == ref
+
+    def test_kernel_rounds_skip_the_per_edge_apply(self, monkeypatch):
+        from repro.core.graph_to_star import GraphToStarProgram
+        from repro.engine import SynchronousRunner
+        from repro.engine.dense import DenseNetwork
+        from repro.graphs import families
+
+        def per_edge_apply(self, actions, *, strict=True):
+            raise AssertionError("kernel round took the per-edge apply")
+
+        monkeypatch.setattr(DenseNetwork, "apply", per_edge_apply)
+        runner = SynchronousRunner(
+            families.make("ring", 64, seed=1), GraphToStarProgram,
+            backend="bulk", check_connectivity=True,
+        )
+        result = runner.run()
+        assert runner._kernel is not None
+        assert result.metrics.total_activations > 0
+
+
 # ---------------------------------------------------------------------------
 # WreathSpliceKernel: the REBUILD array assist vs the per-node backends
 # ---------------------------------------------------------------------------

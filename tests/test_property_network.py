@@ -12,7 +12,10 @@ illegal) ``RoundActions`` batches, checking after every round:
   untouched by a rejected batch;
 * the dense backend's :class:`DenseNetwork` stays observably equal to
   the reference :class:`Network` under the same action stream (the
-  state-level arm of the cross-backend differential oracle).
+  state-level arm of the cross-backend differential oracle);
+* its array apply (the bulk backend's kernel rounds) commits the same
+  sets, keeps both edge counters exact, and raises the same strict-mode
+  violation as the reference on the same requests given as arrays.
 """
 
 import networkx as nx
@@ -22,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.engine import ConnectivityTracker, Network, RoundActions, edge_key  # noqa: E402
+from repro.engine.actions import RequestArrays  # noqa: E402
 from repro.engine.dense import DenseConnectivityTracker, DenseNetwork  # noqa: E402
 from repro.errors import ProtocolViolation  # noqa: E402
 
@@ -208,6 +212,94 @@ def test_dense_network_matches_reference(data):
     with pytest.raises(ProtocolViolation) as dense_exc:
         dense.apply(actions, strict=True)
     assert str(ref_exc.value) == str(dense_exc.value)
+
+
+# ----------------------------------------------------------------------
+# the array apply (bulk kernel rounds) against the reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def request_rounds(draw, n):
+    """Per-round request batches for the array apply: labels ``-1`` and
+    ``n`` are unknown nodes, and each round repeats some activation
+    requests verbatim (duplicates) and asks the other endpoint to
+    deactivate some (act/deact conflicts), on top of the random
+    self-loops, already-active edges and distance>2 pairs."""
+    node = st.integers(min_value=-1, max_value=n)
+    pair = st.tuples(node, node)
+    rounds = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        acts = draw(st.lists(pair, max_size=8))
+        dacts = draw(st.lists(pair, max_size=4))
+        if acts:
+            acts += draw(st.lists(st.sampled_from(acts), max_size=3))
+            dacts += [(v, u) for u, v in draw(st.lists(st.sampled_from(acts), max_size=3))]
+        rounds.append((acts, dacts))
+    return rounds
+
+
+def _arrays(acts, dacts) -> RequestArrays:
+    np = pytest.importorskip("numpy")
+    a = np.array(acts, dtype=np.int64).reshape(-1, 2)
+    d = np.array(dacts, dtype=np.int64).reshape(-1, 2)
+    return RequestArrays(a[:, 0], a[:, 0], a[:, 1], d[:, 0], d[:, 0], d[:, 1])
+
+
+def _pairs(keys) -> set:
+    return {(k >> 32, k & 0xFFFFFFFF) for k in keys.tolist()}
+
+
+@given(data=st.data())
+def test_array_apply_matches_reference(data):
+    """Committed sets, both edge counters and the per-actor request max
+    agree every round (without touching the Python views); the full
+    observable state agrees once the views are read at the end."""
+    request_max = pytest.importorskip("repro.engine.edge_keys").request_max
+    graph = data.draw(connected_graphs())
+    n = graph.number_of_nodes()
+    ref = Network(graph)
+    dense = DenseNetwork(graph)
+    ref_tracker = ConnectivityTracker(ref)
+    dense_tracker = DenseConnectivityTracker(dense)
+    for acts, dacts in data.draw(request_rounds(n)):
+        batch = _batch(acts, dacts)
+        requests = _arrays(acts, dacts)
+        ra, rd = ref.apply(batch, strict=False)
+        da, dd = dense.apply_arrays(requests, strict=False)
+        assert (_pairs(da), _pairs(dd)) == (ra, rd)
+        assert dense.num_active_edges == ref.num_active_edges
+        assert dense.num_activated_edges == ref.num_activated_edges
+        assert request_max(requests.act_actor) == max(
+            batch.activation_count_by_actor().values(), default=0
+        )
+        assert dense_tracker.update_keys(da, dd) == ref_tracker.update(ra, rd)
+        assert dense_tracker.components == ref_tracker.components
+    assert _observable_state(dense) == _observable_state(ref)
+    for u in ref.nodes:
+        assert list(ref.neighbors(u)) == list(dense.neighbors(u))
+
+
+@given(data=st.data())
+def test_array_apply_strict_matches_reference(data):
+    """Strict mode: the same first offender, the same message, and the
+    same atomic rejection — or, for a legal batch, the same commit."""
+    graph = data.draw(connected_graphs())
+    ref = Network(graph)
+    dense = DenseNetwork(graph)
+    for acts, dacts in data.draw(request_rounds(graph.number_of_nodes())):
+        try:
+            expected = ref.apply(_batch(acts, dacts), strict=True)
+        except ProtocolViolation as exc:
+            expected = str(exc)
+        try:
+            da, dd = dense.apply_arrays(_arrays(acts, dacts), strict=True)
+            got = (_pairs(da), _pairs(dd))
+        except ProtocolViolation as exc:
+            got = str(exc)
+        assert got == expected
+        assert dense.num_active_edges == ref.num_active_edges
+    assert _observable_state(dense) == _observable_state(ref)
 
 
 @given(data=st.data())
