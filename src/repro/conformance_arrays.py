@@ -49,6 +49,7 @@ from .engine.edge_keys import (
     member,
     merge_in,
     pack,
+    unique,
 )
 from .engine.trace import sorted_edges
 from .errors import ConfigurationError
@@ -137,7 +138,7 @@ class _ArrayReplay(InvariantChecker):
         )
         su, sv, _ = self._to_slots(edges)
         valid = (su >= 0) & (sv >= 0) & (su != sv)
-        self._keys = np.unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
+        self._keys = unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
         self._dir = both_dirs(self._keys) if self._needs_dir else EMPTY
 
     def _label_index(self) -> dict:
@@ -218,7 +219,7 @@ class _ArrayReplay(InvariantChecker):
         valid = (su >= 0) & (sv >= 0) & (su != sv)
         if not valid.any():
             return EMPTY
-        keys = np.unique(pack(su[valid], sv[valid]))
+        keys = unique(pack(su[valid], sv[valid]))
         new = keys[~member(self._keys, keys)]
         if new.size:
             self._keys = merge_in(self._keys, new)
@@ -233,7 +234,7 @@ class _ArrayReplay(InvariantChecker):
         valid = (du >= 0) & (dv >= 0)
         if not valid.any():
             return EMPTY
-        keys = np.unique(pack(du[valid], dv[valid]))
+        keys = unique(pack(du[valid], dv[valid]))
         gone = keys[member(self._keys, keys)]
         if gone.size:
             self._keys = delete_from(self._keys, gone)

@@ -463,8 +463,8 @@ class DenseNetwork:
                     int(requests.dea_u[k]),
                     int(requests.dea_v[k]),
                 )
-        act = np.unique(packed[codes == 0])
-        requested_off = np.unique(ek.pack(du[dknown], dv[dknown]))
+        act = ek.unique(packed[codes == 0])
+        requested_off = ek.unique(ek.pack(du[dknown], dv[dknown]))
         act = act[~ek.member(requested_off, act)]
         dea = requested_off[ek.member(keys, requested_off)]
         if act.size or dea.size:
