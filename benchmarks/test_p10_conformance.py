@@ -11,6 +11,10 @@ per leg, sequential):
 
 * n=1e5: raw 10.3 s; array-checked 13.0 s (**1.26x**); dict-checked
   37.7 s (3.5x) — the gap the ISSUE closes.
+* n=1e5 with the bulk kernel's array rounds (2-vCPU VM, medians of 3):
+  raw 3.3 s; array-checked 4.4 s (**1.35x**, single pairs up to
+  1.44x).  A faster raw leg raises this ratio: the checkers replay
+  every round on their own.
 * n=1e6: raw ~203 s; array-checked measured by the xxlarge cell below
   (was ~793 s dict-checked before this PR).
 
