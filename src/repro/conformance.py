@@ -544,14 +544,24 @@ def make_checkers(invariants, *, arrays: bool | None = None) -> list:
     the oracle with ``REPRO_CHECKERS=dict`` in the environment (the
     knob the verdict-equality suite and the bench gate use); verdicts
     are asserted equal either way, so the choice is a pure performance
-    trade.  Budget checkers are O(1) per round and have one
-    implementation.
+    trade.  The array checkers built by one call share one
+    :class:`~repro.conformance_arrays.ArrayReplayTracker`, so each event
+    is folded once however many of them are attached; they must then
+    observe the same stream in lockstep.  Budget checkers are O(1) per
+    round and have one implementation.
     """
     if _use_arrays(arrays):
+        from functools import partial
+
         from .conformance_arrays import (
-            ArrayConnectivityChecker as connectivity_cls,
-            ArrayTemporalLegalityChecker as legality_cls,
+            ArrayConnectivityChecker,
+            ArrayReplayTracker,
+            ArrayTemporalLegalityChecker,
         )
+
+        replay = ArrayReplayTracker()
+        connectivity_cls = partial(ArrayConnectivityChecker, replay)
+        legality_cls = partial(ArrayTemporalLegalityChecker, replay)
     else:
         connectivity_cls = ConnectivityChecker
         legality_cls = TemporalLegalityChecker
@@ -718,10 +728,9 @@ def check_trace_parallel(
     accumulator applies.  Binary archives are where the parallelism
     pays: workers seek straight to their segment through the index
     footer and decode only what they audit.  In ``"chained"`` mode the
-    parent must still fold each segment's edge delta (cheap relative to
-    checking, which rebuilds connectivity per deactivation round)
-    before dispatching the next; ``"restart"`` mode dispatches all
-    segments immediately.
+    parent must still fold each segment's edge delta (one array fold
+    per round, cheap relative to checking it) before dispatching the
+    next; ``"restart"`` mode dispatches all segments immediately.
     """
     _check_baselines(baselines)
     names = list(invariants)
@@ -838,7 +847,7 @@ def _make_tracker():
     if _use_arrays(None):
         from .conformance_arrays import ArrayReplayTracker
 
-        return ArrayReplayTracker()
+        return ArrayReplayTracker(directed=False)
     return _EdgeReplay()
 
 

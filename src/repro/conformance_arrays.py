@@ -11,17 +11,25 @@ registry corpus).
 
 Representation (see DESIGN.md, "Observer pipeline & conformance"):
 
+* One :class:`ArrayReplayTracker` folds the record stream — node
+  interning, the active edge set, the directed adjacency — and the
+  checkers only read it.  ``make_checkers`` links both structural
+  checkers to one replay, so each round is slotted, deduped and merged
+  once, whichever checker's hook runs first; a checker built alone owns
+  a private replay.
 * Node labels are interned to slots ``0..n-1`` in sorted order; int
   labels map through a sorted ``np.searchsorted`` (no Python dict in
   the hot path), anything else falls back to a label->slot dict.
 * The active edge set and the adjacency are the sorted packed-key
   arrays of :mod:`repro.engine.edge_keys` (slot space) — the same
-  primitives the bulk engine's array rounds commit with.
+  primitives the bulk engine's array rounds commit with.  Folds build
+  new arrays and never write in place, so a round's pre-round arrays
+  stay valid for every checker that reads them.
 * A whole round's legality is classified by the shared
-  :func:`~repro.engine.edge_keys.legality_codes`; connectivity folds
-  activations into a flat-array union-find (min-label hooking + full
-  path compression) and only recomputes from scratch on rounds that
-  actually removed an edge.
+  :func:`~repro.engine.edge_keys.legality_codes`; connectivity keeps a
+  flat-array union-find (min-label hooking + full path compression)
+  and recomputes it only when a dropped edge lost its last 2-hop
+  detour (see :class:`ArrayConnectivityChecker`).
 * External perturbations are rare and semantically fiddly, so they are
   folded by the *dict* replay itself on a materialized adjacency
   (equality with ``Network.apply_external`` by shared code), then the
@@ -44,6 +52,7 @@ from .engine.edge_keys import (
     UNKNOWN,
     both_dirs,
     delete_from,
+    dist2_ok,
     identity_slots,
     legality_codes,
     member,
@@ -97,15 +106,76 @@ class _DictProxy:
         self._n_edges = n_edges
 
 
-class _ArrayReplay(InvariantChecker):
-    """Shared machinery: the replayed graph as packed int64 arrays."""
+class _RoundStep:
+    """One folded round, as every checker linked to the replay reads it.
 
-    #: Subclasses that run distance-2 queries keep the directed
-    #: adjacency array too; pure edge-set consumers skip its upkeep.
-    _needs_dir = False
+    ``su``/``sv`` and ``du``/``dv`` are the activations' and
+    deactivations' endpoint slots in ``sorted_edges`` order (``-1``:
+    unknown node), ``albl``/``dlbl`` recover the k-th label pair;
+    ``keys``/``dirs`` are the *pre-round* undirected/directed key
+    arrays, and ``added``/``gone`` the keys the round actually applied.
+    The post-round state is the replay's own ``_keys``/``_dir``: linked
+    checkers read a step before the replay may fold the next event.
+    """
+
+    __slots__ = ("su", "sv", "albl", "du", "dv", "dlbl", "keys", "dirs", "added", "gone")
+
+    def __init__(self, su, sv, albl, du, dv, dlbl, keys, dirs, added, gone) -> None:
+        self.su, self.sv, self.albl = su, sv, albl
+        self.du, self.dv, self.dlbl = du, dv, dlbl
+        self.keys, self.dirs = keys, dirs
+        self.added, self.gone = added, gone
+
+
+class ArrayReplayTracker:
+    """The replayed graph as packed int64 arrays, folded once per event.
+
+    The array twin of ``_EdgeReplay``'s fold/snapshot surface:
+    ``check_trace`` uses it bare to carry chained baselines between
+    segments, and the array checkers read it.  ``directed`` keeps the
+    directed adjacency array (distance-2 queries); a bare baseline fold
+    skips its upkeep.
+
+    Linked checkers (:meth:`_read`) share one fold per event: the first
+    checker whose hook sees an event folds it, every other linked
+    checker gets the same result.  Each checker counts its own events,
+    and the replay refuses to fold ahead of a checker that has not read
+    the previous event, or to hand a step to a checker that is not at
+    it — linked checkers must observe the same stream in lockstep.
+    """
+
+    def __init__(self, *, directed: bool = True) -> None:
+        self._directed = directed
+        self._links = 0  # checkers reading this replay
+        self._seq = 0  # events folded so far
+        self._pending = 0  # links yet to read event ``_seq``
+        self._event = None  # event ``_seq``, while a link has yet to read it
+        self._result = None
+
+    def _read(self, seq: int, fold, event):
+        """``fold(event)`` as event ``seq`` of one linked checker's
+        stream: folded on first read, handed out unchanged after."""
+        if seq == self._seq + 1 and not self._pending:
+            result = fold(event)
+            self._seq, self._pending = seq, self._links - 1
+        elif seq == self._seq and self._pending and event is self._event:
+            result = self._result
+            self._pending -= 1
+        else:
+            raise RuntimeError(
+                f"linked array checkers out of lockstep: a checker at event "
+                f"{seq} read a replay at event {self._seq} that "
+                f"{self._pending} of {self._links} checkers have yet to "
+                f"read; every checker built by one make_checkers call must "
+                f"observe the same events in the same order"
+            )
+        # Once every link has read it, drop the borrowed event and the
+        # pre-round arrays the step holds.
+        self._event = event if self._pending else None
+        self._result = result if self._pending else None
+        return result
 
     def on_run_start(self, network) -> None:
-        super().on_run_start(network)
         self._start(list(network.nodes), list(network.edges()))
 
     def _start(self, nodes, edges) -> None:
@@ -139,7 +209,7 @@ class _ArrayReplay(InvariantChecker):
         su, sv, _ = self._to_slots(edges)
         valid = (su >= 0) & (sv >= 0) & (su != sv)
         self._keys = unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
-        self._dir = both_dirs(self._keys) if self._needs_dir else EMPTY
+        self._dir = both_dirs(self._keys) if self._directed else EMPTY
 
     def _label_index(self) -> dict:
         if self._index is None:
@@ -223,7 +293,7 @@ class _ArrayReplay(InvariantChecker):
         new = keys[~member(self._keys, keys)]
         if new.size:
             self._keys = merge_in(self._keys, new)
-            if self._needs_dir:
+            if self._directed:
                 self._dir = merge_in(self._dir, both_dirs(new))
         return new
 
@@ -238,20 +308,25 @@ class _ArrayReplay(InvariantChecker):
         gone = keys[member(self._keys, keys)]
         if gone.size:
             self._keys = delete_from(self._keys, gone)
-            if self._needs_dir:
+            if self._directed:
                 self._dir = delete_from(self._dir, both_dirs(gone))
         return gone
 
-    def fold_round(self, record) -> None:
-        """Fold one round's effective sets (no legality checking)."""
-        su, sv, _ = self._to_slots(record.activations)
-        self._apply_adds(su, sv)
-        du, dv, _ = self._to_slots(record.deactivations)
-        self._apply_drops(du, dv)
+    def fold_round(self, record) -> _RoundStep:
+        """Fold one round's effective sets, adds first, then drops (the
+        dict loop order), with no legality checking; returns the
+        round's :class:`_RoundStep`."""
+        keys, dirs = self._keys, self._dir
+        su, sv, albl = self._to_slots(record.activations)
+        du, dv, dlbl = self._to_slots(record.deactivations)
+        added = self._apply_adds(su, sv)
+        gone = self._apply_drops(du, dv)
+        return _RoundStep(su, sv, albl, du, dv, dlbl, keys, dirs, added, gone)
 
-    def _apply_perturbation(self, record) -> None:
+    def _apply_perturbation(self, record) -> list:
         """Fold an external strike by materializing the dict adjacency,
-        running the dict replay's fold, and re-interning the result."""
+        running the dict replay's fold, and re-interning the result.
+        Returns the pre-strike slot -> label list."""
         uids = self._uids
         adj: dict = {u: set() for u in uids}
         lo = (self._keys >> SHIFT).tolist()
@@ -265,6 +340,7 @@ class _ArrayReplay(InvariantChecker):
         nodes = list(adj)
         edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if _le(u, v)]
         self._start(nodes, edges)
+        return uids
 
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists."""
@@ -274,18 +350,45 @@ class _ArrayReplay(InvariantChecker):
         return list(uids), [(uids[a], uids[b]) for a, b in zip(lo, hi)]
 
 
-class ArrayReplayTracker(_ArrayReplay):
-    """Baseline-fold tracker for ``check_trace``'s chained segments:
-    the fold/snapshot surface of ``_EdgeReplay`` over arrays."""
+class _ReplayChecker(InvariantChecker):
+    """A structural checker reading an :class:`ArrayReplayTracker`:
+    its own (``replay=None``) or one shared by ``make_checkers``."""
+
+    def __init__(self, replay: ArrayReplayTracker | None = None) -> None:
+        super().__init__()
+        self._replay = ArrayReplayTracker() if replay is None else replay
+        self._replay._links += 1
+        self._seq = 0
+
+    def _read(self, fold, event):
+        self._seq += 1
+        return self._replay._read(self._seq, fold, event)
+
+    def on_run_start(self, network) -> None:
+        super().on_run_start(network)
+        self._read(self._replay.on_run_start, network)
 
 
-class ArrayConnectivityChecker(_ArrayReplay):
+class ArrayConnectivityChecker(_ReplayChecker):
     """Array twin of ``ConnectivityChecker`` (verdict-equal).
 
-    Activation-only rounds fold the applied keys into the flat
-    union-find; rounds that actually removed an edge (and every
-    perturbation) rebuild it from the key array — both O(n alpha(n))
-    array passes, no Python-level edge loop.
+    Only the verdict ``components > 1`` matters, so the union-find
+    tracks the replayed graph's *partition into components*, not its
+    edges.  A round maps ``G`` to ``G' = (G ∪ A) \\ D``.  If every
+    dropped edge ``(a, b)`` still has an ``a``–``b`` path in ``G'``,
+    then ``G'`` and ``G ∪ A`` have the same components (each dropped
+    edge is replaced by its path); a common neighbor of ``a`` and ``b``
+    in ``G'`` is such a path.  Hence, per round:
+
+    * every dropped edge keeps a 2-hop detour in the post-round
+      directed array (one batched :func:`dist2_ok`): fold the applied
+      activations into the union-find — and only while it still has
+      more than one component, since a connected ``G`` makes
+      ``G ∪ A`` connected too;
+    * otherwise rebuild the union-find from the post-round key array.
+
+    Strikes always rebuild.  Folds and rebuilds are O(n alpha(n)) array
+    passes, no Python-level edge loop.
     """
 
     name = "connectivity"
@@ -295,28 +398,28 @@ class ArrayConnectivityChecker(_ArrayReplay):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        parent = np.arange(self._n, dtype=np.int64)
-        if self._keys.size:
-            parent = _uf_fold(parent, self._keys >> SHIFT, self._keys & MASK)
+        self._parent = np.arange(self._replay._n, dtype=np.int64)
+        self._fold(self._replay._keys)
+
+    def _fold(self, keys) -> None:
+        parent = self._parent
+        if keys.size:
+            parent = _uf_fold(parent, keys >> SHIFT, keys & MASK)
         self._parent = parent
-        self._components = int((parent == np.arange(self._n)).sum())
+        self._components = int((parent == np.arange(parent.size)).sum())
 
     def on_round(self, record) -> None:
-        su, sv, _ = self._to_slots(record.activations)
-        added = self._apply_adds(su, sv)
-        du, dv, _ = self._to_slots(record.deactivations)
-        gone = self._apply_drops(du, dv)
-        if gone.size:
+        step = self._read(self._replay.fold_round, record)
+        gone = step.gone
+        if gone.size and not dist2_ok(self._replay._dir, gone >> SHIFT, gone & MASK).all():
             self._rebuild()
-        elif added.size:
-            parent = _uf_fold(self._parent, added >> SHIFT, added & MASK)
-            self._parent = parent
-            self._components = int((parent == np.arange(self._n)).sum())
+        elif step.added.size and self._components > 1:
+            self._fold(step.added)
         if self._components > 1:
             self._fail(f"{self._where(record.round)}: network disconnected")
 
     def on_perturbation(self, record) -> None:
-        self._apply_perturbation(record)
+        self._read(self._replay._apply_perturbation, record)
         self._rebuild()
         if self._components > 1:
             self._fail(
@@ -325,18 +428,17 @@ class ArrayConnectivityChecker(_ArrayReplay):
             )
 
 
-class ArrayTemporalLegalityChecker(_ArrayReplay):
+class ArrayTemporalLegalityChecker(_ReplayChecker):
     """Array twin of ``TemporalLegalityChecker`` (verdict-equal).
 
     A whole round's activations are classified in one precedence chain
     of vectorized passes — unknown node, self-loop, already-active
-    (membership in the key array), then batched distance-2 — and
-    failures are formatted lazily, in ``sorted_edges`` order, only up
-    to the ``_MAX_DETAILS`` cap.
+    (membership in the key array), then batched distance-2 — against
+    the step's pre-round arrays, and failures are formatted lazily, in
+    ``sorted_edges`` order, only up to the ``_MAX_DETAILS`` cap.
     """
 
     name = "temporal-legality"
-    _needs_dir = True
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
@@ -344,10 +446,10 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
 
     def on_round(self, record) -> None:
         where = self._where(record.round)
-        su, sv, albl = self._to_slots(record.activations)
-        du, dv, dlbl = self._to_slots(record.deactivations)
+        step = self._read(self._replay.fold_round, record)
+        su, sv, du, dv = step.su, step.sv, step.du, step.dv
         # -- legality, all against the pre-round state ------------------
-        code, _ = legality_codes(self._keys, self._dir, su, sv)
+        code, _ = legality_codes(step.keys, step.dirs, su, sv)
         for k in np.nonzero(code)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 # Everything from here on is past the cap: count it
@@ -355,7 +457,7 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
                 # would have accumulated).
                 self._suppressed += int(np.count_nonzero(code[k:]))
                 break
-            u, v = albl(int(k))
+            u, v = step.albl(int(k))
             c = code[k]
             if c == UNKNOWN:
                 self._fail(
@@ -375,23 +477,23 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
                 )
         dbad = np.ones(du.shape, dtype=bool)
         dknown = (du >= 0) & (dv >= 0)
-        dbad[dknown] = ~member(self._keys, pack(du, dv)[dknown])
+        dbad[dknown] = ~member(step.keys, pack(du, dv)[dknown])
         for k in np.nonzero(dbad)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 self._suppressed += int(np.count_nonzero(dbad[k:]))
                 break
-            u, v = dlbl(int(k))
+            u, v = step.dlbl(int(k))
             self._fail(f"{where}: deactivated inactive edge ({_lbl(u)}, {_lbl(v)})")
-        # -- apply: adds first, then drops (dict loop order) ------------
-        added = self._apply_adds(su, sv)
-        self._act_keys = merge_in(self._act_keys, added)
-        gone = self._apply_drops(du, dv)
+        # -- the applied sets: adds first, then drops (dict loop order) -
+        self._act_keys = merge_in(self._act_keys, step.added)
+        gone = step.gone
         self._act_keys = delete_from(self._act_keys, gone[member(self._act_keys, gone)])
         # -- the tamper check: committed counters vs the replay ---------
-        if record.active_edges != self._keys.size:
+        n_active = self._replay._keys.size
+        if record.active_edges != n_active:
             self._fail(
                 f"{where}: active_edges says {record.active_edges}, "
-                f"replay says {self._keys.size}"
+                f"replay says {n_active}"
             )
         if record.activated_edges != self._act_keys.size:
             self._fail(
@@ -402,19 +504,19 @@ class ArrayTemporalLegalityChecker(_ArrayReplay):
     def on_perturbation(self, record) -> None:
         # Same baseline-fold semantics as the dict checker: strikes fold
         # into E(1); dropped and crash-incident activated edges stop
-        # counting whether or not the engine applied the event.
-        uids = self._uids
+        # counting whether or not the engine applied the event.  The
+        # activated keys decode against the pre-strike interning.
+        uids = self._read(self._replay._apply_perturbation, record)
         pairs = set()
         for key in self._act_keys.tolist():
             x, y = uids[key >> SHIFT], uids[key & int(MASK)]
             pairs.add((x, y) if _le(x, y) else (y, x))
-        self._apply_perturbation(record)
         for u, v in record.drops:
             pairs.discard((u, v) if _le(u, v) else (v, u))
         crashed = set(record.crashes)
         if crashed:
             pairs = {e for e in pairs if e[0] not in crashed and e[1] not in crashed}
-        get = self._label_index().get
+        get = self._replay._label_index().get
         repacked = np.fromiter(
             (
                 pack(np.int64(get(u)), np.int64(get(v)))

@@ -43,8 +43,9 @@ from repro.conformance_arrays import (
     ArrayReplayTracker,
     ArrayTemporalLegalityChecker,
 )
-from repro.engine import to_binary
+from repro.engine import NodeProgram, run_program, to_binary
 from repro.engine.network import Network
+from repro.engine.observers import RoundObserver
 from repro.engine.trace import PerturbationRecord
 from repro.graphs import families
 from repro.registry import get_scenario, scenarios
@@ -355,3 +356,285 @@ def test_tracker_snapshot_matches_dict_fold():
     assert sorted(an) == sorted(dn)
     canon = lambda edges: sorted(tuple(sorted(e)) for e in edges)
     assert canon(ae) == canon(de)
+
+
+# ----------------------------------------------------------------------
+# the shared replay: linked checkers, alone, in either order
+# ----------------------------------------------------------------------
+
+#: Structural invariant selections: each checker alone (a private
+#: replay in effect) and both linked, in either hook order.
+SELECTIONS = [
+    ("connectivity",),
+    ("temporal-legality",),
+    ("connectivity", "temporal-legality"),
+    ("temporal-legality", "connectivity"),
+]
+
+
+class _Idle(NodeProgram):
+    def transition(self, ctx, inbox):
+        if ctx.round >= 10:
+            self.halt()
+
+
+@pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_linked_live_verdicts_match_oracle(name, selection):
+    family, n = CORPUS[name]
+    spec = get_scenario(name)
+    arrays = make_checkers(selection, arrays=True)
+    oracle = make_checkers(selection, arrays=False)
+    kwargs = {"observers": [*arrays, *oracle]}
+    if spec.supports_backend:
+        kwargs["backend"] = "bulk"
+    spec.runner(families.make(family, n), **kwargs)
+    assert _sig(arrays) == _sig(oracle)
+
+
+@pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
+@pytest.mark.parametrize("kind", ["churn", "crash"])
+def test_linked_live_strikes_match_oracle(kind, selection):
+    """Live adversary strikes (on_perturbation) through linked checkers."""
+    from repro.dynamics.adversary import AdversarySpec, make_adversary
+
+    arrays = make_checkers(selection, arrays=True)
+    oracle = make_checkers(selection, arrays=False)
+    result = run_program(
+        families.make("ring", 24),
+        _Idle,
+        collect_trace=True,
+        observers=[*arrays, *oracle],
+        adversary=make_adversary(
+            AdversarySpec(kind=kind, rate=0.2, seed=3, policy="reroute", start=2, period=2)
+        ),
+        backend="bulk",
+    )
+    assert result.trace.perturbations  # the strikes really landed
+    assert _sig(arrays) == _sig(oracle)
+
+
+def _struck_star_trace():
+    """A star trace with a crash strike and a churn strike (crashes,
+    joins and adds) folded in mid-run.  After them the committed counters
+    disagree with the replay, and the join of 42 with no attachment
+    leaves it isolated, so both checkers have failures to print."""
+    graph = families.make("ring", 16)
+    trace = get_scenario("star").runner(graph, collect_trace=True).trace
+    rounds = [r.round for r in trace.records]
+    a, b = rounds[len(rounds) // 3], rounds[2 * len(rounds) // 3]
+    crash = PerturbationRecord(
+        round=a, drops=frozenset({(0, 1)}), adds=frozenset(), crashes=(5, 11), joins=(),
+    )
+    churn = PerturbationRecord(
+        round=b, drops=frozenset(), adds=frozenset({(2, 9)}), crashes=(7,),
+        joins=((40, (0, 2)), (41, (40,)), (42, ())),
+    )
+    struck = type(trace)(records=list(trace.records), perturbations=[crash, churn])
+    return graph, struck
+
+
+@pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
+def test_linked_offline_verdicts_match_oracle(selection, tmp_path, monkeypatch):
+    """``check_trace`` and ``check_trace_parallel`` (JSONL and ``.rtb``)
+    over a struck trace: linked array verdicts equal the oracle's."""
+    graph, trace = _struck_star_trace()
+    oracle = _vsig(check_trace(graph, trace, make_checkers(selection, arrays=False)))
+    assert _vsig(check_trace(graph, trace, make_checkers(selection, arrays=True))) == oracle
+    assert not any(ok for _, ok, _ in oracle)
+    jsonl = tmp_path / "run.jsonl"
+    jsonl.write_text(trace.to_jsonl())
+    rtb = tmp_path / "run.rtb"
+    to_binary(trace, rtb)
+    for path in (jsonl, rtb):
+        monkeypatch.delenv("REPRO_CHECKERS", raising=False)
+        va = check_trace_parallel(graph, path, selection, jobs=1)
+        monkeypatch.setenv("REPRO_CHECKERS", "dict")
+        vd = check_trace_parallel(graph, path, selection, jobs=1)
+        assert _vsig(va) == _vsig(vd) == oracle
+
+
+def test_make_checkers_links_one_replay():
+    conn, leg, _ = make_checkers(("connectivity", "temporal-legality", "rounds:log"))
+    assert conn._replay is leg._replay
+    assert isinstance(conn._replay, ArrayReplayTracker)
+    (alone,) = make_checkers(("connectivity",))
+    assert alone._replay is not conn._replay
+    assert ArrayConnectivityChecker()._replay is not ArrayTemporalLegalityChecker()._replay
+
+
+def _round(no, acts=(), deacts=()):
+    from repro.engine.trace import RoundRecord
+
+    return RoundRecord(
+        round=no, activations=frozenset(acts), deactivations=frozenset(deacts),
+        active_edges=0, activated_edges=0, connected=True, barrier_epoch=0,
+    )
+
+
+def test_linked_checkers_out_of_lockstep_raise():
+    net = Network(families.make("ring", 8), require_connected=False)
+    first, second = _round(1), _round(2)
+    # One checker runs ahead of the other.
+    conn, leg = make_checkers(("connectivity", "temporal-legality"))
+    conn.on_run_start(net)
+    leg.on_run_start(net)
+    conn.on_round(first)
+    with pytest.raises(RuntimeError, match="out of lockstep"):
+        conn.on_round(second)
+    # The other checker is handed a different event than the one folded.
+    conn, leg = make_checkers(("connectivity", "temporal-legality"))
+    conn.on_run_start(net)
+    leg.on_run_start(net)
+    conn.on_round(first)
+    with pytest.raises(RuntimeError, match="out of lockstep"):
+        leg.on_round(second)
+    # A checker that skipped an event can never catch up.
+    conn, leg = make_checkers(("connectivity", "temporal-legality"))
+    conn.on_run_start(net)
+    leg.on_run_start(net)
+    conn.on_round(first)
+    leg.on_round(first)
+    conn.on_round(second)
+    with pytest.raises(RuntimeError, match="out of lockstep"):
+        leg.on_perturbation(
+            PerturbationRecord(
+                round=3, drops=frozenset(), adds=frozenset(), crashes=(), joins=()
+            )
+        )
+
+
+def test_shared_replay_slots_each_round_once(monkeypatch):
+    """Both checkers attached: two ``_to_slots`` calls per round (the
+    activations and the deactivations), plus one per run start."""
+    calls = []
+    to_slots = ArrayReplayTracker._to_slots
+
+    def counting(self, edges):
+        calls.append(1)
+        return to_slots(self, edges)
+
+    monkeypatch.setattr(ArrayReplayTracker, "_to_slots", counting)
+    spec = get_scenario("star")
+    checkers = make_checkers(spec.invariants, arrays=True)
+    result = spec.runner(families.make("ring", 32), backend="bulk", observers=checkers)
+    assert all(c.ok for c in checkers)
+    assert len(calls) == 2 * result.rounds + 1
+
+
+def test_detour_rule_skips_most_rebuilds(monkeypatch):
+    """wreath on increasing_ring, n=1024, checked: the connectivity
+    checker used to rebuild on every round that dropped an edge; with
+    the 2-hop detour rule it rebuilds on at most 5% of them."""
+    rebuilds = []
+    rebuild = ArrayConnectivityChecker._rebuild
+
+    def counting(self):
+        rebuilds.append(1)
+        rebuild(self)
+
+    monkeypatch.setattr(ArrayConnectivityChecker, "_rebuild", counting)
+    drop_rounds = []
+
+    class DropRounds(RoundObserver):
+        accepts_raw_rounds = True
+
+        def on_round(self, record):
+            drop_rounds.append(bool(record.deactivations))
+
+    spec = get_scenario("wreath")
+    checkers = make_checkers(spec.invariants, arrays=True)
+    spec.runner(
+        families.make("increasing_ring", 1024), backend="bulk",
+        observers=[*checkers, DropRounds()],
+    )
+    assert checkers[0].name == "connectivity" and checkers[0].ok
+    assert sum(drop_rounds) > 1000
+    assert len(rebuilds) <= 0.05 * sum(drop_rounds)
+
+
+# ----------------------------------------------------------------------
+# the 2-hop detour rule against a rebuild on every round
+# ----------------------------------------------------------------------
+
+
+class _RebuildEveryRound(ArrayConnectivityChecker):
+    """The union-find recomputed from the key array after every round."""
+
+    def on_round(self, record) -> None:
+        self._read(self._replay.fold_round, record)
+        self._rebuild()
+        if self._components > 1:
+            self._fail(f"{self._where(record.round)}: network disconnected")
+
+
+def _assert_agree(edges, rounds, n):
+    """Feed one stream to the detour-rule checker, the rebuild-every-
+    round checker and the dict oracle; assert equal verdicts and return
+    the detour-rule checker's."""
+    import networkx as nx
+
+    from repro.engine.trace import Trace
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    trace = Trace(
+        records=[_round(i + 1, acts, deacts) for i, (acts, deacts) in enumerate(rounds)],
+        perturbations=[],
+    )
+    checkers = [ArrayConnectivityChecker(), _RebuildEveryRound(), ConnectivityChecker()]
+    skip, every, oracle = _vsig(check_trace(graph, trace, checkers))
+    assert skip == every == oracle
+    return skip
+
+
+@pytest.mark.parametrize(
+    "edges,rounds,ok",
+    [
+        # A drop that disconnects: the path 0-1-2-3-4 loses an edge.
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], [((), [(1, 2)])], False),
+        # (0, 1)'s only detour, via 2, is dropped the same round.
+        ([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], [((), [(0, 1), (1, 2)])], False),
+        # Adds and drops together: (0, 2) is added and is (0, 1)'s detour.
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], [([(0, 2)], [(0, 1)])], True),
+        # Already disconnected at the start; an add joins the halves,
+        # then a detoured drop keeps them joined.
+        ([(0, 1), (2, 3), (3, 4)], [((), ()), ([(1, 2)], ()), ([(0, 2)], [(0, 1)])], False),
+        # Disconnected, and a detoured drop does not reconnect it; a
+        # later add does.
+        ([(0, 1), (1, 2), (0, 2), (3, 4)], [((), [(0, 1)]), ([(2, 3)], ())], False),
+    ],
+)
+def test_detour_rule_cases(edges, rounds, ok):
+    _, verdict_ok, _ = _assert_agree(edges, rounds, 5)
+    assert verdict_ok is ok
+
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # pragma: no cover - property tests skip without hypothesis
+    given = None
+
+if given is not None:
+
+    @given(data=st.data(), n=st.integers(min_value=2, max_value=7))
+    def test_detour_rule_matches_rebuild_every_round(data, n):
+        """Random streams — drops of live edges (so disconnections and
+        dropped detours happen), adds of any pair, both in one round,
+        start graphs that may already be disconnected."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        live = set(edges)
+        rounds = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            acts = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3))
+            live |= set(acts)
+            drops = (
+                data.draw(st.lists(st.sampled_from(sorted(live)), unique=True, max_size=4))
+                if live
+                else []
+            )
+            live -= set(drops)
+            rounds.append((acts, drops))
+        _assert_agree(edges, rounds, n)
