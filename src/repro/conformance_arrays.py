@@ -93,7 +93,7 @@ def _uf_fold(parent, uu, vv):
 
 
 class _DictProxy:
-    """Borrowed dict-replay state: lets the array checkers reuse
+    """Borrowed dict-replay state: lets the array replay reuse
     ``_EdgeReplay``'s perturbation fold verbatim (engine equality by
     shared code, pinned by tests/test_replay_differential.py)."""
 

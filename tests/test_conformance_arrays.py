@@ -21,7 +21,14 @@ suite pins that contract:
   ``RawRound``/``_PairsView`` records that are field-equal to the
   scalar decoder's ``RoundRecord``s;
 * **tracker equivalence** — ``ArrayReplayTracker`` folds rounds and
-  strikes to the same snapshot as ``_EdgeReplay``.
+  strikes to the same snapshot as ``_EdgeReplay``;
+* **the shared replay** — the structural checkers alone and linked, in
+  either hook order, live and offline, with churn and crash strikes,
+  match the oracle; linked checkers fold each round once and raise
+  when driven out of lockstep;
+* **the 2-hop detour rule** — the connectivity checker that skips
+  union-find rebuilds agrees with one that rebuilds every round over
+  random round streams, and skips nearly all of them on wreath.
 """
 
 import dataclasses
@@ -84,18 +91,22 @@ def test_corpus_covers_registry():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_live_verdicts_match_oracle(name):
+def _assert_live_match(name, invariants):
     """Both implementations observe the same run; verdicts identical."""
     family, n = CORPUS[name]
     spec = get_scenario(name)
-    arrays = make_checkers(spec.invariants, arrays=True)
-    oracle = make_checkers(spec.invariants, arrays=False)
+    arrays = make_checkers(invariants, arrays=True)
+    oracle = make_checkers(invariants, arrays=False)
     kwargs = {"observers": [*arrays, *oracle]}
     if spec.supports_backend:
         kwargs["backend"] = "bulk"
     spec.runner(families.make(family, n), **kwargs)
     assert _sig(arrays) == _sig(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_live_verdicts_match_oracle(name):
+    _assert_live_match(name, get_scenario(name).invariants)
 
 
 def _record(spec, graph):
@@ -381,15 +392,7 @@ class _Idle(NodeProgram):
 @pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_linked_live_verdicts_match_oracle(name, selection):
-    family, n = CORPUS[name]
-    spec = get_scenario(name)
-    arrays = make_checkers(selection, arrays=True)
-    oracle = make_checkers(selection, arrays=False)
-    kwargs = {"observers": [*arrays, *oracle]}
-    if spec.supports_backend:
-        kwargs["backend"] = "bulk"
-    spec.runner(families.make(family, n), **kwargs)
-    assert _sig(arrays) == _sig(oracle)
+    _assert_live_match(name, selection)
 
 
 @pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
@@ -455,10 +458,10 @@ def test_linked_offline_verdicts_match_oracle(selection, tmp_path, monkeypatch):
 
 
 def test_make_checkers_links_one_replay():
-    conn, leg, _ = make_checkers(("connectivity", "temporal-legality", "rounds:log"))
+    conn, leg, _ = make_checkers(("connectivity", "temporal-legality", "rounds:log"), arrays=True)
     assert conn._replay is leg._replay
     assert isinstance(conn._replay, ArrayReplayTracker)
-    (alone,) = make_checkers(("connectivity",))
+    (alone,) = make_checkers(("connectivity",), arrays=True)
     assert alone._replay is not conn._replay
     assert ArrayConnectivityChecker()._replay is not ArrayTemporalLegalityChecker()._replay
 
@@ -476,21 +479,21 @@ def test_linked_checkers_out_of_lockstep_raise():
     net = Network(families.make("ring", 8), require_connected=False)
     first, second = _round(1), _round(2)
     # One checker runs ahead of the other.
-    conn, leg = make_checkers(("connectivity", "temporal-legality"))
+    conn, leg = make_checkers(("connectivity", "temporal-legality"), arrays=True)
     conn.on_run_start(net)
     leg.on_run_start(net)
     conn.on_round(first)
     with pytest.raises(RuntimeError, match="out of lockstep"):
         conn.on_round(second)
     # The other checker is handed a different event than the one folded.
-    conn, leg = make_checkers(("connectivity", "temporal-legality"))
+    conn, leg = make_checkers(("connectivity", "temporal-legality"), arrays=True)
     conn.on_run_start(net)
     leg.on_run_start(net)
     conn.on_round(first)
     with pytest.raises(RuntimeError, match="out of lockstep"):
         leg.on_round(second)
     # A checker that skipped an event can never catch up.
-    conn, leg = make_checkers(("connectivity", "temporal-legality"))
+    conn, leg = make_checkers(("connectivity", "temporal-legality"), arrays=True)
     conn.on_run_start(net)
     leg.on_run_start(net)
     conn.on_round(first)
