@@ -48,25 +48,32 @@ XXLARGE_N = 1_000_000
 XXLARGE_CHECKED_WALL_CEILING_S = 400.0
 XXLARGE_CHECKED_RSS_CEILING_KB = 7 * 1024 * 1024  # 7 GiB
 
+WREATH_ANCHOR_N = 8192
+#: Sequential UIDs make wreath take about 2n rounds, past the polylog
+#: round envelope: that red verdict is the pinned output (DESIGN.md).
+WREATH_ANCHOR_RED = ("rounds:polylog",)
+
 #: One benchmark leg in a fresh interpreter: peak RSS and wall measure
 #: this workload and nothing else, and the raw leg provably imports no
-#: checker code.
+#: checker code.  Every verdict is green except the ``red`` ones, which
+#: must be red.
 _LEG = """\
 import json, resource, time
-from repro.core import run_graph_to_star
+from repro.core import {runner} as run
 from repro.graphs import families
-g = families.make("ring", {n})
+g = families.make({family!r}, {n})
 checkers = []
 if {checked}:
     from repro.conformance import make_checkers, verdict_columns
     from repro.registry import get_scenario
-    checkers = make_checkers(get_scenario("star").invariants)
+    checkers = make_checkers(get_scenario({scenario!r}).invariants)
 t0 = time.perf_counter()
-r = run_graph_to_star(g, backend="bulk", observers=list(checkers))
+r = run(g, backend="bulk", observers=list(checkers))
 wall = time.perf_counter() - t0
 if checkers:
     cols = verdict_columns(checkers)
-    assert all(v == "ok" for v in cols.values()), cols
+    red = {{"inv_" + name for name in {red!r}}}
+    assert all((v == "ok") != (k in red) for k, v in cols.items()), cols
 print(json.dumps({{
     "wall_s": wall,
     "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -76,10 +83,17 @@ print(json.dumps({{
 """
 
 
-def _run_leg(n: int, *, checked: bool, timeout_s: float) -> dict:
+def _run_leg(
+    n: int, *, checked: bool, timeout_s: float, scenario: str = "star",
+    family: str = "ring", red: tuple = (),
+) -> dict:
+    runner = {"star": "run_graph_to_star", "wreath": "run_graph_to_wreath"}[scenario]
+    code = _LEG.format(
+        runner=runner, scenario=scenario, family=family, n=n, checked=checked, red=red
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
-        [sys.executable, "-c", _LEG.format(n=n, checked=checked)],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=timeout_s,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -137,6 +151,38 @@ def test_p10_xlarge_checked_overhead_gate(experiment_rows, bench_engine):
     assert ratio <= CHECKED_RATIO_CEILING, (
         f"checked/raw = {chk['wall_s']:.1f}/{raw['wall_s']:.1f} s = "
         f"{ratio:.2f}x exceeds {CHECKED_RATIO_CEILING}x at n={XLARGE_N}"
+    )
+
+
+@pytest.mark.slow
+def test_p10_wreath_checked_anchor(experiment_rows, bench_engine):
+    """The near-idle-round anchor: wreath on increasing_ring n=8192,
+    bulk — about 2n rounds, almost all of them touching at most four
+    edges, so the checkers' fixed per-round cost shows.  Both legs run
+    in fresh interpreters, as in the xlarge gate; the ratio is recorded,
+    not gated."""
+    legs = {
+        checked: _run_leg(
+            WREATH_ANCHOR_N, checked=checked, timeout_s=600, scenario="wreath",
+            family="increasing_ring", red=WREATH_ANCHOR_RED,
+        )
+        for checked in (False, True)
+    }
+    raw, chk = legs[False], legs[True]
+    ratio = chk["wall_s"] / raw["wall_s"]
+    experiment_rows(
+        "P10 conformance overhead",
+        {"workload": f"GraphToWreath increasing_ring n={WREATH_ANCHOR_N}",
+         "raw_ms": round(raw["wall_s"] * 1e3, 1),
+         "checked_ms": round(chk["wall_s"] * 1e3, 1),
+         "ratio": round(ratio, 2)},
+    )
+    bench_engine(
+        "wreath-checked", WREATH_ANCHOR_N, "bulk", chk["wall_s"] * 1e3,
+        rss_kb=chk["rss_kb"], rounds=chk["rounds"],
+        activations=chk["activations"],
+        raw_ms=round(raw["wall_s"] * 1e3, 1),
+        checked_over_raw=round(ratio, 3),
     )
 
 

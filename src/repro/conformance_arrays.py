@@ -26,7 +26,7 @@ Representation (see DESIGN.md, "Observer pipeline & conformance"):
   new arrays and never write in place, so a round's pre-round arrays
   stay valid for every checker that reads them.
 * A whole round's legality is classified by the shared
-  :func:`~repro.engine.edge_keys.legality_codes`; connectivity keeps a
+  :func:`~repro.engine.edge_keys.classify`; connectivity keeps a
   flat-array union-find (min-label hooking + full path compression)
   and recomputes it only when a dropped edge lost its last 2-hop
   detour (see :class:`ArrayConnectivityChecker`).
@@ -51,10 +51,10 @@ from .engine.edge_keys import (
     SHIFT,
     UNKNOWN,
     both_dirs,
+    classify,
     delete_from,
     dist2_ok,
     identity_slots,
-    legality_codes,
     member,
     merge_in,
     pack,
@@ -72,6 +72,11 @@ __all__ = [
 #: Slot ids must leave the packed key positive in an int64 (and the
 #: ``(slot + 1) << 32`` adjacency-slice bound representable).
 _MAX_SLOTS = (1 << 31) - 1
+
+#: Rounds with at most this many activations (or deactivations) slot
+#: them through a Python sort (:meth:`ArrayReplayTracker._to_slots`):
+#: measured cheaper than the flatten-and-argsort passes up to ~64 pairs.
+_FEW_EDGES = 32
 
 
 def _uf_fold(parent, uu, vv):
@@ -106,23 +111,36 @@ class _DictProxy:
         self._n_edges = n_edges
 
 
+_NO = np.empty(0, dtype=bool)
+
+
 class _RoundStep:
     """One folded round, as every checker linked to the replay reads it.
 
     ``su``/``sv`` and ``du``/``dv`` are the activations' and
     deactivations' endpoint slots in ``sorted_edges`` order (``-1``:
-    unknown node), ``albl``/``dlbl`` recover the k-th label pair;
-    ``keys``/``dirs`` are the *pre-round* undirected/directed key
-    arrays, and ``added``/``gone`` the keys the round actually applied.
-    The post-round state is the replay's own ``_keys``/``_dir``: linked
+    unknown node), ``albl``/``dlbl`` recover the k-th label pair, and
+    ``a_on``/``d_on`` say per request whether its edge was active before
+    the round (each probed once, for every reader); ``keys``/``dirs``
+    are the *pre-round* undirected/directed key arrays, and
+    ``added``/``gone`` the keys the round actually applied.  The
+    post-round state is the replay's own ``_keys``/``_dir``: linked
     checkers read a step before the replay may fold the next event.
+    An idle round (no activations, no deactivations) is all empty arrays
+    over the unchanged state.
     """
 
-    __slots__ = ("su", "sv", "albl", "du", "dv", "dlbl", "keys", "dirs", "added", "gone")
+    __slots__ = (
+        "su", "sv", "albl", "a_on", "du", "dv", "dlbl", "d_on",
+        "keys", "dirs", "added", "gone",
+    )
 
-    def __init__(self, su, sv, albl, du, dv, dlbl, keys, dirs, added, gone) -> None:
-        self.su, self.sv, self.albl = su, sv, albl
-        self.du, self.dv, self.dlbl = du, dv, dlbl
+    def __init__(
+        self, keys, dirs, su=EMPTY, sv=EMPTY, albl=None, a_on=_NO,
+        du=EMPTY, dv=EMPTY, dlbl=None, d_on=_NO, added=EMPTY, gone=EMPTY,
+    ) -> None:
+        self.su, self.sv, self.albl, self.a_on = su, sv, albl, a_on
+        self.du, self.dv, self.dlbl, self.d_on = du, dv, dlbl, d_on
         self.keys, self.dirs = keys, dirs
         self.added, self.gone = added, gone
 
@@ -234,7 +252,12 @@ class ArrayReplayTracker:
         k-th label pair (only called on failures, so the common all-int
         path never touches Python pairs: flatten with ``np.fromiter``,
         order with ``np.lexsort`` — identical to ``sorted(edges)`` for
-        int tuples — and slot through ``searchsorted``)."""
+        int tuples — and slot through ``searchsorted``).  Up to
+        :data:`_FEW_EDGES` int pairs under identity interning sort and
+        slot in Python instead, which costs less than the array passes'
+        fixed cost."""
+        if not edges:
+            return EMPTY, EMPTY, None
         uarr = getattr(edges, "u", None)
         if uarr is not None:
             # _PairsView (.rtb array decode, bulk kernel rounds): endpoint
@@ -250,6 +273,13 @@ class ArrayReplayTracker:
             edges = list(zip(uarr.tolist(), varr.tolist()))
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
         m = len(edges)
+        if self._ident and m <= _FEW_EDGES:
+            pairs = sorted_edges(edges)
+            flat = [x for e in pairs for x in e]
+            if all(type(x) is int for x in flat):
+                n = self._n
+                slots = np.array([x if 0 <= x < n else -1 for x in flat], dtype=np.int64)
+                return slots[0::2], slots[1::2], pairs.__getitem__
         if self._uid_arr is not None:
             try:
                 flat = np.fromiter(
@@ -281,47 +311,35 @@ class ArrayReplayTracker:
             sv[k] = get(v, -1)
         return su, sv, lambda k: pairs[k]
 
-    def _apply_adds(self, su, sv):
-        """Fold activations; returns the applied keys (sorted unique).
-        Validity mirrors ``_EdgeReplay._add_edge``: both endpoints
-        known, no self-loop, not already active; in-batch duplicates
-        collapse exactly as sequential dict adds do."""
-        valid = (su >= 0) & (sv >= 0) & (su != sv)
-        if not valid.any():
-            return EMPTY
-        keys = unique(pack(su[valid], sv[valid]))
-        new = keys[~member(self._keys, keys)]
-        if new.size:
-            self._keys = merge_in(self._keys, new)
-            if self._directed:
-                self._dir = merge_in(self._dir, both_dirs(new))
-        return new
-
-    def _apply_drops(self, du, dv):
-        """Fold deactivations; returns the applied keys (sorted
-        unique).  Mirrors ``_EdgeReplay._drop_edge``: only currently
-        active edges drop (self-loops and unknown pairs never match)."""
-        valid = (du >= 0) & (dv >= 0)
-        if not valid.any():
-            return EMPTY
-        keys = unique(pack(du[valid], dv[valid]))
-        gone = keys[member(self._keys, keys)]
-        if gone.size:
-            self._keys = delete_from(self._keys, gone)
-            if self._directed:
-                self._dir = delete_from(self._dir, both_dirs(gone))
-        return gone
-
     def fold_round(self, record) -> _RoundStep:
         """Fold one round's effective sets, adds first, then drops (the
         dict loop order), with no legality checking; returns the
-        round's :class:`_RoundStep`."""
+        round's :class:`_RoundStep`.
+
+        Validity mirrors ``_EdgeReplay._add_edge``/``_drop_edge``: an
+        add applies when both endpoints are known, it is no self-loop
+        and its edge is not active; a drop, when its edge is active
+        after the adds.  In-batch duplicates collapse as sequential
+        dict folds do.  An unknown node or a self-loop packs to a key
+        no key array holds, so the membership probes need no masks.
+        """
         keys, dirs = self._keys, self._dir
-        su, sv, albl = self._to_slots(record.activations)
-        du, dv, dlbl = self._to_slots(record.deactivations)
-        added = self._apply_adds(su, sv)
-        gone = self._apply_drops(du, dv)
-        return _RoundStep(su, sv, albl, du, dv, dlbl, keys, dirs, added, gone)
+        acts, deas = record.activations, record.deactivations
+        if not acts and not deas:
+            return _RoundStep(keys, dirs)
+        su, sv, albl = self._to_slots(acts)
+        du, dv, dlbl = self._to_slots(deas)
+        apacked = pack(su, sv)
+        a_on = member(keys, apacked)
+        added = unique(apacked[(su >= 0) & (sv >= 0) & (su != sv) & ~a_on])
+        dpacked = pack(du, dv)
+        d_on = member(keys, dpacked)
+        hit = (d_on | member(added, dpacked)) if added.size else d_on
+        gone = unique(dpacked[hit])
+        self._keys = delete_from(merge_in(keys, added), gone)
+        if self._directed:
+            self._dir = delete_from(merge_in(dirs, both_dirs(added)), both_dirs(gone))
+        return _RoundStep(keys, dirs, su, sv, albl, a_on, du, dv, dlbl, d_on, added, gone)
 
     def _apply_perturbation(self, record) -> list:
         """Fold an external strike by materializing the dict adjacency,
@@ -447,9 +465,10 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
     def on_round(self, record) -> None:
         where = self._where(record.round)
         step = self._read(self._replay.fold_round, record)
-        su, sv, du, dv = step.su, step.sv, step.du, step.dv
         # -- legality, all against the pre-round state ------------------
-        code, _ = legality_codes(step.keys, step.dirs, su, sv)
+        code = (
+            classify(step.dirs, step.su, step.sv, step.a_on) if step.su.size else _NO
+        )
         for k in np.nonzero(code)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 # Everything from here on is past the cap: count it
@@ -475,9 +494,8 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
                     f"{where}: activated ({_lbl(u)}, {_lbl(v)}) but endpoints "
                     f"are not at distance 2"
                 )
-        dbad = np.ones(du.shape, dtype=bool)
-        dknown = (du >= 0) & (dv >= 0)
-        dbad[dknown] = ~member(step.keys, pack(du, dv)[dknown])
+        # An unknown node or a self-loop is never active (see fold_round).
+        dbad = ~step.d_on
         for k in np.nonzero(dbad)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 self._suppressed += int(np.count_nonzero(dbad[k:]))
@@ -487,7 +505,8 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
         # -- the applied sets: adds first, then drops (dict loop order) -
         self._act_keys = merge_in(self._act_keys, step.added)
         gone = step.gone
-        self._act_keys = delete_from(self._act_keys, gone[member(self._act_keys, gone)])
+        if gone.size:
+            self._act_keys = delete_from(self._act_keys, gone[member(self._act_keys, gone)])
         # -- the tamper check: committed counters vs the replay ---------
         n_active = self._replay._keys.size
         if record.active_edges != n_active:

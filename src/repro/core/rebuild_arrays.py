@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.trace import RoundRecord
 from ..errors import ProtocolViolation
 
 #: Arrival epochs are kept in an int64 bitmask and the conduit probe
@@ -181,17 +180,9 @@ class RebuildSim:
         else:
             connected = True
         if observers is not None:
-            record = RoundRecord(
-                round=round_no,
-                activations=frozenset(activations),
-                deactivations=frozenset(deactivations),
-                active_edges=net.num_active_edges,
-                activated_edges=net.num_activated_edges,
-                connected=connected,
-                barrier_epoch=runner.barrier_epoch,
+            runner._emit_round(
+                observers, net, round_no, activations, deactivations, connected
             )
-            for obs in observers:
-                obs.on_round(record)
 
         barrier_wakes = 0
         if self.settled.all():

@@ -507,9 +507,97 @@ def test_linked_checkers_out_of_lockstep_raise():
         )
 
 
+# ----------------------------------------------------------------------
+# idle rounds: no edge work, but every per-round check still runs
+# ----------------------------------------------------------------------
+
+
+def _idle_streams():
+    """Streams whose rounds after the first change no edge, on an
+    8-node path.  ``forged``: round 1 activates (0, 2) legally, then the
+    idle rounds carry forged counters.  ``disconnected``: round 1 drops
+    the path's middle edge, then every idle round must report the
+    split.  Each has more failing rounds than ``_MAX_DETAILS``."""
+    import networkx as nx
+
+    from repro.engine.trace import RoundRecord
+
+    graph = nx.path_graph(8)
+
+    def rnd(no, acts=(), deacts=(), active=7, activated=0):
+        return RoundRecord(
+            round=no, activations=frozenset(acts), deactivations=frozenset(deacts),
+            active_edges=active, activated_edges=activated, connected=True,
+            barrier_epoch=0,
+        )
+
+    forged = [rnd(1, acts=[(0, 2)], active=8, activated=1)]
+    for no in range(2, 12):
+        active, activated = (8, 1) if no % 4 == 0 else (8 + no, 1 + no % 2)
+        forged.append(rnd(no, active=active, activated=activated))
+    disconnected = [rnd(1, deacts=[(3, 4)], active=6)]
+    disconnected += [rnd(no, active=6) for no in range(2, 12)]
+    return graph, {"forged": forged, "disconnected": disconnected}
+
+
+def _raw(record):
+    """The record as a runner hands it to a raw-round observer."""
+    from repro.engine.observers import RawRound
+
+    return RawRound(
+        record.round, set(record.activations), set(record.deactivations),
+        record.active_edges, record.activated_edges, record.connected,
+        record.barrier_epoch,
+    )
+
+
+@pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
+@pytest.mark.parametrize("stream", ["forged", "disconnected"])
+def test_idle_rounds_keep_per_round_checks(stream, selection):
+    """Array verdicts equal the oracle's, byte for byte, on streams of
+    idle rounds: forged counters are still compared and a disconnected
+    replay still fails each round, past the ``_MAX_DETAILS`` cap —
+    alone and linked, live (raw rounds) and through ``check_trace``."""
+    from repro.engine.trace import Trace
+
+    graph, streams = _idle_streams()
+    records = streams[stream]
+    arrays = make_checkers(selection, arrays=True)
+    oracle = make_checkers(selection, arrays=False)
+    net = Network(graph, require_connected=False)
+    for checker in (*arrays, *oracle):
+        checker.on_run_start(net)
+    for record in records:
+        raw = _raw(record)
+        for checker in arrays:
+            checker.on_round(raw)
+        for checker in oracle:
+            checker.on_round(record)
+    live = _sig(arrays)
+    assert live == _sig(oracle)
+    trace = Trace(records=records, perturbations=[])
+    offline = _vsig(check_trace(graph, trace, make_checkers(selection, arrays=True)))
+    assert offline == _vsig(check_trace(graph, trace, make_checkers(selection, arrays=False)))
+    assert offline == live
+    failing = {
+        "forged": "temporal-legality",
+        "disconnected": "connectivity",
+    }[stream]
+    for name, ok, detail in live:
+        if name == failing:
+            assert not ok and "more" in detail
+        elif stream == "forged":
+            assert ok
+    if stream == "disconnected" and "temporal-legality" in selection:
+        (detail,) = [d for name, _, d in live if name == "temporal-legality"]
+        assert "active_edges" not in detail and "activated_edges" not in detail
+
+
 def test_shared_replay_slots_each_round_once(monkeypatch):
-    """Both checkers attached: two ``_to_slots`` calls per round (the
-    activations and the deactivations), plus one per run start."""
+    """Both checkers attached: two ``_to_slots`` calls per round that
+    changes an edge (the activations and the deactivations), none on an
+    idle round, plus one per run start — so a second fold per checker
+    would show."""
     calls = []
     to_slots = ArrayReplayTracker._to_slots
 
@@ -518,11 +606,22 @@ def test_shared_replay_slots_each_round_once(monkeypatch):
         return to_slots(self, edges)
 
     monkeypatch.setattr(ArrayReplayTracker, "_to_slots", counting)
+    busy = []
+
+    class BusyRounds(RoundObserver):
+        accepts_raw_rounds = True
+
+        def on_round(self, record):
+            busy.append(bool(record.activations or record.deactivations))
+
     spec = get_scenario("star")
     checkers = make_checkers(spec.invariants, arrays=True)
-    result = spec.runner(families.make("ring", 32), backend="bulk", observers=checkers)
+    result = spec.runner(
+        families.make("ring", 32), backend="bulk", observers=[*checkers, BusyRounds()]
+    )
     assert all(c.ok for c in checkers)
-    assert len(calls) == 2 * result.rounds + 1
+    assert len(busy) == result.rounds and 0 < sum(busy) < result.rounds
+    assert len(calls) == 2 * sum(busy) + 1
 
 
 def test_detour_rule_skips_most_rebuilds(monkeypatch):

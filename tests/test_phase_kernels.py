@@ -525,3 +525,48 @@ class TestWreathRebuildAssistLockstep:
         for sim in {id(s): s for s in calls}.values():
             assert sim.settled.all()
         assert runner._wreath_assist is None
+
+    def test_assist_rounds_go_through_the_runners_emission(self, monkeypatch):
+        """Assist rounds reach observers through the runner's own
+        emission: raw-round observers get a ``RawRound`` over the
+        runner's sets, record observers an equal ``RoundRecord``."""
+        import repro.core.rebuild_arrays as ra
+        from repro.core.graph_to_wreath import GraphToWreathProgram
+        from repro.engine import SynchronousRunner
+        from repro.engine.observers import RawRound, RoundObserver
+        from repro.engine.trace import RoundRecord
+        from repro.graphs import families
+
+        assist = []
+        orig = ra.RebuildSim.step_round
+
+        def marking(self, runner, recorder, observers):
+            assist.append(runner.network.round)
+            return orig(self, runner, recorder, observers)
+
+        monkeypatch.setattr(ra.RebuildSim, "step_round", marking)
+
+        class Seen(RoundObserver):
+            def __init__(self, raw):
+                self.accepts_raw_rounds = raw
+                self.rounds = {}
+
+            def on_round(self, record):
+                self.rounds[record.round] = (
+                    type(record),
+                    frozenset(record.activations),
+                    frozenset(record.deactivations),
+                    record.active_edges,
+                    record.activated_edges,
+                )
+
+        raw, rec = Seen(True), Seen(False)
+        SynchronousRunner(
+            families.make("ring", 64), GraphToWreathProgram, backend="bulk",
+            use_barrier=True, observers=[raw, rec],
+        ).run()
+        assert assist, "rebuild assist never engaged"
+        for r in assist:
+            assert raw.rounds[r][0] is RawRound
+            assert rec.rounds[r][0] is RoundRecord
+            assert raw.rounds[r][1:] == rec.rounds[r][1:]
