@@ -17,6 +17,10 @@ per leg, sequential):
   every round on their own.
 * n=1e6: raw ~203 s; array-checked measured by the xxlarge cell below
   (was ~793 s dict-checked before this PR).
+* wreath on increasing_ring n=8192 (about 2n rounds, nearly all of
+  them touching at most four edges): checked/raw 2.32x before the
+  replay's idle-round and small-batch paths, 1.38x after (medians of
+  3 alternating pairs on a 2-vCPU VM); recorded, not gated.
 
 Gates are ratios measured on the same box in the same session (both
 legs fresh interpreters), so a slow CI machine cannot skew them; the
