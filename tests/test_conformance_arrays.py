@@ -24,8 +24,11 @@ suite pins that contract:
   strikes to the same snapshot as ``_EdgeReplay``;
 * **the shared replay** — the structural checkers alone and linked, in
   either hook order, live and offline, with churn and crash strikes,
-  match the oracle; linked checkers fold each round once and raise
-  when driven out of lockstep;
+  match the oracle; linked checkers fold each round that changes an
+  edge once, skip idle rounds, and raise when driven out of lockstep;
+* **idle rounds** — streams of rounds with no edge changes still get
+  the counter tamper check and the disconnection check on every round,
+  with the oracle's failure strings and suppression counts;
 * **the 2-hop detour rule** — the connectivity checker that skips
   union-find rebuilds agrees with one that rebuilds every round over
   random round streams, and skips nearly all of them on wreath.
