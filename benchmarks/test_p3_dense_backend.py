@@ -1,25 +1,23 @@
-"""P3 — dense backend A/B: same traces, measurably less engine time.
+"""P3 — interned-state A/B: same traces, measurably less engine time.
 
-The dense backend (``backend="dense"``; DESIGN.md, "Engine backends")
+The bulk backend (``backend="bulk"``; DESIGN.md, "Engine backends")
 replaces the reference round machinery with index-interned state and
 batched per-round passes.  Its contract is byte-identical traces and
 equal metrics — asserted here on the benchmarked workload itself, so the
 A/B below provably compares equal computations.
 
-Two relational guards keep the speedup pinned without depending on
-machine speed:
+These guards were written for the retired ``dense`` backend, whose
+per-node round loop is now bulk's ``pernode`` path; their bounds are
+unchanged.  Relational guards keep the speedup pinned without depending
+on machine speed:
 
 * the *engine-loop* A/B isolates the per-round machinery with a
-  minimal program (measured ~1.8x on the reference machine);
-* the *GraphToStar ring* A/B measures the end-to-end workload, which is
-  program-bound — committee code, not engine machinery, dominates — so
-  the cross-backend ratio is necessarily smaller (measured ~1.2x at
-  n=256, ~1.3x at n=1024; Amdahl's law caps it at total/program time).
-
-End-to-end vs the pre-PR engine (PR 2 state), the combination of the
-dense backend and this PR's program-layer hot-path work measured ~1.4x
-at n=256 and ~1.6x at n=1024 on the reference machine; the absolute
-times recorded in the session table are the tracked numbers.
+  minimal program (measured ~1.8x on the reference machine); IdleNode
+  is not bulk-sparse, so bulk times the per-node loop;
+* the *GraphToStar ring* A/B measures the end-to-end workload; on bulk
+  it runs the star whole-round kernel, so the floors here are loose;
+* the *clique* activation storm is the apply-dominated extreme; clique
+  is not bulk-sparse either, so it also times the per-node loop.
 """
 
 import time
@@ -56,26 +54,26 @@ def _best_of(fn, reps: int = 5) -> float:
 
 
 def _ab(fn, reps: int = 5) -> tuple[float, float]:
-    """Interleaved best-of timing: (reference, dense) seconds."""
-    fn("reference"), fn("dense")  # warm-up both paths
-    ref = dense = float("inf")
+    """Interleaved best-of timing: (reference, bulk) seconds."""
+    fn("reference"), fn("bulk")  # warm-up both paths
+    ref = bulk = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
         fn("reference")
         ref = min(ref, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        fn("dense")
-        dense = min(dense, time.perf_counter() - t0)
-    return ref, dense
+        fn("bulk")
+        bulk = min(bulk, time.perf_counter() - t0)
+    return ref, bulk
 
 
 def test_p3_trace_identity_oracle_on_benchmark_workload():
     """The A/B compares equal computations: byte-identical traces."""
     graph = families.make("ring", 256)
     ref = run_graph_to_star(graph, collect_trace=True, backend="reference")
-    dense = run_graph_to_star(graph, collect_trace=True, backend="dense")
-    assert dense.trace.to_jsonl() == ref.trace.to_jsonl()
-    assert dense.metrics == ref.metrics
+    bulk = run_graph_to_star(graph, collect_trace=True, backend="bulk")
+    assert bulk.trace.to_jsonl() == ref.trace.to_jsonl()
+    assert bulk.metrics == ref.metrics
 
 
 def test_p3_engine_loop_speedup(experiment_rows):
@@ -92,27 +90,27 @@ def test_p3_engine_loop_speedup(experiment_rows):
     def run(backend):
         run_program(graph, IdleNode, max_rounds=ENGINE_ROUNDS + 10, backend=backend)
 
-    ref, dense = _ab(run)
+    ref, bulk = _ab(run)
     experiment_rows(
-        "P3 dense backend",
+        "P3 interned backend",
         {"workload": f"engine loop n=256 r={ENGINE_ROUNDS}",
-         "reference_ms": round(ref * 1e3, 1), "dense_ms": round(dense * 1e3, 1),
-         "speedup": round(ref / dense, 2)},
+         "reference_ms": round(ref * 1e3, 1), "bulk_ms": round(bulk * 1e3, 1),
+         "speedup": round(ref / bulk, 2)},
     )
-    assert dense * 1.35 < ref, (
-        f"dense engine loop not fast enough: reference {ref*1e3:.1f} ms "
-        f"vs dense {dense*1e3:.1f} ms ({ref/dense:.2f}x < 1.35x)"
+    assert bulk * 1.35 < ref, (
+        f"bulk per-node engine loop not fast enough: reference {ref*1e3:.1f} ms "
+        f"vs bulk {bulk*1e3:.1f} ms ({ref/bulk:.2f}x < 1.35x)"
     )
 
 
 def test_p3_graph_to_star_speedup(experiment_rows):
-    """End-to-end GraphToStar ring: dense must never lose, and must win
-    clearly at n=1024 where the engine share grows with the hub degree.
+    """End-to-end GraphToStar ring: bulk must never lose, and must win
+    clearly at n=1024.
 
-    The workload is committee-program-bound, so the cross-backend ratio
-    is far below the engine-loop ratio — the bounds here are floors that
-    catch a regressed dense hot path, while the recorded rows track the
-    real A/B numbers.
+    The bounds are the floors the per-node dense loop had to clear on
+    this committee-program-bound workload; bulk's star kernel clears
+    them by a wide margin, and the recorded rows track the real A/B
+    numbers.
     """
     ratios = {}
     for n, reps in ((256, 7), (1024, 3)):
@@ -121,22 +119,22 @@ def test_p3_graph_to_star_speedup(experiment_rows):
         def run(backend):
             run_graph_to_star(graph, backend=backend)
 
-        ref, dense = _ab(run, reps=reps)
-        ratios[n] = ref / dense
+        ref, bulk = _ab(run, reps=reps)
+        ratios[n] = ref / bulk
         experiment_rows(
-            "P3 dense backend",
+            "P3 interned backend",
             {"workload": f"GraphToStar ring n={n}",
-             "reference_ms": round(ref * 1e3, 1), "dense_ms": round(dense * 1e3, 1),
-             "speedup": round(ref / dense, 2)},
+             "reference_ms": round(ref * 1e3, 1), "bulk_ms": round(bulk * 1e3, 1),
+             "speedup": round(ref / bulk, 2)},
         )
-    assert ratios[256] > 1.02, f"dense lost at n=256: {ratios[256]:.2f}x"
-    assert ratios[1024] > 1.05, f"dense gain too small at n=1024: {ratios[1024]:.2f}x"
+    assert ratios[256] > 1.02, f"bulk lost at n=256: {ratios[256]:.2f}x"
+    assert ratios[1024] > 1.05, f"bulk gain too small at n=1024: {ratios[1024]:.2f}x"
 
 
-def test_p3_dense_never_regresses_activation_storms(experiment_rows):
+def test_p3_bulk_never_regresses_activation_storms(experiment_rows):
     """Clique formation activates O(n^2) edges in O(log n) rounds — the
     apply-dominated extreme.  The identity-interned fast path must keep
-    the dense backend from losing on it."""
+    bulk's per-node loop from losing on it."""
     from repro.core import run_clique_formation
 
     graph = families.make("ring", 96)
@@ -144,14 +142,14 @@ def test_p3_dense_never_regresses_activation_storms(experiment_rows):
     def run(backend):
         run_clique_formation(graph, backend=backend)
 
-    ref, dense = _ab(run)
+    ref, bulk = _ab(run)
     experiment_rows(
-        "P3 dense backend",
+        "P3 interned backend",
         {"workload": "clique ring n=96",
-         "reference_ms": round(ref * 1e3, 1), "dense_ms": round(dense * 1e3, 1),
-         "speedup": round(ref / dense, 2)},
+         "reference_ms": round(ref * 1e3, 1), "bulk_ms": round(bulk * 1e3, 1),
+         "speedup": round(ref / bulk, 2)},
     )
-    assert dense < ref * 1.15, (
-        f"dense regressed on activation storm: reference {ref*1e3:.1f} ms "
-        f"vs dense {dense*1e3:.1f} ms"
+    assert bulk < ref * 1.15, (
+        f"bulk regressed on activation storm: reference {ref*1e3:.1f} ms "
+        f"vs bulk {bulk*1e3:.1f} ms"
     )

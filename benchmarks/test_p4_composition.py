@@ -65,10 +65,10 @@ def test_p4_payoff_holds_on_both_backends():
     """The crossover is an engine-independent claim; assert it per backend
     and that both backends measure identical pipeline costs."""
     totals = {}
-    for backend in ("reference", "dense"):
+    for backend in ("reference", "bulk"):
         composed = _run("star+flood", "line", 256, backend=backend)
         baseline = _run("flood-baseline", "line", 256, backend=backend)
         assert composed.rounds < baseline.rounds
         totals[backend] = (composed.rounds, composed.metrics.total_activations,
                            baseline.rounds)
-    assert totals["reference"] == totals["dense"]
+    assert totals["reference"] == totals["bulk"]

@@ -2,19 +2,20 @@
 
 The bulk backend (``backend="bulk"``; DESIGN.md, "Phase kernels & bulk
 backend") runs only *due* nodes each round, with the fleet's wake state
-in numpy arrays.  Its contract is the dense backend's: byte-identical
-JSONL traces and equal metrics — asserted below on the benchmarked
+in numpy arrays.  Its contract is byte-identical JSONL traces and equal
+metrics to the reference backend — asserted below on the benchmarked
 workload family itself, so the gates provably compare equal
 computations.
 
 The anchor workload is GraphToWreath on ``increasing_ring`` — UIDs
 increasing along the ring, the long-segment worst case whose splice
-walks take ~2n rounds with a tiny per-round active set.  Dense measured
-~132 s at n=8192 on the reference machine (the recorded anchor below);
-bulk runs the same execution in ~10 s because only ~0.5% of node-rounds
-are due.  The flip side, recorded honestly: on *random*-UID rings the
-same n finishes in ~700 high-activity rounds where parking buys nothing,
-and bulk is only at parity with dense (see DESIGN.md's Amdahl notes).
+walks take ~2n rounds with a tiny per-round active set.  The retired
+dense backend (every program every round) measured ~132 s at n=8192 on
+the reference machine (the recorded anchor below); bulk runs the same
+execution in ~10 s because only ~0.5% of node-rounds are due.  The flip
+side, recorded honestly: on *random*-UID rings the same n finishes in
+~700 high-activity rounds where parking buys much less (see DESIGN.md's
+Amdahl notes).
 
 Slow-tier gates (``--runslow``) additionally smoke the xlarge regime
 (n=1e5) under wall-clock and peak-RSS ceilings, and record all measured
@@ -33,11 +34,18 @@ from repro.core import run_graph_to_wreath
 from repro.graphs import families
 from repro.telemetry import TelemetryObserver
 
-#: Dense wall seconds for GraphToWreath increasing_ring n=8192 on the
-#: reference machine.  A recorded constant, not a fresh measurement: the
-#: shared program-layer refactors of this PR sped dense up too, and the
-#: acceptance bar is "10x faster than the pre-PR dense anchor".
+#: Wall seconds of the retired dense backend for GraphToWreath
+#: increasing_ring n=8192 on the reference machine.  A recorded
+#: constant, not a fresh measurement: the acceptance bar is "10x faster
+#: than the dense anchor".
 DENSE_ANCHOR_S = 132.0
+
+#: Ceiling on the wake set's mean size as a share of the live fleet,
+#: GraphToWreath increasing_ring n=512 on bulk.  Deterministic: measured
+#: 0.0586 (mean due 29.95 of mean live 511.08 over 1098 rounds) before
+#: the dense backend was retired.  A wake path where everything goes
+#: stale every round drives it towards 1.0.
+SMALL_N_DUE_SHARE_CEILING = 0.10
 
 ANCHOR_N = 8192
 ANCHOR_FAMILY = "increasing_ring"
@@ -58,28 +66,35 @@ def test_p6_trace_identity_oracle_on_anchor_family():
     traces and equal metrics on the anchor workload family."""
     for family, n in ((ANCHOR_FAMILY, 256), ("ring", 256)):
         graph = families.make(family, n)
-        dense = run_graph_to_wreath(graph, collect_trace=True, backend="dense")
+        ref = run_graph_to_wreath(graph, collect_trace=True, backend="reference")
         bulk = run_graph_to_wreath(graph, collect_trace=True, backend="bulk")
-        assert bulk.trace.to_jsonl() == dense.trace.to_jsonl(), family
-        assert bulk.metrics == dense.metrics, family
+        assert bulk.trace.to_jsonl() == ref.trace.to_jsonl(), family
+        assert bulk.metrics == ref.metrics, family
 
 
-def test_p6_bulk_never_loses_badly_at_small_n(experiment_rows):
+def test_p6_wake_set_stays_sparse_at_small_n(experiment_rows):
     """At small n the wreath's segments are short, so parking amortizes
-    poorly and bulk is only expected to hold parity with dense — this
-    floor catches a regressed wake path (e.g. everything going stale
-    every round), not a missing speedup."""
+    poorly — but the wake set must still stay a small share of the
+    fleet.  A deterministic count, not a timing: it catches a regressed
+    wake path (e.g. everything going stale every round) on any machine."""
     graph = families.make(ANCHOR_FAMILY, 512)
-    dense = min(_wall(lambda: run_graph_to_wreath(graph, backend="dense")) for _ in range(2))
-    bulk = min(_wall(lambda: run_graph_to_wreath(graph, backend="bulk")) for _ in range(2))
+    telemetry = TelemetryObserver()
+    res = run_graph_to_wreath(graph, backend="bulk", observers=[telemetry])
+    prof = telemetry.profile()
+    share = prof.due["mean"] / prof.live["mean"]
     experiment_rows(
         "P6 bulk backend",
         {"workload": f"GraphToWreath {ANCHOR_FAMILY} n=512",
-         "dense_ms": round(dense * 1e3, 1), "bulk_ms": round(bulk * 1e3, 1),
-         "speedup": round(dense / bulk, 2)},
+         "dense_ms": "-", "bulk_ms": round(prof.wall_s * 1e3, 1),
+         "speedup": f"due/live={share:.4f}"},
     )
-    assert bulk < dense * 1.5, (
-        f"bulk lost badly at n=512: dense {dense*1e3:.1f} ms vs bulk {bulk*1e3:.1f} ms"
+    # Every round stays on the sparse scheduler or its rebuild assist.
+    assert set(prof.dispatch) <= {"sparse", "assist"}, prof.dispatch
+    assert sum(prof.dispatch.values()) == res.metrics.rounds
+    assert share < SMALL_N_DUE_SHARE_CEILING, (
+        f"wake set too large at n=512: mean due {prof.due['mean']:.1f} of "
+        f"mean live {prof.live['mean']:.1f} ({share:.4f} >= "
+        f"{SMALL_N_DUE_SHARE_CEILING})"
     )
 
 
@@ -90,13 +105,13 @@ def test_p6_wreath_anchor_gate(experiment_rows, bench_engine):
 
     The trace-identity oracle runs first at n=1024 on both backends of
     the same family, so the timed bulk run is known to compute the same
-    execution dense would.
+    execution the reference backend would.
     """
     oracle = families.make(ANCHOR_FAMILY, 1024)
-    dense = run_graph_to_wreath(oracle, collect_trace=True, backend="dense")
+    ref = run_graph_to_wreath(oracle, collect_trace=True, backend="reference")
     bulk = run_graph_to_wreath(oracle, collect_trace=True, backend="bulk")
-    assert bulk.trace.to_jsonl() == dense.trace.to_jsonl()
-    assert bulk.metrics == dense.metrics
+    assert bulk.trace.to_jsonl() == ref.trace.to_jsonl()
+    assert bulk.metrics == ref.metrics
 
     graph = families.make(ANCHOR_FAMILY, ANCHOR_N)
     result = {}

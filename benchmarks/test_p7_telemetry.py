@@ -29,6 +29,8 @@ import time
 import pytest
 
 from repro.core import run_graph_to_wreath
+from repro.core.graph_to_wreath import GraphToWreathProgram
+from repro.engine import SynchronousRunner
 from repro.graphs import families
 from repro.telemetry import RunProfile, TelemetryObserver, build_provenance
 
@@ -42,6 +44,17 @@ OVERHEAD_FACTOR = 1.05
 OVERHEAD_EPS_S = 0.05
 
 ABBA_BLOCKS = 2  # 4 runs per arm
+
+
+class _PerNodeWreath(GraphToWreathProgram):
+    """GraphToWreath with its sparse contract withdrawn, so bulk runs
+    every live program every round on its per-node loop."""
+
+    bulk_sparse = False
+
+
+def _run_pernode_wreath(graph, **kwargs):
+    return SynchronousRunner(graph, _PerNodeWreath, use_barrier=True, **kwargs).run()
 
 
 def _wall(fn) -> float:
@@ -79,17 +92,22 @@ def _check_profile(prof, backend: str, n: int) -> None:
     assert rt.as_dict() == prof.as_dict()
 
 
-def _overhead_gate(backend: str, experiment_rows, bench_engine) -> None:
+def _overhead_gate(
+    backend: str, experiment_rows, bench_engine,
+    run=run_graph_to_wreath, scenario: str = "wreath",
+):
+    """ABBA-gate the profiled wall of ``run`` against its base wall on
+    the anchor workload; returns the last profiled run's profile."""
     build_provenance(backend)  # warm the cached git/numpy lookups
     graph = families.make(ANCHOR_FAMILY, ANCHOR_N)
     last = {}
 
     def base_fn():
-        run_graph_to_wreath(graph, backend=backend)
+        run(graph, backend=backend)
 
     def prof_fn():
         telemetry = TelemetryObserver()
-        last["res"] = run_graph_to_wreath(graph, backend=backend, observers=[telemetry])
+        last["res"] = run(graph, backend=backend, observers=[telemetry])
         last["prof"] = telemetry.profile()
 
     base, prof = _abba_minima(base_fn, prof_fn)
@@ -99,25 +117,26 @@ def _overhead_gate(backend: str, experiment_rows, bench_engine) -> None:
 
     experiment_rows(
         "P7 telemetry overhead",
-        {"workload": f"GraphToWreath {ANCHOR_FAMILY} n={ANCHOR_N} ({backend})",
+        {"workload": f"{scenario} {ANCHOR_FAMILY} n={ANCHOR_N} ({backend})",
          "base_ms": round(base * 1e3, 1), "profiled_ms": round(prof * 1e3, 1),
          "overhead": f"{(prof / base - 1) * 100:+.1f}%"},
     )
     bench_engine(
-        "wreath", ANCHOR_N, backend, prof * 1e3,
+        scenario, ANCHOR_N, backend, prof * 1e3,
         rounds=profile.rounds, activations=profile.activations,
         phases=profile.phases,
     )
     assert prof < base * OVERHEAD_FACTOR + OVERHEAD_EPS_S, (
-        f"telemetry overhead on {backend}: base {base*1e3:.0f} ms vs "
+        f"telemetry overhead on {scenario}/{backend}: base {base*1e3:.0f} ms vs "
         f"profiled {prof*1e3:.0f} ms ({(prof/base-1)*100:+.1f}%)"
     )
+    return profile
 
 
 def test_p7_profile_well_formed_on_every_backend():
     """A profiled run on each backend emits a consistent RunProfile."""
     graph = families.make(ANCHOR_FAMILY, 128)
-    for backend in ("reference", "dense", "bulk"):
+    for backend in ("reference", "bulk"):
         telemetry = TelemetryObserver()
         res = run_graph_to_wreath(graph, backend=backend, observers=[telemetry])
         prof = telemetry.profile()
@@ -138,7 +157,12 @@ def test_p7_overhead_gate_bulk(experiment_rows, bench_engine):
 
 
 @pytest.mark.slow
-def test_p7_overhead_gate_dense(experiment_rows, bench_engine):
-    """Same gate on dense, where the per-round body is ~2 ms of Python —
-    slow tier because 8 interleaved n=1024 runs take ~30 s."""
-    _overhead_gate("dense", experiment_rows, bench_engine)
+def test_p7_overhead_gate_pernode(experiment_rows, bench_engine):
+    """Same gate on bulk's per-node loop (the retired dense backend's
+    round loop), where the per-round body is ~2 ms of Python — slow tier
+    because 8 interleaved n=1024 runs take ~30 s."""
+    profile = _overhead_gate(
+        "bulk", experiment_rows, bench_engine,
+        run=_run_pernode_wreath, scenario="wreath-pernode",
+    )
+    assert profile.dispatch == {"pernode": profile.rounds}

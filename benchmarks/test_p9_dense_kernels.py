@@ -10,10 +10,11 @@ star dense-phase kernel runs the entire population per round as
 vectorized passes, and the wreath splice kernel's *rebuild assist*
 simulates REBUILD-segment rounds as segment-array surgery.
 
-Both gates compare against recorded dense anchors (constants below, on
-the reference 1-core machine), with the byte-identity oracle run first
-on the same workload family so the timed bulk run provably computes the
-same execution.  Profiled runs keep the kernels engaged (the star
+Both gates compare against recorded anchors of the retired dense
+backend (constants below, on the reference 1-core machine), with the
+byte-identity oracle against the reference backend run first on the
+same workload family so the timed bulk run provably computes the same
+execution.  Profiled runs keep the kernels engaged (the star
 kernel reports ``kernel`` dispatch, the assist ``assist``), so the
 BENCH_engine.json rows recorded here carry the per-phase breakdown of
 the execution that was actually measured.
@@ -37,9 +38,9 @@ from repro.telemetry import TelemetryObserver
 
 ANCHOR_N = 8192
 
-#: Dense wall seconds on the reference machine — recorded constants,
-#: not fresh measurements, so a slow CI box cannot relax the gates
-#: (and a dense regression cannot mask a bulk one).  Measured star
+#: Wall seconds of the retired dense backend on the reference machine —
+#: recorded constants, not fresh measurements, so a slow CI box cannot
+#: relax the gates.  Measured star
 #: ring n=8192: dense 2.03 s vs bulk 0.45 s (4.5x); wreath random-UID
 #: ring n=8192: dense 56.0 s vs bulk 16.5 s (3.4x).
 STAR_DENSE_ANCHOR_S = 2.0
@@ -68,10 +69,10 @@ def _wall(fn) -> float:
 
 def _assert_identical(run, family, n):
     graph = families.make(family, n)
-    dense = run(graph, collect_trace=True, backend="dense")
+    ref = run(graph, collect_trace=True, backend="reference")
     bulk = run(graph, collect_trace=True, backend="bulk")
-    assert bulk.trace.to_jsonl() == dense.trace.to_jsonl(), (run, family, n)
-    assert bulk.metrics == dense.metrics, (run, family, n)
+    assert bulk.trace.to_jsonl() == ref.trace.to_jsonl(), (run, family, n)
+    assert bulk.metrics == ref.metrics, (run, family, n)
 
 
 def test_p9_trace_identity_oracle_on_anchor_families():

@@ -10,9 +10,7 @@ from .sweep import (
     cell_key,
     get_algorithm,
     measure,
-    register_algorithm,
     registered_algorithms,
-    run_sweep,
 )
 from .symmetry import LiveRoundProfile, live_round_profile, symmetry_ratio
 from .tables import format_table, print_table
@@ -35,8 +33,6 @@ __all__ = [
     "live_round_profile",
     "measure",
     "print_table",
-    "register_algorithm",
     "registered_algorithms",
-    "run_sweep",
     "symmetry_ratio",
 ]

@@ -17,7 +17,7 @@ way, a resumed sweep is byte-identical to a fresh one (see DESIGN.md,
 "Scenario registry", for the cache-key contract).
 
 Every scenario name resolves through :func:`repro.registry.get_scenario`;
-``register_algorithm``/``register_scenario`` add new ones.  Parallel
+:func:`repro.registry.register_scenario` adds new ones.  Parallel
 execution pickles runners by reference, so registered runners must be
 module-level functions (all built-ins are); closures and lambdas only
 work serially.
@@ -47,7 +47,6 @@ from ..registry import (
     check_cell,
     get_algorithm,
     get_scenario,
-    register_algorithm,
     registered_algorithms,
 )
 from ..telemetry import TelemetryObserver, format_heartbeat, profile_columns
@@ -60,9 +59,7 @@ __all__ = [
     "cell_key",
     "get_algorithm",
     "measure",
-    "register_algorithm",
     "registered_algorithms",
-    "run_sweep",
 ]
 
 
@@ -131,7 +128,7 @@ class SweepCell:
     at execution time, so perturbed cells stay byte-deterministic under
     parallel execution exactly like unperturbed ones.
 
-    ``backend`` selects the engine backend (``"reference"``/``"dense"``;
+    ``backend`` selects the engine backend (``"reference"``/``"bulk"``;
     DESIGN.md, "Engine backends").  ``None`` defers to the runner's
     default (the ``REPRO_BACKEND`` environment variable, then
     ``"reference"``); either way the resolved name is stamped into the
@@ -673,19 +670,3 @@ class SweepResult:
             writer.writeheader()
             writer.writerows(dicts)
 
-
-def run_sweep(
-    runners: dict[str, Callable[[nx.Graph], object]],
-    family_names: list[str],
-    sizes: list[int],
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    progress=None,
-) -> list[SweepRow]:
-    """Run every algorithm on every (family, n) and collect rows.
-
-    Backward-compatible wrapper over :class:`SweepPlan`.
-    """
-    plan = SweepPlan.grid(runners, family_names, sizes)
-    return plan.run(parallel=parallel, max_workers=max_workers, progress=progress).rows

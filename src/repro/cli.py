@@ -110,10 +110,6 @@ SWEEP_TIERS: dict = {
     },
 }
 
-#: Backward-compatible map ``name -> (description, runner)``, derived
-#: entirely from the registry.
-ALGORITHMS = {spec.name: (spec.description, spec.runner) for spec in scenarios()}
-
 
 def _csv_list(value: str) -> list[str]:
     return [item for item in (part.strip() for part in value.split(",")) if item]
@@ -360,8 +356,10 @@ def _check_cells(args, algorithms, families) -> int:
                     adversary=adversary, params=params,
                     trace=getattr(args, "trace", False),
                 )
+            if spec.supports_backend:
+                resolve_backend(args.backend)  # $REPRO_BACKEND may name none
     except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
+        print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     return 0
 

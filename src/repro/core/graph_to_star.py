@@ -121,7 +121,7 @@ class StarDenseKernel(StarPhaseKernel):
     parking buys nothing.  This kernel executes the whole 5-round phase
     logic as vectorized passes over struct-of-arrays program state, with
     the per-node :class:`GraphToStarProgram` methods remaining the
-    source of truth on the reference/dense backends:
+    source of truth on the reference backend and bulk's per-node path:
 
     * committee membership is the ``cid`` array itself (leader of
       committee ``c`` is node ``c``, a paper invariant);

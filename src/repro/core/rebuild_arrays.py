@@ -23,8 +23,8 @@ whole fleet's round a pure function of flat arrays:
 
 Per-node programs memoize observations and park when quiet; both are
 pure skip optimizations, so the full-width eager recompute here is
-value-identical to the per-node semantics (the dense backend, which
-recomputes everything every round, is the oracle).  Within a round,
+value-identical to the per-node semantics (the reference backend,
+which recomputes everything every round, is the oracle).  Within a round,
 nodes are independent — public rebinds are staged and actions applied
 after the loop — so phase-parallel evaluation from a start-of-round
 snapshot is exact.  The cross-backend differential corpus holds this

@@ -2,7 +2,7 @@
 
 from .actions import RoundActions, canonical_view, edge_key
 from .centralized import CentralizedResult, CentralizedStrategy, run_centralized
-from .dense import DenseConnectivityTracker, DenseContext, DenseNetwork, DenseRunner
+from .dense import DenseConnectivityTracker, DenseContext, DenseNetwork
 from .metrics import Metrics, MetricsRecorder, aggregate_metrics
 from .network import ConnectivityTracker, Network
 from .observers import ActivityObserver, JsonlSink, RoundObserver, TraceObserver
@@ -51,7 +51,6 @@ __all__ = [
     "DenseConnectivityTracker",
     "DenseContext",
     "DenseNetwork",
-    "DenseRunner",
     "Metrics",
     "MetricsRecorder",
     "Network",

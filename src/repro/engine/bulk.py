@@ -1,12 +1,22 @@
-"""The bulk engine backend: array-native execution for n >= 1e5.
+"""The bulk engine backend: index-interned state, array-native rounds.
 
-Third engine backend, selected with ``SynchronousRunner(..., backend="bulk")``
-or ``REPRO_BACKEND=bulk``.  Same strict contract as the dense backend —
-byte-identical JSONL traces and equal Metrics for every program on every
-scenario (``tests/test_backend_differential`` is the oracle) — with the
-per-round cost proportional to the *activity* of the round, not to ``n``:
+Selected with ``SynchronousRunner(..., backend="bulk")`` or
+``REPRO_BACKEND=bulk``.  The contract is strict: for every program,
+every scenario and every adversary schedule it produces a
+**byte-identical JSONL trace** and **equal Metrics** to the reference
+backend (``tests/test_backend_differential`` is the oracle).  Network
+state is the index-interned :class:`~repro.engine.dense.DenseNetwork`;
+what the runner adds is that the per-round cost follows the *activity*
+of the round, not ``n``.  Each round takes one of four paths, reported
+as the telemetry ``dispatch`` label:
 
-* **Sparse wake scheduling.**  Programs whose class declares
+* **kernel** — when the whole population shares one program class
+  whose :attr:`~repro.engine.program.NodeProgram.phase_kernel` accepts
+  the run, rounds execute as single array dispatches over
+  struct-of-arrays state (numpy bitsets; no per-node Python at all).
+  The flooding kernel in :mod:`repro.problems.token_dissemination` is
+  the reference implementation.
+* **sparse** — programs whose class declares
   :attr:`~repro.engine.program.NodeProgram.bulk_sparse` promise that a
   round in which no wake condition holds is a no-op for them (no
   messages, no actions, no state or public-record change).  The runner
@@ -17,48 +27,58 @@ per-round cost proportional to the *activity* of the round, not to ``n``:
   change to the node's own adjacency, a barrier, or a perturbation; in
   addition each program schedules its own unconditional wakes through
   :meth:`~repro.engine.program.NodeProgram.bulk_next_wake`.
-* **Array kernels.**  When the whole population shares one program class
-  whose :attr:`~repro.engine.program.NodeProgram.phase_kernel` accepts
-  the run, rounds execute as single array dispatches over
-  struct-of-arrays state (numpy bitsets; no per-node Python at all).
-  The flooding kernel in :mod:`repro.problems.token_dissemination` is
-  the reference implementation.
-* **Generic fallback.**  Any population that is not uniformly
-  ``bulk_sparse`` (custom programs, mixed classes) runs on the inherited
-  dense round loop unchanged — the bulk backend is *correct* for every
-  program and merely *fast* for the declared ones.
+* **assist** — a barrier family's kernel may volunteer to simulate
+  individual sparse rounds as arrays (the wreath rebuild assist,
+  :mod:`repro.core.rebuild_arrays`).
+* **pernode** — any population that is not uniformly ``bulk_sparse``
+  (custom programs, mixed classes, manual dirty tracking) runs every
+  live program every round over persistent slot arrays.  The backend
+  is *correct* for every program and merely *fast* for the declared
+  ones.
 
 The observer stream (JSONL sinks, online conformance, traces) is emitted
-exactly as on the other backends.  DESIGN.md, "Phase kernels & bulk
+exactly as on the reference backend.  DESIGN.md, "Phase kernels & bulk
 backend" spells out the skip-soundness argument.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 try:
     import numpy as np
 except ImportError as exc:  # pragma: no cover - numpy is a core dependency
     raise ImportError(
         "the 'bulk' engine backend requires numpy (a core dependency of this "
-        "package since PR 6); install it with `pip install numpy` or select "
-        "backend='reference'/'dense' instead"
+        "package); install it with `pip install numpy` or select "
+        "backend='reference' instead"
     ) from exc
 
-from ..errors import ProtocolViolation
-from .dense import _EMPTY_INBOX, DenseRunner
+import networkx as nx
+
+from ..errors import ConfigurationError, ExecutionError, ProtocolViolation
+from .actions import RoundActions
+from .dense import _EMPTY_INBOX, DenseConnectivityTracker, DenseContext, DenseNetwork
 from .edge_keys import request_max
 from .observers import _PairsView
+from .runner import SynchronousRunner
+from .trace import PerturbationRecord
 
 #: Sentinel wake round for "parked until an external wake condition".
 _NEVER = np.iinfo(np.int64).max // 2
 
+_HALTED = attrgetter("halted")
+_BARRIER_READY = attrgetter("barrier_ready")
 
-class BulkRunner(DenseRunner):
+
+class BulkRunner(SynchronousRunner):
     """The bulk backend's round executor.
 
-    Subclasses :class:`DenseRunner`: network state, connectivity
-    tracking, contexts, the adversary path, and the slot-array machinery
-    are inherited; what changes is *which* nodes run each round.  The
+    Inherits construction, setup and the outer run loop from
+    :class:`SynchronousRunner`; replaces the per-round machinery with
+    persistent parallel slot arrays — uids, programs, pre-bound
+    ``compose`` / ``transition`` / ``public`` / ``bulk_next_wake``
+    methods, contexts — rebuilt only when the live set changes.  The
     wake state lives in flat numpy arrays parallel to the slot arrays:
 
     * ``_wake[i]`` — the earliest round slot ``i`` must run again;
@@ -69,57 +89,33 @@ class BulkRunner(DenseRunner):
     """
 
     backend_name = "bulk"
+    _context_cls = DenseContext
+
+    @staticmethod
+    def _make_network(graph: nx.Graph) -> DenseNetwork:
+        return DenseNetwork(graph)
+
+    def _make_tracker(self) -> DenseConnectivityTracker:
+        return DenseConnectivityTracker(self.network)
 
     # ------------------------------------------------------------------
-    # wake-state bookkeeping
+    # slot arrays and wake-state bookkeeping
     # ------------------------------------------------------------------
-
-    def _refresh_slot_arrays(self) -> None:
-        super()._refresh_slot_arrays()
-        self._bulk_refresh()
-
-    def _bulk_refresh(self) -> None:
-        progs = self._progs
-        sparse = bool(progs) and all(
-            type(p).bulk_sparse and not type(p).manages_public_dirty for p in progs
-        )
-        carry = sparse and getattr(self, "_sparse", False)
-        prev = getattr(self, "_bulk_state", None)
-        self._sparse = sparse
-        size = len(progs)
-        net = self.network
-        wake = np.full(size, net.round, dtype=np.int64)
-        stale = np.ones(size, dtype=bool)
-        if carry and prev is not None:
-            prev_pos, prev_wake, prev_stale = prev
-            for pos, uid in enumerate(self._uids):
-                j = prev_pos.get(uid)
-                if j is not None:
-                    wake[pos] = prev_wake[j]
-                    stale[pos] = prev_stale[j]
-        self._wake = wake
-        self._stale = stale
-        self._pos_of_uid = {u: i for i, u in enumerate(self._uids)}
-        self._bulk_state = (self._pos_of_uid, wake, stale)
-        self._ready = [p.barrier_ready for p in progs]
-        self._ready_count = sum(self._ready)
-        # Current public-record object per slot (identity = change test).
-        publics = self._publics
-        self._pub_objs = [publics.get(uid) for uid in self._uids]
-        # Network index -> slot position, for trigger propagation along
-        # interned adjacency (-1: halted or crashed, nothing to wake).
-        idx_of = net._idx_of
-        spos = np.full(len(net._uid_of), -1, dtype=np.int64)
-        for pos, uid in enumerate(self._uids):
-            spos[idx_of[uid]] = pos
-        self._slot_of_idx = spos
-        self._net_idx = [idx_of[uid] for uid in self._uids]
 
     def _post_setup(self) -> None:
-        super()._post_setup()
-        # Publics were snapshotted after the slot arrays were built.
+        """Snapshot every post-setup public, build the slot arrays, and
+        pick the array path (whole-run kernel or rebuild assist), if any."""
         publics = self._publics
-        self._pub_objs = [publics[uid] for uid in self._uids]
+        programs = self.programs
+        for uid, prog in programs.items():
+            publics[uid] = prog.public()
+            prog.public_dirty = False
+        self._dirty.clear()
+        self._slots = [
+            (uid, programs[uid], self._context(uid)) for uid in self._live
+        ]
+        self._sparse = False
+        self._refresh_slot_arrays()
         self._kernel = None
         self._kstate = None
         self._assist = None
@@ -147,6 +143,54 @@ class BulkRunner(DenseRunner):
             ):
                 self._assist = kernel
 
+    def _refresh_slot_arrays(self) -> None:
+        slots = self._slots
+        self._uids = [s[0] for s in slots]
+        self._progs = progs = [s[1] for s in slots]
+        self._composes = [s[1].compose for s in slots]
+        self._transitions = [s[1].transition for s in slots]
+        self._publicfns = [s[1].public for s in slots]
+        self._next_wakes = [s[1].bulk_next_wake for s in slots]
+        self._ctxs = [s[2] for s in slots]
+        self._all_plain = not any(p.manages_public_dirty for p in progs)
+        self._live = dict.fromkeys(self._uids)
+
+        sparse = bool(progs) and all(
+            type(p).bulk_sparse and not type(p).manages_public_dirty for p in progs
+        )
+        size = len(progs)
+        net = self.network
+        wake = np.full(size, net.round, dtype=np.int64)
+        stale = np.ones(size, dtype=bool)
+        if sparse and self._sparse:
+            prev_pos, prev_wake, prev_stale = self._pos_of_uid, self._wake, self._stale
+            for pos, uid in enumerate(self._uids):
+                j = prev_pos.get(uid)
+                if j is not None:
+                    wake[pos] = prev_wake[j]
+                    stale[pos] = prev_stale[j]
+        self._sparse = sparse
+        self._wake = wake
+        self._stale = stale
+        self._pos_of_uid = {u: i for i, u in enumerate(self._uids)}
+        self._ready = [p.barrier_ready for p in progs]
+        self._ready_count = sum(self._ready)
+        # Current public-record object per slot (identity = change test).
+        publics = self._publics
+        self._pub_objs = [publics.get(uid) for uid in self._uids]
+        # Network index -> slot position, for trigger propagation along
+        # interned adjacency (-1: halted or crashed, nothing to wake).
+        idx_of = net._idx_of
+        spos = np.full(len(net._uid_of), -1, dtype=np.int64)
+        for pos, uid in enumerate(self._uids):
+            spos[idx_of[uid]] = pos
+        self._slot_of_idx = spos
+        self._net_idx = [idx_of[uid] for uid in self._uids]
+
+    def _rebuild_batch(self) -> None:
+        self._slots = [s for s in self._slots if not s[1].halted]
+        self._refresh_slot_arrays()
+
     # ------------------------------------------------------------------
     # round execution
     # ------------------------------------------------------------------
@@ -156,7 +200,7 @@ class BulkRunner(DenseRunner):
             self._kernel_round(recorder, observers)
             return
         if not self._sparse:
-            super()._run_round(recorder, observers)
+            self._pernode_round(recorder, observers)
             return
         assist = self._assist
         if assist is not None and assist.assist_round(self, recorder, observers):
@@ -329,11 +373,120 @@ class BulkRunner(DenseRunner):
                 adj_wakes=adj_wakes, barrier_wakes=barrier_wakes,
             )
 
+    def _pernode_round(self, recorder, observers) -> None:
+        """Run every live program this round (the ``pernode`` dispatch).
+
+        Two C-driven ``zip`` passes (send, then transition) stage the
+        fresh public records in transition order and commit them with a
+        single bulk ``dict.update`` once every program has transitioned —
+        the staging is what preserves the lockstep rule that a program
+        never sees a same-round neighbor update.  Calling ``public()``
+        right after the program's own ``transition`` is legal because
+        ``public()`` is a pure getter of post-transition state; programs
+        that opt into manual dirty tracking (``manages_public_dirty``)
+        drop the whole batch onto a per-entry pass that honors their
+        contract.
+        """
+        net = self.network
+        publics = self._publics
+        actions = self._actions
+        actions.clear()
+        live = self._live
+        ctxs = self._ctxs
+        progs = self._progs
+
+        if observers is not None:
+            for obs in observers:
+                obs.on_round_start(net.round)
+
+        # 1. Send.  Only live programs send; a message to a halted
+        # neighbor is legal but can never be read, so it is not enqueued.
+        # Inboxes materialize lazily — most rounds carry no messages.
+        inboxes: dict | None = None
+        for compose, ctx in zip(self._composes, ctxs):
+            out = compose(ctx)
+            if not out:
+                continue
+            uid = ctx.uid
+            sendable = ctx.neighbors
+            for dst, payload in out.items():
+                if dst not in sendable:
+                    raise ProtocolViolation(f"{uid} sent a message to non-neighbor {dst}")
+                if dst in live:
+                    if inboxes is None:
+                        inboxes = {}
+                    box = inboxes.get(dst)
+                    if box is None:
+                        box = inboxes[dst] = {}
+                    box[uid] = payload
+
+        # 2. Receive + 3./4. activate/deactivate + 5. update state.  The
+        # fresh public records are staged afterwards in one C-driven pass
+        # (legal: nothing reads a node's context or record between its
+        # transition and the bulk commit below).
+        if inboxes is None:
+            for transition, ctx in zip(self._transitions, ctxs):
+                transition(ctx, _EMPTY_INBOX)
+        else:
+            get_box = inboxes.get
+            for transition, ctx in zip(self._transitions, ctxs):
+                transition(ctx, get_box(ctx.uid) or _EMPTY_INBOX)
+        staged = [public() for public in self._publicfns] if self._all_plain else None
+        next_round = net.round + 1
+        for ctx in ctxs:
+            ctx.round = next_round
+
+        per_node = actions.activation_count_by_actor() if actions.activations else None
+        round_no = net.round
+        activations, deactivations = net.apply(actions, strict=self.strict)
+        recorder.record_round(activations, deactivations, per_node)
+
+        if self._conn is not None:
+            connected = self._conn.update(activations, deactivations)
+            if not connected:
+                raise ProtocolViolation(f"round {round_no} broke connectivity")
+        else:
+            connected = True
+
+        if observers is not None:
+            self._emit_round(
+                observers, net, round_no, activations, deactivations, connected
+            )
+
+        # Commit the pooled snapshots in one bulk pass (including a
+        # halting program's final state, which neighbors may still read).
+        if self._all_plain:
+            publics.update(zip(self._uids, staged))
+        else:
+            for uid, prog, public in zip(self._uids, progs, self._publicfns):
+                if prog.manages_public_dirty:
+                    if prog.public_dirty:
+                        publics[uid] = public()
+                        prog.public_dirty = False
+                else:
+                    publics[uid] = public()
+
+        if True in map(_HALTED, progs):
+            self._rebuild_batch()
+            progs = self._progs
+
+        # Global segment barrier (DESIGN.md note 2).  The batch is already
+        # post-transition, so the barrier cannot fire after a global halt.
+        if self.use_barrier and progs and False not in map(_BARRIER_READY, progs):
+            self._barrier_block(next_round)
+
+        if self._probe is not None:
+            self._probe.probe_round(
+                round_no, live=len(ctxs), dispatch="pernode",
+                acts=len(activations), deacts=len(deactivations),
+            )
+
     def _barrier_block(self, next_round: int) -> int:
         """Fire the global segment barrier: bump the epoch, run every
-        program's ``on_barrier``, re-snapshot publics, and wake the whole
-        fleet for the next round.  Returns the barrier wake count.
-        Callers have already verified the all-ready condition."""
+        program's ``on_barrier``, re-snapshot publics (honoring manual
+        dirty tracking), and wake the whole fleet for the next round.
+        Returns the barrier wake count.  Callers have already verified
+        the all-ready condition."""
         publics = self._publics
         progs = self._progs
         self.barrier_epoch += 1
@@ -342,7 +495,12 @@ class BulkRunner(DenseRunner):
             self._uids, progs, self._publicfns, self._ctxs
         ):
             prog.on_barrier(epoch)
-            publics[uid] = public()
+            if prog.manages_public_dirty:
+                if prog.public_dirty:
+                    publics[uid] = public()
+                    prog.public_dirty = False
+            else:
+                publics[uid] = public()
             ctx.barrier_epoch = epoch
         # Every program runs again after a barrier (wake condition),
         # and on_barrier() may halt — those must not run again.
@@ -350,7 +508,7 @@ class BulkRunner(DenseRunner):
         self._stale[:] = True
         barrier_wakes = len(self._wake)
         self._pub_objs = [publics[uid] for uid in self._uids]
-        if True in map(_halted, progs):
+        if True in map(_HALTED, progs):
             self._rebuild_batch()
         else:
             self._ready = [p.barrier_ready for p in progs]
@@ -410,9 +568,97 @@ class BulkRunner(DenseRunner):
                 acts=len(activations), deacts=len(deactivations),
             )
 
+    # ------------------------------------------------------------------
+    # external dynamics (see repro.dynamics and DESIGN.md note 8)
+    # ------------------------------------------------------------------
+
     def _apply_adversary(self, adversary, recorder, observers) -> None:
+        """Apply one adversary strike at the current round boundary.
+
+        Mirrors the reference backend exactly; publics are already fresh
+        (every round path re-snapshots eagerly), so joined programs'
+        setup() reads current broadcast state on both backends.
+        """
+        net = self.network
+        pert = adversary.perturb(net, net.round)
+        if not pert:
+            return
         before = recorder.metrics.adversary_events
-        super()._apply_adversary(adversary, recorder, observers)
+        programs = self.programs
+
+        joins = []
+        join_uids = []
+        for uid, att in pert.joins:
+            if uid in programs or uid in net.nodes or uid in join_uids:
+                continue
+            joins.append((uid, att))
+            join_uids.append(uid)
+
+        dropped, added = net.apply_external(
+            drops=pert.drops, adds=pert.adds, crashes=pert.crashes, joins=joins
+        )
+        crashed = [
+            u for u in pert.crashes
+            if u in programs and u not in net.nodes and not programs[u].crashed
+        ]
+        recorder.record_external(dropped, added, crashed, [(u, ()) for u in join_uids])
+
+        for uid in crashed:
+            prog = programs[uid]
+            prog.crashed = True
+            prog.halted = True
+            self._contexts.pop(uid, None)
+        if crashed:
+            self._rebuild_batch()
+
+        for uid in join_uids:
+            prog = self.program_factory(uid)
+            if prog.uid != uid:
+                raise ConfigurationError(f"program for joined node {uid} reports uid {prog.uid}")
+            programs[uid] = prog
+            self._publics[uid] = prog.public()
+            setup_actions = RoundActions()
+            ctx = DenseContext(
+                uid=uid,
+                round_no=net.round,
+                publics=self._publics,
+                actions=setup_actions,
+                network=net,
+                n=net.n if self.knows_n else None,
+                barrier_epoch=self.barrier_epoch,
+            )
+            prog.setup(ctx)
+            if setup_actions:
+                raise ProtocolViolation("setup() must not request edge actions")
+            self._publics[uid] = prog.public()
+            prog.public_dirty = False
+            if not prog.halted:
+                self._slots.append((uid, prog, self._context(uid)))
+        if join_uids:
+            self._refresh_slot_arrays()
+
+        # Crashes/joins changed n: refresh the persistent contexts once.
+        if self.knows_n:
+            n = net.n
+            for ctx in self._ctxs:
+                ctx.n = n
+
+        if self._conn is not None and not self._conn.rebuild():
+            raise ExecutionError(
+                f"adversary disconnected the network at the round-{net.round} boundary"
+            )
+
+        if observers is not None:
+            record = PerturbationRecord(
+                round=net.round,
+                drops=frozenset(dropped),
+                adds=frozenset(added),
+                crashes=tuple(crashed),
+                joins=tuple(joins),
+            )
+            for obs in observers:
+                obs.on_perturbation(record)
+
         # A perturbation is a wake condition for everyone: adjacency,
         # membership, and n may all have changed.
         if (
@@ -420,11 +666,7 @@ class BulkRunner(DenseRunner):
             and self._sparse
             and len(self._wake)
         ):
-            self._wake[:] = self.network.round
+            self._wake[:] = net.round
             self._stale[:] = True
             if self._probe is not None:
                 self._probe.probe_wake("perturbation", len(self._wake))
-
-
-def _halted(prog) -> bool:
-    return prog.halted

@@ -1,11 +1,13 @@
-"""The dense engine backend: index-interned state, batched rounds.
+"""Index-interned state used by the bulk backend.
 
-Drop-in alternative to the reference engine, selected with
-``SynchronousRunner(..., backend="dense")``.  The contract is strict:
-for every program, every scenario, and every adversary schedule the
-dense backend produces a **byte-identical JSONL trace** and **equal
-Metrics** to the reference backend (``tests/test_backend_differential``
-is the oracle).  What changes is the machinery, not the model:
+The bulk runner (:mod:`repro.engine.bulk`) keeps the network, the
+connectivity guard and the per-node contexts in interned index space.
+The contract is the bulk backend's: byte-identical JSONL traces and
+equal Metrics to the reference backend for every program
+(``tests/test_backend_differential`` is the oracle, and
+``tests/test_property_network`` holds :class:`DenseNetwork` to
+:class:`~repro.engine.network.Network` directly).  What changes is the
+machinery, not the model:
 
 * node uids are interned to dense ints ``0..n-1`` once at construction
   (joins extend the index space; indices, like uids, are never reused);
@@ -14,38 +16,31 @@ is the oracle).  What changes is the machinery, not the model:
   (``min_idx << 32 | max_idx``) — membership tests hash one small int
   instead of a tuple of uids;
 * the connectivity guard's union-find runs on plain index arrays;
-* the runner's per-round state (program, pre-bound ``compose`` /
-  ``transition`` / ``public`` methods, context) lives in one persistent
-  slot batch rebuilt only when the live set changes, and public-record
-  snapshots pool into the shared publics mapping in a single batched
-  pass at the end of each round;
 * each round's effective activations and deactivations are applied in
   one batched pass over the packed-pair sets.
 
 Program-visible views stay in uid space (contexts speak uids by API
 contract) and are built through :func:`repro.engine.actions.canonical_view`
 on both backends, so neighbor iteration order — and therefore every
-trace — is a pure function of network contents.  DESIGN.md ("Engine
-backends") spells out the equivalence argument.
+trace — is a pure function of network contents.  DESIGN.md ("Interned
+network state") spells out the equivalence argument.
 
-One deliberate representation note: the dense backend hands every
-program whose inbox is empty the *same* immutable empty mapping instead
-of a fresh dict.  Inboxes are read-only by contract; a program that
-tried to mutate one fails loudly here rather than silently diverging.
+One deliberate representation note: the bulk runner hands every
+program whose inbox is empty the *same* immutable empty mapping
+(:data:`_EMPTY_INBOX`) instead of a fresh dict.  Inboxes are read-only
+by contract; a program that tried to mutate one fails loudly here
+rather than silently diverging.
 """
 
 from __future__ import annotations
 
 import types
-from operator import attrgetter
 
 import networkx as nx
 
-from ..errors import ConfigurationError, ExecutionError, ProtocolViolation
+from ..errors import ConfigurationError, ProtocolViolation
 from .actions import RoundActions, canonical_view, edge_key
 from .network import _validate_label_comparability
-from .runner import SynchronousRunner
-from .trace import PerturbationRecord
 
 #: Bits reserved for the minor index in a packed edge pair.  2**32 nodes
 #: is far beyond any simulable size, and packed keys stay machine-sized.
@@ -53,9 +48,6 @@ _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
 
 _EMPTY_INBOX: types.MappingProxyType = types.MappingProxyType({})
-
-_HALTED = attrgetter("halted")
-_BARRIER_READY = attrgetter("barrier_ready")
 
 
 def _pack(i: int, j: int) -> int:
@@ -689,7 +681,7 @@ class DenseConnectivityTracker:
 
 
 class DenseContext:
-    """Per-node round view for the dense backend (same API as Context).
+    """Per-node round view for the bulk backend (same API as Context).
 
     Persistent across the whole run: ``round`` / ``barrier_epoch`` / ``n``
     are refreshed in the runner's batched end-of-round pass instead of per
@@ -790,267 +782,3 @@ class DenseContext:
         """Request deactivation of edge ``(uid, v)`` this round."""
         self._request_dact((self.uid, self.uid, v))
 
-
-class DenseRunner(SynchronousRunner):
-    """The dense backend's round executor.
-
-    Inherits construction, setup, and the outer run loop from
-    :class:`SynchronousRunner`; replaces the per-round machinery with
-    persistent parallel slot arrays — uids, programs, pre-bound
-    ``compose`` / ``transition`` / ``public`` methods, contexts — that
-    are rebuilt only when the live set changes.  Each round runs two
-    C-driven ``zip`` passes (send, then transition), stages the fresh
-    public records in transition order, and commits them with a single
-    bulk ``dict.update`` once every program has transitioned — the
-    staging is what preserves the lockstep rule that a program never
-    sees a same-round neighbor update.
-
-    The staged fast path calls ``public()`` immediately after each
-    program's own ``transition`` (legal because ``public()`` is a pure
-    getter of post-transition state); programs that opt into manual
-    dirty tracking (``manages_public_dirty``) drop the whole batch onto
-    a per-entry fallback pass that honors their contract.
-    """
-
-    backend_name = "dense"
-    _context_cls = DenseContext
-
-    @staticmethod
-    def _make_network(graph: nx.Graph) -> DenseNetwork:
-        return DenseNetwork(graph)
-
-    def _make_tracker(self) -> DenseConnectivityTracker:
-        return DenseConnectivityTracker(self.network)
-
-    def _post_setup(self) -> None:
-        """Build the slot arrays and snapshot every post-setup public."""
-        publics = self._publics
-        programs = self.programs
-        self._slots = [
-            (uid, programs[uid], self._context(uid)) for uid in self._live
-        ]
-        self._refresh_slot_arrays()
-        for uid, prog in programs.items():
-            publics[uid] = prog.public()
-            prog.public_dirty = False
-        self._dirty.clear()
-
-    def _refresh_slot_arrays(self) -> None:
-        slots = self._slots
-        self._uids = [s[0] for s in slots]
-        self._progs = [s[1] for s in slots]
-        self._composes = [s[1].compose for s in slots]
-        self._transitions = [s[1].transition for s in slots]
-        self._publicfns = [s[1].public for s in slots]
-        self._next_wakes = [s[1].bulk_next_wake for s in slots]
-        self._ctxs = [s[2] for s in slots]
-        self._all_plain = not any(p.manages_public_dirty for p in self._progs)
-        self._live = dict.fromkeys(self._uids)
-
-    def _rebuild_batch(self) -> None:
-        self._slots = [s for s in self._slots if not s[1].halted]
-        self._refresh_slot_arrays()
-
-    # ------------------------------------------------------------------
-
-    def _run_round(self, recorder, observers) -> None:
-        net = self.network
-        publics = self._publics
-        actions = self._actions
-        actions.clear()
-        live = self._live
-        ctxs = self._ctxs
-        progs = self._progs
-
-        if observers is not None:
-            for obs in observers:
-                obs.on_round_start(net.round)
-
-        # 1. Send.  Only live programs send; a message to a halted
-        # neighbor is legal but can never be read, so it is not enqueued.
-        # Inboxes materialize lazily — most rounds carry no messages.
-        inboxes: dict | None = None
-        for compose, ctx in zip(self._composes, ctxs):
-            out = compose(ctx)
-            if not out:
-                continue
-            uid = ctx.uid
-            sendable = ctx.neighbors
-            for dst, payload in out.items():
-                if dst not in sendable:
-                    raise ProtocolViolation(f"{uid} sent a message to non-neighbor {dst}")
-                if dst in live:
-                    if inboxes is None:
-                        inboxes = {}
-                    box = inboxes.get(dst)
-                    if box is None:
-                        box = inboxes[dst] = {}
-                    box[uid] = payload
-
-        # 2. Receive + 3./4. activate/deactivate + 5. update state.  The
-        # fresh public records are staged afterwards in one C-driven pass
-        # (legal: nothing reads a node's context or record between its
-        # transition and the bulk commit below).
-        if inboxes is None:
-            for transition, ctx in zip(self._transitions, ctxs):
-                transition(ctx, _EMPTY_INBOX)
-        else:
-            get_box = inboxes.get
-            for transition, ctx in zip(self._transitions, ctxs):
-                transition(ctx, get_box(ctx.uid) or _EMPTY_INBOX)
-        staged = [public() for public in self._publicfns] if self._all_plain else None
-        next_round = net.round + 1
-        for ctx in ctxs:
-            ctx.round = next_round
-
-        per_node = actions.activation_count_by_actor() if actions.activations else None
-        round_no = net.round
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
-
-        # Commit the pooled snapshots in one bulk pass (including a
-        # halting program's final state, which neighbors may still read).
-        if self._all_plain:
-            publics.update(zip(self._uids, staged))
-        else:
-            for uid, prog, public, ctx in zip(
-                self._uids, progs, self._publicfns, ctxs
-            ):
-                if prog.manages_public_dirty:
-                    if prog.public_dirty:
-                        publics[uid] = public()
-                        prog.public_dirty = False
-                else:
-                    publics[uid] = public()
-
-        if True in map(_HALTED, progs):
-            self._rebuild_batch()
-            progs = self._progs
-
-        # Global segment barrier (DESIGN.md note 2).  The batch is already
-        # post-transition, so the barrier cannot fire after a global halt.
-        if self.use_barrier and progs and False not in map(_BARRIER_READY, progs):
-            self.barrier_epoch += 1
-            epoch = self.barrier_epoch
-            for uid, prog, public, ctx in zip(
-                self._uids, progs, self._publicfns, self._ctxs
-            ):
-                prog.on_barrier(epoch)
-                if prog.manages_public_dirty:
-                    if prog.public_dirty:
-                        publics[uid] = public()
-                        prog.public_dirty = False
-                else:
-                    publics[uid] = public()
-                ctx.barrier_epoch = epoch
-            # on_barrier() may halt; those programs must not run again.
-            if True in map(_HALTED, progs):
-                self._rebuild_batch()
-
-        if self._probe is not None:
-            self._probe.probe_round(
-                round_no, live=len(ctxs), dispatch="pernode",
-                acts=len(activations), deacts=len(deactivations),
-            )
-
-    # ------------------------------------------------------------------
-    # external dynamics (see repro.dynamics and DESIGN.md note 8)
-    # ------------------------------------------------------------------
-
-    def _apply_adversary(self, adversary, recorder, observers) -> None:
-        """Apply one adversary strike at the current round boundary.
-
-        Mirrors the reference backend exactly; publics are already fresh
-        (the batched finalize pass re-snapshots eagerly), so joined
-        programs' setup() reads current broadcast state on both backends.
-        """
-        net = self.network
-        pert = adversary.perturb(net, net.round)
-        if not pert:
-            return
-        programs = self.programs
-
-        joins = []
-        join_uids = []
-        for uid, att in pert.joins:
-            if uid in programs or uid in net.nodes or uid in join_uids:
-                continue
-            joins.append((uid, att))
-            join_uids.append(uid)
-
-        dropped, added = net.apply_external(
-            drops=pert.drops, adds=pert.adds, crashes=pert.crashes, joins=joins
-        )
-        crashed = [
-            u for u in pert.crashes
-            if u in programs and u not in net.nodes and not programs[u].crashed
-        ]
-        recorder.record_external(dropped, added, crashed, [(u, ()) for u in join_uids])
-
-        for uid in crashed:
-            prog = programs[uid]
-            prog.crashed = True
-            prog.halted = True
-            self._contexts.pop(uid, None)
-        if crashed:
-            self._rebuild_batch()
-
-        for uid in join_uids:
-            prog = self.program_factory(uid)
-            if prog.uid != uid:
-                raise ConfigurationError(f"program for joined node {uid} reports uid {prog.uid}")
-            programs[uid] = prog
-            self._publics[uid] = prog.public()
-            setup_actions = RoundActions()
-            ctx = DenseContext(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-            if setup_actions:
-                raise ProtocolViolation("setup() must not request edge actions")
-            self._publics[uid] = prog.public()
-            prog.public_dirty = False
-            if not prog.halted:
-                self._slots.append((uid, prog, self._context(uid)))
-        if join_uids:
-            self._refresh_slot_arrays()
-
-        # Crashes/joins changed n: refresh the persistent contexts once.
-        if self.knows_n:
-            n = net.n
-            for ctx in self._ctxs:
-                ctx.n = n
-
-        if self._conn is not None and not self._conn.rebuild():
-            raise ExecutionError(
-                f"adversary disconnected the network at the round-{net.round} boundary"
-            )
-
-        if observers is not None:
-            record = PerturbationRecord(
-                round=net.round,
-                drops=frozenset(dropped),
-                adds=frozenset(added),
-                crashes=tuple(crashed),
-                joins=tuple(joins),
-            )
-            for obs in observers:
-                obs.on_perturbation(record)

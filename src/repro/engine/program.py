@@ -220,9 +220,9 @@ class PhaseKernel:
     machines — so a program family can declare that logic once, at the
     phase level, as pure functions over struct-of-arrays state instead of
     per-object method calls.  The per-node :class:`NodeProgram` methods
-    stay the single source of truth for reference/dense execution and
-    become thin wrappers over the same pure functions, so behavior on the
-    existing backends is unchanged by construction.
+    stay the single source of truth for reference and per-node bulk
+    execution and become thin wrappers over the same pure functions, so
+    per-node behavior is unchanged by construction.
 
     Kernels come in two capability levels:
 
@@ -249,7 +249,7 @@ class PhaseKernel:
       ``step_round`` returns ``(newly_halted_uids, RequestArrays)`` and
       the runner pushes the requests through the network's array
       legality pipeline (:meth:`DenseNetwork.apply_arrays`, the same
-      rules the per-node backends apply edge by edge).  The kernel reads
+      rules the per-node round paths apply edge by edge).  The kernel reads
       adjacency from the network's key arrays
       (:meth:`DenseNetwork.key_arrays`) rather than keeping its own.
 

@@ -29,7 +29,7 @@ from .program import Context, NodeProgram
 from .trace import PerturbationRecord, RoundRecord, Trace
 
 #: The available engine backends (see DESIGN.md, "Engine backends").
-BACKENDS = ("reference", "dense", "bulk")
+BACKENDS = ("reference", "bulk")
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -105,12 +105,12 @@ class SynchronousRunner:
         keeps the round loop on the unperturbed hot path — the only cost
         is one ``is None`` test per round.
     backend:
-        ``"reference"`` (this class) or ``"dense"`` (the index-interned
-        backend in :mod:`repro.engine.dense`).  The two backends produce
-        byte-identical traces and equal :class:`Metrics` for every
-        program; ``None`` falls back to the ``REPRO_BACKEND`` environment
-        variable, then to ``"reference"``.  See DESIGN.md, "Engine
-        backends".
+        ``"reference"`` (this class) or ``"bulk"`` (the index-interned,
+        array-native backend in :mod:`repro.engine.bulk`).  The two
+        backends produce byte-identical traces and equal :class:`Metrics`
+        for every program; ``None`` falls back to the ``REPRO_BACKEND``
+        environment variable, then to ``"reference"``.  See DESIGN.md,
+        "Engine backends".
     """
 
     #: Which backend this runner class implements (subclasses override).
@@ -174,12 +174,7 @@ class SynchronousRunner:
 
     def __new__(cls, *args, backend: str | None = None, **kwargs):
         if cls is SynchronousRunner:
-            name = resolve_backend(backend)
-            if name == "dense":
-                from .dense import DenseRunner
-
-                return object.__new__(DenseRunner)
-            if name == "bulk":
+            if resolve_backend(backend) == "bulk":
                 from .bulk import BulkRunner
 
                 return object.__new__(BulkRunner)
@@ -236,7 +231,7 @@ class SynchronousRunner:
         # at one `is None` test per round, like the adversary hook.
         self._probe = None
 
-    # -- backend hooks (overridden by the dense backend) ----------------
+    # -- backend hooks (overridden by the bulk backend) -----------------
 
     @staticmethod
     def _make_network(graph: nx.Graph) -> Network:
@@ -504,7 +499,7 @@ class SynchronousRunner:
 
         # A joined node's setup() reads its neighbors' *current* broadcast
         # state: flush any still-dirty snapshots from the round that just
-        # ended before spawning (matches the dense backend, which
+        # ended before spawning (matches the bulk backend, which
         # re-snapshots eagerly at the end of every round).
         if join_uids and self._dirty:
             for uid in self._dirty:
@@ -564,7 +559,8 @@ def _default_round_limit(n: int) -> int:
 def run_program(graph: nx.Graph, program_factory: Callable, **kwargs) -> RunResult:
     """One-shot convenience wrapper around :class:`SynchronousRunner`.
 
-    Accepts every runner keyword, including ``backend="dense"`` to run
-    on the index-interned backend (same traces, same metrics, faster).
+    Accepts every runner keyword, including ``backend="bulk"`` to run
+    on the index-interned, array-native backend (same traces, same
+    metrics, faster).
     """
     return SynchronousRunner(graph, program_factory, **kwargs).run()

@@ -337,21 +337,6 @@ def register_scenario(spec: ScenarioSpec, *, overwrite: bool = False) -> Scenari
     return spec
 
 
-def register_algorithm(
-    name: str,
-    runner: Callable,
-    *,
-    kind: str = "distributed",
-    description: str = "",
-    overwrite: bool = False,
-) -> ScenarioSpec:
-    """Backward-compatible registration of a bare runner callable."""
-    return register_scenario(
-        ScenarioSpec(name, runner, kind, description=description or name),
-        overwrite=overwrite,
-    )
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     """Resolve a scenario name to its spec."""
     _ensure_defaults()
@@ -471,7 +456,6 @@ __all__ = [
     "check_cell",
     "get_algorithm",
     "get_scenario",
-    "register_algorithm",
     "register_scenario",
     "registered_algorithms",
     "scenario_names",

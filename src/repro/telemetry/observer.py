@@ -10,7 +10,7 @@ hot-path probes the stream cannot see:
   limit (the heartbeat's progress bound), and the program family's
   optional ``PhaseKernel.phase_of`` for per-phase accounting.
 * ``probe_round(round_no, live=, due=, dispatch=, acts=, ...)`` — called
-  at the very end of each executed round by all three backends with the
+  at the very end of each executed round by both backends with the
   round's activation counts plus the occupancy the observer cannot
   reconstruct: live-set size, the bulk backend's due-filter (wake-set)
   size and per-cause wake-condition hit counts, and which dispatch path
@@ -89,10 +89,6 @@ def peak_rss_kb() -> int:
     if sys.platform == "darwin":
         return raw // 1024
     return raw
-
-
-# Backwards-compatible private alias (pre-fix internal name).
-_rss_kb = peak_rss_kb
 
 
 class TelemetryObserver(RoundObserver):
@@ -344,7 +340,7 @@ class TelemetryObserver(RoundObserver):
         entry[2] += acts
         rss_every = self.rss_every
         if rss_every and self._rounds % rss_every == 0:
-            rss = _rss_kb()
+            rss = peak_rss_kb()
             self._rss_n += 1
             if rss > self._rss_peak:
                 self._rss_peak = rss
@@ -371,7 +367,7 @@ class TelemetryObserver(RoundObserver):
             )
             self._pending = None
         self._open = False
-        rss = _rss_kb()
+        rss = peak_rss_kb()
         self._rss_n += 1
         if rss > self._rss_peak:
             self._rss_peak = rss

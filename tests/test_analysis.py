@@ -8,6 +8,7 @@ import pytest
 from repro import graphs
 from repro.analysis import (
     KnowledgeReplay,
+    SweepPlan,
     best_model,
     fit_constant,
     format_table,
@@ -15,7 +16,6 @@ from repro.analysis import (
     initial_potential,
     live_round_profile,
     measure,
-    run_sweep,
     symmetry_ratio,
 )
 from repro.core import run_graph_to_star
@@ -116,7 +116,7 @@ class TestFitting:
 
 class TestSweepAndTables:
     def test_sweep_rows(self):
-        rows = run_sweep({"g2s": run_graph_to_star}, ["line"], [8, 16])
+        rows = SweepPlan.grid({"g2s": run_graph_to_star}, ["line"], [8, 16]).run().rows
         assert len(rows) == 2
         assert rows[0].final_diameter <= 2
         assert rows[0].as_dict()["algorithm"] == "g2s"

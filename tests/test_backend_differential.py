@@ -1,14 +1,16 @@
-"""Cross-backend differential fuzzer: every backend vs reference, trace
-for trace.
+"""Cross-backend differential fuzzer: bulk vs reference, trace for trace.
 
-The dense and bulk backends' contract (DESIGN.md, "Engine backends" and
-"Phase kernels & bulk backend") is strict: for every scenario and every
-adversary schedule they must produce a **byte-identical JSONL trace**
-and **equal Metrics** to the reference backend.  This suite samples
+The bulk backend's contract (DESIGN.md, "Engine backends" and "Phase
+kernels & bulk backend") is strict: for every scenario and every
+adversary schedule it must produce a **byte-identical JSONL trace** and
+**equal Metrics** to the reference backend.  This suite samples
 (algorithm, family, n, seed, adversary) cells across the whole scenario
-registry and asserts exactly that.  The bulk backend participates even
-for scenarios whose programs are not bulk-sparse (e.g. clique): its
-generic fallback must also be trace-identical.
+registry and asserts exactly that, whichever round path bulk takes
+(kernel, sparse, assist or pernode).  Few registry scenarios reach the
+``pernode`` path (clique does), so the runner-level tests below drive
+custom programs through it — under crashes, joins, and manual dirty
+tracking with a barrier — and assert through telemetry that every bulk
+round was dispatched ``pernode``.
 
 Two tiers: a small deterministic corpus that runs in CI, and a larger
 ``--runslow`` tier (``pytest --runslow``) that widens families, sizes,
@@ -35,10 +37,10 @@ from repro.engine import (
     to_binary,
 )
 from repro.engine.trace import PerturbationRecord
-from repro.engine.dense import DenseRunner
 from repro.errors import ConfigurationError
 from repro.graphs import families
 from repro.registry import get_algorithm, scenario_names, scenarios
+from repro.telemetry import TelemetryObserver
 
 
 try:
@@ -49,9 +51,7 @@ except ImportError:  # pragma: no cover - numpy is a core dependency
     _HAS_NUMPY = False
 
 #: The backends differentially compared against "reference".
-COMPARISON_BACKENDS = [
-    b for b in BACKENDS if b != "reference" and (b != "bulk" or _HAS_NUMPY)
-]
+COMPARISON_BACKENDS = [b for b in BACKENDS if b != "reference" and _HAS_NUMPY]
 
 
 def _episode_traces(result):
@@ -211,6 +211,22 @@ class _Chatterer(NodeProgram):
             self.halt()
 
 
+def _run_profiled(graph, program, backend, **kwargs):
+    """One traced run with telemetry attached; on bulk, assert that every
+    round went through the per-node loop, so a byte-identity check on the
+    result provably covers that loop."""
+    telemetry = TelemetryObserver()
+    res = run_program(
+        graph, program, collect_trace=True, backend=backend,
+        observers=[telemetry], **kwargs,
+    )
+    if backend == "bulk":
+        prof = telemetry.profile()
+        assert prof.rounds == res.metrics.rounds
+        assert prof.dispatch == {"pernode": res.metrics.rounds}, prof.dispatch
+    return res
+
+
 @pytest.mark.parametrize("policy", ["skip", "reroute"])
 def test_runner_churn_equivalent(policy):
     adversary_factory = lambda: ChurnSchedule(  # noqa: E731
@@ -219,11 +235,11 @@ def test_runner_churn_equivalent(policy):
     results = {}
     for backend in ["reference", *COMPARISON_BACKENDS]:
         graph = families.make("ring", 20)
-        results[backend] = run_program(
-            graph, _Chatterer, collect_trace=True,
-            adversary=adversary_factory(), backend=backend,
+        results[backend] = _run_profiled(
+            graph, _Chatterer, backend, adversary=adversary_factory()
         )
     ref = results["reference"]
+    assert ref.trace.perturbations, "the schedule never fired; weak test"
     for backend in COMPARISON_BACKENDS:
         alt = results[backend]
         assert alt.trace.to_jsonl() == ref.trace.to_jsonl(), backend
@@ -243,13 +259,79 @@ def test_runner_scripted_adversary_equivalent():
     traces = {}
     for backend in ["reference", *COMPARISON_BACKENDS]:
         graph = families.make("ring", 12)
-        res = run_program(
-            graph, _Chatterer, collect_trace=True,
-            adversary=ScriptedAdversary(dict(script)), backend=backend,
+        res = _run_profiled(
+            graph, _Chatterer, backend, adversary=ScriptedAdversary(dict(script))
         )
         traces[backend] = (res.trace.to_jsonl(), res.metrics)
     for backend in COMPARISON_BACKENDS:
         assert traces[backend] == traces["reference"], backend
+
+
+class _BarrierTally(NodeProgram):
+    """Manual dirty tracking plus a global barrier.
+
+    ``on_barrier`` changes every node's value, but only even uids
+    publish it at once; odd uids publish theirs only at their next
+    ``touch_public``.  Edge requests depend on the neighbors' published
+    values, so a backend that re-snapshots an untouched record (or
+    misses a touched one) activates different edges and the trace
+    diverges.
+    """
+
+    manages_public_dirty = True
+
+    def __init__(self, uid):
+        super().__init__(uid)
+        self.value = uid % 3
+
+    def public(self):
+        return {"uid": self.uid, "value": self.value}
+
+    def on_barrier(self, epoch):
+        super().on_barrier(epoch)
+        self.value += epoch + self.uid
+        if self.uid % 2 == 0:
+            self.touch_public()
+
+    def transition(self, ctx, inbox):
+        if ctx.round % 2 == 0:
+            for v in sorted(ctx.neighbors):
+                if ctx.neighbor_public(v)["value"] % 2:
+                    far = sorted(
+                        w for w in ctx.neighbor_adjacency(v)
+                        if w != self.uid and w not in ctx.neighbors
+                    )
+                    if far:
+                        ctx.activate(far[0])
+                        break
+        elif ctx.round % 5 == 0:
+            for v in sorted(ctx.neighbors):
+                if not ctx.is_original(v):
+                    ctx.deactivate(v)
+                    break
+        if ctx.round % 7 == 0 and self.uid % 2:
+            self.touch_public()
+        if (ctx.round + self.uid) % 4 == 0:
+            self.barrier_ready = True
+        if ctx.round >= 24 or (self.uid == 3 and ctx.round >= 9):
+            self.halt()
+
+
+def test_runner_managed_dirty_barrier_equivalent():
+    runs = {}
+    for backend in ["reference", *COMPARISON_BACKENDS]:
+        runs[backend] = _run_profiled(
+            families.make("ring", 12), _BarrierTally, backend,
+            use_barrier=True, check_connectivity=True,
+        )
+    ref = runs["reference"]
+    assert ref.barrier_epochs >= 3, "the barrier barely fired; weak test"
+    assert ref.metrics.total_activations > 0, "no edge decisions; weak test"
+    for backend in COMPARISON_BACKENDS:
+        alt = runs[backend]
+        assert alt.trace.to_jsonl() == ref.trace.to_jsonl(), backend
+        assert alt.metrics == ref.metrics, backend
+        assert alt.barrier_epochs == ref.barrier_epochs, backend
 
 
 def test_runner_connectivity_guard_equivalent():
@@ -273,12 +355,11 @@ def test_backend_dispatch_and_validation(monkeypatch):
     graph = families.make("ring", 8)
     ref = SynchronousRunner(graph, _Chatterer)
     assert type(ref) is SynchronousRunner and ref.backend == "reference"
-    dense = SynchronousRunner(graph, _Chatterer, backend="dense")
-    assert isinstance(dense, DenseRunner) and dense.backend == "dense"
+    # The retired dense backend is an unknown name like any other.
+    with pytest.raises(ConfigurationError, match=r"\('reference', 'bulk'\)"):
+        SynchronousRunner(graph, _Chatterer, backend="dense")
     with pytest.raises(ConfigurationError):
         SynchronousRunner(graph, _Chatterer, backend="gpu")
-    with pytest.raises(ConfigurationError):
-        DenseRunner(graph, _Chatterer, backend="reference")
 
 
 @pytest.mark.skipif(not _HAS_NUMPY, reason="bulk backend requires numpy")
@@ -288,16 +369,15 @@ def test_bulk_backend_dispatch(monkeypatch):
     graph = families.make("ring", 8)
     bulk = SynchronousRunner(graph, _Chatterer, backend="bulk")
     assert isinstance(bulk, BulkRunner) and bulk.backend == "bulk"
-    assert isinstance(bulk, DenseRunner)  # generic fallback is inherited
     monkeypatch.setenv("REPRO_BACKEND", "bulk")
     assert isinstance(SynchronousRunner(graph, _Chatterer), BulkRunner)
     with pytest.raises(ConfigurationError):
-        BulkRunner(graph, _Chatterer, backend="dense")
+        BulkRunner(graph, _Chatterer, backend="reference")
 
 
 def test_bulk_backend_missing_numpy_message(monkeypatch):
     """With numpy unimportable, requesting the bulk backend fails with a
-    clear ImportError naming the dependency and the alternatives."""
+    clear ImportError naming the dependency and the alternative."""
     import builtins
     import sys
 
@@ -321,14 +401,16 @@ def test_bulk_backend_missing_numpy_message(monkeypatch):
 
 
 def test_backend_env_default(monkeypatch):
+    from repro.engine.bulk import BulkRunner
+
     graph = families.make("ring", 8)
-    monkeypatch.setenv("REPRO_BACKEND", "dense")
-    assert isinstance(SynchronousRunner(graph, _Chatterer), DenseRunner)
-    monkeypatch.setenv("REPRO_BACKEND", "bogus")
-    with pytest.raises(ConfigurationError):
-        SynchronousRunner(graph, _Chatterer)
+    monkeypatch.setenv("REPRO_BACKEND", "bulk")
+    assert isinstance(SynchronousRunner(graph, _Chatterer), BulkRunner)
+    for bogus in ("bogus", "dense"):
+        monkeypatch.setenv("REPRO_BACKEND", bogus)
+        with pytest.raises(ConfigurationError):
+            SynchronousRunner(graph, _Chatterer)
     # An explicit argument always wins over the environment.
-    monkeypatch.setenv("REPRO_BACKEND", "dense")
     assert type(SynchronousRunner(graph, _Chatterer, backend="reference")) is SynchronousRunner
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.cli import ALGORITHMS, build_parser, main
+from repro.cli import build_parser, main
 from repro.registry import get_scenario, registered_algorithms, scenarios
 
 
@@ -15,8 +15,8 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for key in ALGORITHMS:
-            assert key in out
+        for spec in scenarios():
+            assert spec.name in out
 
     def test_default_run(self, capsys):
         assert main(["--n", "16"]) == 0
@@ -86,14 +86,10 @@ class TestRegistryDrivenCli:
     def test_no_capability_tuples_outside_registry(self):
         """Golden: the hand-maintained capability tuples are gone."""
         source = inspect.getsource(cli)
-        for tombstone in ("CENTRALIZED_ALGORITHMS", "ADVERSARY_ALGORITHMS", "DESCRIPTIONS"):
+        for tombstone in (
+            "CENTRALIZED_ALGORITHMS", "ADVERSARY_ALGORITHMS", "DESCRIPTIONS", "ALGORITHMS",
+        ):
             assert tombstone not in source
-
-    def test_algorithms_compat_map_derives_from_registry(self):
-        for name, (description, runner) in ALGORITHMS.items():
-            spec = get_scenario(name)
-            assert description == spec.description
-            assert runner is spec.runner
 
     def test_scenario_param_flag_reaches_runner(self, capsys):
         assert main(["-a", "star-heal", "-f", "ring", "--n", "16", "--strikes", "1"]) == 0
@@ -116,10 +112,10 @@ class TestCompositionCli:
         out = capsys.readouterr().out
         assert "transform activity" in out and "solve activity" in out
 
-    def test_composition_on_dense_backend(self, capsys):
+    def test_composition_on_bulk_backend(self, capsys):
         assert main(["-a", "wreath+flood", "-f", "ring", "--n", "16",
-                     "--backend", "dense"]) == 0
-        assert "dense" in capsys.readouterr().out
+                     "--backend", "bulk"]) == 0
+        assert "bulk" in capsys.readouterr().out
 
     def test_composition_sweep(self, capsys):
         assert main([
@@ -245,10 +241,36 @@ class TestAdversaryFlags:
 
 
 class TestBackendFlag:
-    def test_run_with_dense_backend(self, capsys):
-        assert main(["-a", "star", "-f", "ring", "--n", "16", "--backend", "dense"]) == 0
+    @staticmethod
+    def _assert_clean_usage_error(capsys, code):
+        """Exit 2 with the error on one stderr line and no traceback."""
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "dense" in errors[0], captured.err
+        assert "reference" in errors[0] and "bulk" in errors[0]
+        assert captured.out == ""
+
+    def test_run_with_dense_backend(self, capsys, monkeypatch):
+        """The retired dense backend is a clean usage error, by flag or
+        by environment."""
+        with pytest.raises(SystemExit) as exc:
+            main(["-a", "star", "-f", "ring", "--n", "16", "--backend", "dense"])
+        self._assert_clean_usage_error(capsys, exc.value.code)
+        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        code = main(["-a", "star", "-f", "ring", "--n", "16"])
+        self._assert_clean_usage_error(capsys, code)
+
+    def test_run_with_bulk_backend(self, capsys):
+        assert main(["-a", "star", "-f", "ring", "--n", "16", "--backend", "bulk"]) == 0
         out = capsys.readouterr().out
-        assert "backend" in out and "dense" in out
+        assert "backend" in out and "bulk" in out
+
+    def test_environment_backend_ignored_for_centralized(self, capsys, monkeypatch):
+        # Centralized strategies run no engine, so $REPRO_BACKEND is moot.
+        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        assert main(["-a", "euler", "-f", "ring", "--n", "16"]) == 0
 
     def test_run_stamps_resolved_backend_by_default(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -256,26 +278,35 @@ class TestBackendFlag:
         assert "reference" in capsys.readouterr().out
 
     def test_backend_rejected_for_centralized(self, capsys):
-        assert main(["-a", "euler", "-f", "ring", "--n", "16", "--backend", "dense"]) == 2
+        assert main(["-a", "euler", "-f", "ring", "--n", "16", "--backend", "bulk"]) == 2
         assert "centralized" in capsys.readouterr().err
 
     def test_sweep_backend_rejected_for_centralized(self, capsys):
         assert main(["sweep", "-a", "star,euler", "-f", "ring", "--sizes", "12",
-                     "--backend", "dense", "--quiet"]) == 2
+                     "--backend", "bulk", "--quiet"]) == 2
         assert "centralized" in capsys.readouterr().err
 
-    def test_sweep_with_dense_backend(self, capsys):
+    def test_sweep_with_dense_backend(self, capsys, monkeypatch):
+        """The retired dense backend is a clean usage error on sweep too."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "-a", "star", "-f", "ring", "--sizes", "12",
+                  "--backend", "dense", "--quiet"])
+        self._assert_clean_usage_error(capsys, exc.value.code)
+        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        code = main(["sweep", "-a", "star", "-f", "ring", "--sizes", "12", "--quiet"])
+        self._assert_clean_usage_error(capsys, code)
+
+    def test_sweep_with_bulk_backend(self, capsys):
         assert main(["sweep", "-a", "star", "-f", "ring", "--sizes", "12",
-                     "--backend", "dense", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "dense" in out
+                     "--backend", "bulk", "--quiet"]) == 0
+        assert "bulk" in capsys.readouterr().out
 
     def test_root_backend_flag_reaches_sweep(self, capsys):
-        # `repro --backend dense sweep ...` must not be clobbered by the
+        # `repro --backend bulk sweep ...` must not be clobbered by the
         # subparser's SUPPRESS default.
-        assert main(["--backend", "dense", "sweep", "-a", "star", "-f", "ring",
+        assert main(["--backend", "bulk", "sweep", "-a", "star", "-f", "ring",
                      "--sizes", "12", "--quiet"]) == 0
-        assert "dense" in capsys.readouterr().out
+        assert "bulk" in capsys.readouterr().out
 
     def test_parser_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from repro import graphs
-from repro.analysis import format_table, measure, run_sweep
+from repro.analysis import SweepPlan, format_table, measure
 from repro.centralized import run_euler_ring
 from repro.core import (
     run_clique_formation,
@@ -103,7 +103,7 @@ class TestLenientModeFuzz:
 
 class TestSweepPipeline:
     def test_sweep_and_format_end_to_end(self):
-        rows = run_sweep({"g2s": run_graph_to_star}, ["ring"], [16, 32])
+        rows = SweepPlan.grid({"g2s": run_graph_to_star}, ["ring"], [16, 32]).run().rows
         text = format_table([r.as_dict() for r in rows])
         assert "g2s" in text and "ring" in text
 

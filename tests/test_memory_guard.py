@@ -38,7 +38,7 @@ out = sys.argv[2]
 
 with JsonlSink(out) as sink:
     result = run_graph_to_wreath(
-        families.make("ring", n), observers=[sink], backend="dense"
+        families.make("ring", n), observers=[sink], backend="bulk"
     )
 
 peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -84,7 +84,7 @@ out = sys.argv[2]
 
 with BinarySink(out) as sink:
     result = run_graph_to_wreath(
-        families.make("ring", n), observers=[sink], backend="dense"
+        families.make("ring", n), observers=[sink], backend="bulk"
     )
 
 peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

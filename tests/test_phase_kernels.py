@@ -330,7 +330,7 @@ class TestStarNextWake:
 
 
 # ---------------------------------------------------------------------------
-# StarDenseKernel: whole-round array dispatch vs the per-node backends
+# StarDenseKernel: whole-round array dispatch vs per-node execution
 # ---------------------------------------------------------------------------
 
 
@@ -349,7 +349,7 @@ def _trace_bytes(algorithm, graph, backend) -> str:
 class TestStarDenseKernelLockstep:
     """The star dense-phase kernel executes whole rounds as array ops;
     on random connected graphs and random UID placements its emitted
-    trace must match the per-node dense backend byte for byte."""
+    trace must match the per-node reference backend byte for byte."""
 
     @given(
         n=st.integers(min_value=4, max_value=40),
@@ -357,12 +357,12 @@ class TestStarDenseKernelLockstep:
         seed=st.integers(min_value=0, max_value=999),
     )
     @settings(deadline=None, max_examples=12)
-    def test_bulk_trace_matches_dense(self, n, family, seed):
+    def test_bulk_trace_matches_reference(self, n, family, seed):
         from repro.graphs import families
 
         graph = families.make(family, n, seed=seed)
         assert _trace_bytes("star", graph, "bulk") == _trace_bytes(
-            "star", graph, "dense"
+            "star", graph, "reference"
         )
 
     def test_kernel_path_engages(self):
@@ -473,7 +473,7 @@ class TestStarArrayRoundConsumers:
 
 
 # ---------------------------------------------------------------------------
-# WreathSpliceKernel: the REBUILD array assist vs the per-node backends
+# WreathSpliceKernel: the REBUILD array assist vs per-node execution
 # ---------------------------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ from repro.registry import (
     check_cell,
     get_algorithm,
     get_scenario,
-    register_algorithm,
     register_scenario,
     registered_algorithms,
     scenario_names,
@@ -87,13 +86,21 @@ class TestRegistryContents:
             scenarios("bogus")
 
     def test_register_and_overwrite_guard(self):
-        register_algorithm("star-alias-for-test", run_graph_to_star)
+        def alias():
+            return ScenarioSpec(
+                "star-alias-for-test", run_graph_to_star, "distributed",
+                description="star alias",
+            )
+
+        register_scenario(alias())
         try:
             assert get_algorithm("star-alias-for-test") is run_graph_to_star
             assert get_scenario("star-alias-for-test").kind == "distributed"
             with pytest.raises(ConfigurationError, match="already registered"):
-                register_algorithm("star-alias-for-test", run_graph_to_star)
-            register_algorithm("star-alias-for-test", run_graph_to_star, overwrite=True)
+                register_scenario(alias())
+            replacement = alias()
+            assert register_scenario(replacement, overwrite=True) is replacement
+            assert get_scenario("star-alias-for-test") is replacement
         finally:
             unregister_scenario("star-alias-for-test")
 
@@ -126,7 +133,7 @@ class TestCheckCell:
 
     def test_backend_rejected_for_centralized(self):
         with pytest.raises(ConfigurationError, match="centralized"):
-            check_cell(get_scenario("euler"), backend="dense")
+            check_cell(get_scenario("euler"), backend="bulk")
 
     def test_adversary_rejected_for_non_heal(self):
         with pytest.raises(ConfigurationError, match="not self-stabilizing"):
@@ -135,7 +142,7 @@ class TestCheckCell:
             check_cell(get_scenario("star+flood"), adversary=object())
 
     def test_adversary_accepted_for_heal(self):
-        check_cell(get_scenario("star-heal"), adversary=object(), backend="dense")
+        check_cell(get_scenario("star-heal"), adversary=object(), backend="bulk")
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigurationError, match="strikes"):

@@ -11,9 +11,7 @@ from repro.analysis import (
     SweepResult,
     cell_key,
     get_algorithm,
-    register_algorithm,
     registered_algorithms,
-    run_sweep,
 )
 from repro.core import run_graph_to_star
 from repro.errors import ConfigurationError
@@ -41,12 +39,16 @@ class TestRegistryCompat:
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             get_algorithm("no-such-algo")
 
-    def test_register_algorithm_reexported(self):
-        from repro.registry import unregister_scenario
+    def test_registered_scenario_resolves_through_analysis(self):
+        from repro.registry import ScenarioSpec, register_scenario, unregister_scenario
 
-        register_algorithm("sweep-alias-for-test", run_graph_to_star)
+        register_scenario(ScenarioSpec(
+            "sweep-alias-for-test", run_graph_to_star, "distributed",
+            description="star alias",
+        ))
         try:
             assert get_algorithm("sweep-alias-for-test") is run_graph_to_star
+            assert "sweep-alias-for-test" in registered_algorithms()
         finally:
             unregister_scenario("sweep-alias-for-test")
 
@@ -155,17 +157,18 @@ class TestSeededFamilies:
         assert set(a.edges()) != set(c.edges())
 
 
-class TestRunSweepCompat:
-    def test_legacy_signature_still_works(self):
-        rows = run_sweep({"g2s": run_graph_to_star}, ["line"], [8, 16])
+class TestRunnerMapping:
+    """A grid over a ``{label: runner}`` mapping of unregistered runners."""
+
+    def test_rows_carry_the_mapping_labels(self):
+        rows = SweepPlan.grid({"g2s": run_graph_to_star}, ["line"], [8, 16]).run().rows
         assert len(rows) == 2
         assert rows[0].algorithm == "g2s"
 
-    def test_legacy_parallel_flag(self):
-        serial = run_sweep({"g2s": run_graph_to_star}, ["line"], [8, 16])
-        parallel = run_sweep(
-            {"g2s": run_graph_to_star}, ["line"], [8, 16], parallel=True, max_workers=2
-        )
+    def test_parallel_rows_equal_serial(self):
+        plan = SweepPlan.grid({"g2s": run_graph_to_star}, ["line"], [8, 16])
+        serial = plan.run().rows
+        parallel = plan.run(parallel=True, max_workers=2).rows
         assert [r.as_dict() for r in serial] == [r.as_dict() for r in parallel]
 
 
@@ -201,44 +204,44 @@ class TestAdversarySweeps:
 
 class TestBackendSweeps:
     def test_backend_stamped_on_engine_rows(self):
-        result = SweepPlan.grid(["star"], ["ring"], [12], backend="dense").run()
-        assert result.rows[0].extra["backend"] == "dense"
-        assert result.as_dicts()[0]["backend"] == "dense"
+        result = SweepPlan.grid(["star"], ["ring"], [12], backend="bulk").run()
+        assert result.rows[0].extra["backend"] == "bulk"
+        assert result.as_dicts()[0]["backend"] == "bulk"
 
     def test_default_backend_stamped_as_resolved(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         result = SweepPlan.grid(["star"], ["ring"], [12]).run()
         assert result.rows[0].extra["backend"] == "reference"
-        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        monkeypatch.setenv("REPRO_BACKEND", "bulk")
         result = SweepPlan.grid(["star"], ["ring"], [12]).run()
-        assert result.rows[0].extra["backend"] == "dense"
+        assert result.rows[0].extra["backend"] == "bulk"
 
     def test_centralized_rows_have_no_backend_column(self):
         result = SweepPlan.grid(["euler"], ["ring"], [12]).run()
         assert "backend" not in result.rows[0].as_dict()
 
     def test_backend_on_centralized_cell_rejected(self):
-        plan = SweepPlan.grid(["euler"], ["ring"], [12], backend="dense")
+        plan = SweepPlan.grid(["euler"], ["ring"], [12], backend="bulk")
         with pytest.raises(ConfigurationError, match="centralized"):
             plan.run()
 
     def test_backends_sweep_to_identical_measurements(self):
         ref = SweepPlan.grid(["star", "wreath"], ["ring"], [16], backend="reference").run()
-        dense = SweepPlan.grid(["star", "wreath"], ["ring"], [16], backend="dense").run()
-        for a, b in zip(ref.as_dicts(), dense.as_dicts()):
+        bulk = SweepPlan.grid(["star", "wreath"], ["ring"], [16], backend="bulk").run()
+        for a, b in zip(ref.as_dicts(), bulk.as_dicts()):
             a.pop("backend"), b.pop("backend")
             assert a == b
 
     def test_backend_column_in_format_table(self):
         from repro.analysis import format_table
 
-        result = SweepPlan.grid(["star"], ["ring"], [12], backend="dense").run()
+        result = SweepPlan.grid(["star"], ["ring"], [12], backend="bulk").run()
         table = format_table(result.as_dicts())
         assert "backend" in table.splitlines()[0]
-        assert "dense" in table
+        assert "bulk" in table
 
-    def test_parallel_dense_sweep_byte_identical_to_serial(self):
-        plan = SweepPlan.grid(["star"], ["ring", "line"], [12, 16], backend="dense")
+    def test_parallel_bulk_sweep_byte_identical_to_serial(self):
+        plan = SweepPlan.grid(["star"], ["ring", "line"], [12, 16], backend="bulk")
         assert plan.run().to_json() == plan.run(parallel=True, max_workers=2).to_json()
 
 
@@ -371,7 +374,7 @@ class TestResumableSweeps:
         assert base == cell_key(spec, cell, {})  # deterministic
         assert base != cell_key(spec, cell, {"check_connectivity": True})
         assert base != cell_key(spec, SweepCell("star", "ring", 16, seed=3), {})
-        assert base != cell_key(spec, SweepCell("star", "ring", 16, backend="dense"), {})
+        assert base != cell_key(spec, SweepCell("star", "ring", 16, backend="bulk"), {})
         bumped = ScenarioSpec(
             spec.name, spec.runner, spec.kind, description=spec.description,
             version=spec.version + 1,
@@ -387,9 +390,9 @@ class TestResumableSweeps:
         cell = SweepCell("star", "ring", 16)
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         ref_key = cell_key(spec, cell, {})
-        monkeypatch.setenv("REPRO_BACKEND", "dense")
+        monkeypatch.setenv("REPRO_BACKEND", "bulk")
         assert cell_key(spec, cell, {}) != ref_key
-        assert cell_key(spec, SweepCell("star", "ring", 16, backend="dense"), {}) == cell_key(spec, cell, {})
+        assert cell_key(spec, SweepCell("star", "ring", 16, backend="bulk"), {}) == cell_key(spec, cell, {})
 
     def test_uncacheable_runner_kwargs_clear_error(self):
         from repro.registry import get_scenario
