@@ -20,16 +20,17 @@ Representation (see DESIGN.md, "Observer pipeline & conformance"):
 * Node labels are interned to slots ``0..n-1`` in sorted order; int
   labels map through a sorted ``np.searchsorted`` (no Python dict in
   the hot path), anything else falls back to a label->slot dict.
-* The active edge set and the adjacency are the sorted packed-key
-  arrays of :mod:`repro.engine.edge_keys` (slot space) — the same
-  primitives the bulk engine's array rounds commit with.  Folds build
-  new arrays and never write in place, so a round's pre-round arrays
-  stay valid for every checker that reads them.
+* The active edge set is the sorted directed packed-key array of
+  :mod:`repro.engine.edge_keys` (slot space) — the same primitives the
+  bulk engine's array rounds commit with.  Folds build new arrays and
+  never write in place, so a round's pre-round arrays stay valid for
+  every checker that reads them.
 * A whole round's legality is classified by the shared
   :func:`~repro.engine.edge_keys.classify`; connectivity keeps a
   flat-array union-find (min-label hooking + full path compression)
-  and recomputes it only when a dropped edge lost its last 2-hop
-  detour (see :class:`ArrayConnectivityChecker`).
+  and a certificate subgraph, and recomputes them only when a dropped
+  certificate edge has no 2- or 3-hop detour (see
+  :class:`ArrayConnectivityChecker`).
 * External perturbations are rare and semantically fiddly, so they are
   folded by the *dict* replay itself on a materialized adjacency
   (equality with ``Network.apply_external`` by shared code), then the
@@ -53,12 +54,15 @@ from .engine.edge_keys import (
     both_dirs,
     classify,
     delete_from,
-    dist2_ok,
+    dist2_witness,
     identity_slots,
     member,
     merge_in,
     pack,
+    slice_starts,
+    uf_fold,
     unique,
+    walk3_witness,
 )
 from .engine.trace import sorted_edges
 from .errors import ConfigurationError
@@ -73,28 +77,17 @@ __all__ = [
 #: ``(slot + 1) << 32`` adjacency-slice bound representable).
 _MAX_SLOTS = (1 << 31) - 1
 
+#: A batch of ``k`` distance queries over ``n`` slots reads its slice
+#: bounds off a :func:`slice_starts` table when ``k * _STARTS_PER_QUERY
+#: >= n``: one cumulative sum over the slots (about 1 ns a slot) then
+#: costs less than the four ``searchsorted`` probes per query it saves
+#: (about 60 ns each on star rounds at n=1e5).
+_STARTS_PER_QUERY = 256
+
 #: Rounds with at most this many activations (or deactivations) slot
 #: them through a Python sort (:meth:`ArrayReplayTracker._to_slots`):
 #: measured cheaper than the flatten-and-argsort passes up to ~64 pairs.
 _FEW_EDGES = 32
-
-
-def _uf_fold(parent, uu, vv):
-    """Fold edges into a flat union-find: min-label hooking with full
-    path compression, iterated to fixpoint.  Returns the fully
-    compressed parent array (every entry points at its root)."""
-    p = parent
-    while True:
-        while True:
-            q = p[p]
-            if np.array_equal(q, p):
-                break
-            p = q
-        ru, rv = p[uu], p[vv]
-        diff = ru != rv
-        if not diff.any():
-            return p
-        np.minimum.at(p, np.maximum(ru[diff], rv[diff]), np.minimum(ru[diff], rv[diff]))
 
 
 class _DictProxy:
@@ -121,10 +114,11 @@ class _RoundStep:
     deactivations' endpoint slots in ``sorted_edges`` order (``-1``:
     unknown node), ``albl``/``dlbl`` recover the k-th label pair, and
     ``a_on``/``d_on`` say per request whether its edge was active before
-    the round (each probed once, for every reader); ``keys``/``dirs``
-    are the *pre-round* undirected/directed key arrays, and
-    ``added``/``gone`` the keys the round actually applied.  The
-    post-round state is the replay's own ``_keys``/``_dir``: linked
+    the round (each probed once, for every reader); ``dirs`` is the
+    *pre-round* directed key array (``starts`` its
+    :func:`slice_starts` table, or None when the round's batches are too
+    small to want one), and ``added``/``gone`` the keys the round
+    actually applied.  The post-round state is the replay's own: linked
     checkers read a step before the replay may fold the next event.
     An idle round (no activations, no deactivations) is all empty arrays
     over the unchanged state.
@@ -132,16 +126,17 @@ class _RoundStep:
 
     __slots__ = (
         "su", "sv", "albl", "a_on", "du", "dv", "dlbl", "d_on",
-        "keys", "dirs", "added", "gone",
+        "dirs", "starts", "added", "gone",
     )
 
     def __init__(
-        self, keys, dirs, su=EMPTY, sv=EMPTY, albl=None, a_on=_NO,
+        self, dirs, su=EMPTY, sv=EMPTY, albl=None, a_on=_NO,
         du=EMPTY, dv=EMPTY, dlbl=None, d_on=_NO, added=EMPTY, gone=EMPTY,
+        starts=None,
     ) -> None:
         self.su, self.sv, self.albl, self.a_on = su, sv, albl, a_on
         self.du, self.dv, self.dlbl, self.d_on = du, dv, dlbl, d_on
-        self.keys, self.dirs = keys, dirs
+        self.dirs, self.starts = dirs, starts
         self.added, self.gone = added, gone
 
 
@@ -151,8 +146,11 @@ class ArrayReplayTracker:
     The array twin of ``_EdgeReplay``'s fold/snapshot surface:
     ``check_trace`` uses it bare to carry chained baselines between
     segments, and the array checkers read it.  ``directed`` keeps the
-    directed adjacency array (distance-2 queries); a bare baseline fold
-    skips its upkeep.
+    edge set as the directed adjacency array (distance-2 queries, and
+    membership: an undirected key is in it exactly when its edge is
+    active), and derives the undirected key array only when asked
+    (:meth:`keys`); a bare baseline fold keeps the undirected array
+    alone.
 
     Linked checkers (:meth:`_read`) share one fold per event: the first
     checker whose hook sees an event folds it, every other linked
@@ -194,9 +192,17 @@ class ArrayReplayTracker:
         return result
 
     def on_run_start(self, network) -> None:
-        self._start(list(network.nodes), list(network.edges()))
+        arrays = getattr(network, "slot_key_arrays", None)
+        arrays = arrays() if arrays is not None else None
+        if arrays is None:
+            self._start(list(network.nodes), list(network.edges()))
+        else:  # the bulk network's own arrays are this replay's state
+            self._start(*arrays)
 
-    def _start(self, nodes, edges) -> None:
+    def _start(self, nodes, edges, dirs=None) -> None:
+        """Intern ``nodes`` and load ``edges`` — label pairs, or when
+        ``dirs`` (the directed key array) is given, the sorted slot-space
+        key array itself."""
         try:
             nodes.sort()
         except TypeError:
@@ -224,10 +230,43 @@ class ArrayReplayTracker:
         self._ident = bool(
             ua is not None and ua.size and ua[0] == 0 and ua[-1] == ua.size - 1
         )
-        su, sv, _ = self._to_slots(edges)
-        valid = (su >= 0) & (sv >= 0) & (su != sv)
-        self._keys = unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
-        self._dir = both_dirs(self._keys) if self._directed else EMPTY
+        if dirs is None:
+            su, sv, _ = self._to_slots(edges)
+            valid = (su >= 0) & (sv >= 0) & (su != sv)
+            edges = unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
+            dirs = both_dirs(edges) if self._directed else EMPTY
+        if self._directed:
+            self._keys = edges  # derived from _dir on demand once it moves on
+            self._dir = dirs
+            # Slot degrees, kept current by every fold: the slice bounds
+            # of large distance-query batches (starts()).
+            self._deg = np.bincount(dirs >> SHIFT, minlength=n)
+            self._starts = None
+        else:
+            self._keys = edges
+            self._dir = EMPTY
+
+    def keys(self):
+        """The active edges as a sorted undirected key array."""
+        if self._keys is None:
+            dirs = self._dir
+            self._keys = dirs[(dirs >> SHIFT) < (dirs & MASK)]
+        return self._keys
+
+    @property
+    def n_edges(self) -> int:
+        """The number of active edges."""
+        return self._dir.size >> 1 if self._directed else self._keys.size
+
+    def starts(self, k: int):
+        """The :func:`slice_starts` table of the current directed array
+        for a batch of ``k`` distance queries, or None when the batch is
+        too small to want one."""
+        if k * _STARTS_PER_QUERY < self._n:
+            return None
+        if self._starts is None:
+            self._starts = slice_starts(self._deg)
+        return self._starts
 
     def _label_index(self) -> dict:
         if self._index is None:
@@ -323,23 +362,37 @@ class ArrayReplayTracker:
         dict folds do.  An unknown node or a self-loop packs to a key
         no key array holds, so the membership probes need no masks.
         """
-        keys, dirs = self._keys, self._dir
+        dirs = self._dir
         acts, deas = record.activations, record.deactivations
         if not acts and not deas:
-            return _RoundStep(keys, dirs)
+            return _RoundStep(dirs)
+        # The directed array holds every active edge's undirected key.
+        base = dirs if self._directed else self._keys
         su, sv, albl = self._to_slots(acts)
         du, dv, dlbl = self._to_slots(deas)
         apacked = pack(su, sv)
-        a_on = member(keys, apacked)
+        a_on = member(base, apacked)
         added = unique(apacked[(su >= 0) & (sv >= 0) & (su != sv) & ~a_on])
         dpacked = pack(du, dv)
-        d_on = member(keys, dpacked)
+        d_on = member(base, dpacked)
         hit = (d_on | member(added, dpacked)) if added.size else d_on
         gone = unique(dpacked[hit])
-        self._keys = delete_from(merge_in(keys, added), gone)
+        starts = None
         if self._directed:
+            starts = self.starts(su.size)
             self._dir = delete_from(merge_in(dirs, both_dirs(added)), both_dirs(gone))
-        return _RoundStep(keys, dirs, su, sv, albl, a_on, du, dv, dlbl, d_on, added, gone)
+            self._keys = None
+            deg = self._deg
+            for ends, step in ((added, 1), (gone, -1)):
+                if ends.size:
+                    np.add.at(deg, ends >> SHIFT, step)
+                    np.add.at(deg, ends & MASK, step)
+            self._starts = None
+        else:
+            self._keys = delete_from(merge_in(base, added), gone)
+        return _RoundStep(
+            dirs, su, sv, albl, a_on, du, dv, dlbl, d_on, added, gone, starts
+        )
 
     def _apply_perturbation(self, record) -> list:
         """Fold an external strike by materializing the dict adjacency,
@@ -347,13 +400,14 @@ class ArrayReplayTracker:
         Returns the pre-strike slot -> label list."""
         uids = self._uids
         adj: dict = {u: set() for u in uids}
-        lo = (self._keys >> SHIFT).tolist()
-        hi = (self._keys & MASK).tolist()
+        keys = self.keys()
+        lo = (keys >> SHIFT).tolist()
+        hi = (keys & MASK).tolist()
         for a, b in zip(lo, hi):
             u, v = uids[a], uids[b]
             adj[u].add(v)
             adj[v].add(u)
-        proxy = _DictProxy(adj, self._keys.size)
+        proxy = _DictProxy(adj, keys.size)
         proxy._apply_perturbation(record)
         nodes = list(adj)
         edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if _le(u, v)]
@@ -363,8 +417,9 @@ class ArrayReplayTracker:
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists."""
         uids = self._uids
-        lo = (self._keys >> SHIFT).tolist()
-        hi = (self._keys & MASK).tolist()
+        keys = self.keys()
+        lo = (keys >> SHIFT).tolist()
+        hi = (keys & MASK).tolist()
         return list(uids), [(uids[a], uids[b]) for a, b in zip(lo, hi)]
 
 
@@ -392,21 +447,29 @@ class ArrayConnectivityChecker(_ReplayChecker):
 
     Only the verdict ``components > 1`` matters, so the union-find
     tracks the replayed graph's *partition into components*, not its
-    edges.  A round maps ``G`` to ``G' = (G ∪ A) \\ D``.  If every
-    dropped edge ``(a, b)`` still has an ``a``–``b`` path in ``G'``,
-    then ``G'`` and ``G ∪ A`` have the same components (each dropped
-    edge is replaced by its path); a common neighbor of ``a`` and ``b``
-    in ``G'`` is such a path.  Hence, per round:
+    edges, and a *certificate* ``H`` — a subgraph of the replayed graph
+    ``G`` with the same components, a spanning forest when built —
+    says which dropped edges can matter.  A round maps ``G`` to
+    ``G' = (G ∪ A) \\ D``:
 
-    * every dropped edge keeps a 2-hop detour in the post-round
-      directed array (one batched :func:`dist2_ok`): fold the applied
-      activations into the union-find — and only while it still has
-      more than one component, since a connected ``G`` makes
-      ``G ∪ A`` connected too;
-    * otherwise rebuild the union-find from the post-round key array.
+    * a dropped edge outside ``H`` leaves ``H`` inside ``G'``, so it
+      cannot split a component: nothing to check;
+    * a dropped edge ``(a, b)`` of ``H`` is replaced in ``H`` by a path
+      between ``a`` and ``b`` in ``G'`` — a common neighbor (one batched
+      :func:`dist2_witness` over the post-round directed array), or
+      failing that a walk ``a - x - y - b`` (:func:`walk3_witness`).
+      Then ``H`` still has the components of ``G``, inside ``G'``, and
+      the union-find folds the applied activations that join two
+      components (into ``H`` too) — only while it has more than one,
+      since a connected ``G`` makes ``G'`` connected;
+    * a dropped ``H`` edge with neither detour rebuilds the union-find
+      and ``H`` from the post-round key array.
 
     Strikes always rebuild.  Folds and rebuilds are O(n alpha(n)) array
-    passes, no Python-level edge loop.
+    passes, no Python-level edge loop.  On a star run only the final
+    termination fan-out drops certificate edges (the original ring the
+    run-start forest was built from), so most drop rounds cost one
+    membership probe of the dropped keys.
     """
 
     name = "connectivity"
@@ -416,25 +479,60 @@ class ArrayConnectivityChecker(_ReplayChecker):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self._parent = np.arange(self._replay._n, dtype=np.int64)
-        self._fold(self._replay._keys)
+        keys = self._replay.keys()
+        self._parent, picked = uf_fold(
+            np.arange(self._replay._n, dtype=np.int64),
+            keys >> SHIFT, keys & MASK, forest=True,
+        )
+        self._cert = keys[picked]
+        self._count()
 
-    def _fold(self, keys) -> None:
+    def _count(self) -> None:
         parent = self._parent
-        if keys.size:
-            parent = _uf_fold(parent, keys >> SHIFT, keys & MASK)
-        self._parent = parent
         self._components = int((parent == np.arange(parent.size)).sum())
 
     def on_round(self, record) -> None:
         step = self._read(self._replay.fold_round, record)
-        gone = step.gone
-        if gone.size and not dist2_ok(self._replay._dir, gone >> SHIFT, gone & MASK).all():
-            self._rebuild()
-        elif step.added.size and self._components > 1:
-            self._fold(step.added)
+        added, gone = step.added, step.gone
+        if gone.size:
+            if added.size:
+                added = added[~member(gone, added)]  # dropped the same round
+            cut = gone[member(self._cert, gone)]
+            if cut.size and not self._reroute(cut):
+                self._rebuild()
+                added = EMPTY
+        if added.size and self._components > 1:
+            parent = self._parent
+            joins = added[parent[added >> SHIFT] != parent[added & MASK]]
+            if joins.size:
+                self._parent = uf_fold(parent, joins >> SHIFT, joins & MASK)
+                self._cert = merge_in(self._cert, joins)
+                self._count()
         if self._components > 1:
             self._fail(f"{self._where(record.round)}: network disconnected")
+
+    def _reroute(self, cut) -> bool:
+        """Replace the dropped certificate edges ``cut`` by 2- or 3-hop
+        detours through the post-round graph; False when one has
+        neither.  The 3-hop search gives up past the size of the
+        directed array, where a rebuild costs less."""
+        replay = self._replay
+        dirs = replay._dir
+        a, b = cut >> SHIFT, cut & MASK
+        w = dist2_witness(dirs, a, b, replay.starts(a.size))
+        two = w >= 0
+        paths = [pack(a[two], w[two]), pack(w[two], b[two])]
+        if not two.all():
+            a, b = a[~two], b[~two]
+            walk = walk3_witness(dirs, a, b, replay.starts(a.size), budget=dirs.size)
+            if walk is None or (walk[0] < 0).any():
+                return False
+            x, y = walk
+            paths += [pack(a, x), pack(x, y), pack(y, b)]
+        cert = delete_from(self._cert, cut)
+        new = unique(np.concatenate(paths))
+        self._cert = merge_in(cert, new[~member(cert, new)])
+        return True
 
     def on_perturbation(self, record) -> None:
         self._read(self._replay._apply_perturbation, record)
@@ -467,7 +565,9 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
         step = self._read(self._replay.fold_round, record)
         # -- legality, all against the pre-round state ------------------
         code = (
-            classify(step.dirs, step.su, step.sv, step.a_on) if step.su.size else _NO
+            classify(step.dirs, step.su, step.sv, step.a_on, step.starts)
+            if step.su.size
+            else _NO
         )
         for k in np.nonzero(code)[0]:
             if len(self._failures) >= _MAX_DETAILS:
@@ -506,9 +606,13 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
         self._act_keys = merge_in(self._act_keys, step.added)
         gone = step.gone
         if gone.size:
-            self._act_keys = delete_from(self._act_keys, gone[member(self._act_keys, gone)])
+            act = self._act_keys
+            if act.size:
+                at = act.searchsorted(gone)
+                hit = act.take(at, mode="clip") == gone
+                self._act_keys = delete_from(act, gone[hit], at[hit])
         # -- the tamper check: committed counters vs the replay ---------
-        n_active = self._replay._keys.size
+        n_active = self._replay.n_edges
         if record.active_edges != n_active:
             self._fail(
                 f"{where}: active_edges says {record.active_edges}, "

@@ -160,13 +160,14 @@ class StarDenseKernel(StarPhaseKernel):
         ("ent_*", "int64[B]", "r1-sensed boundary entries (r2 reduction)"),
     )
 
-    #: Mode codes used inside the packed arrays (finalize maps back).
+    #: Mode codes used inside the packed arrays (materialize maps back).
     _MODES = (Mode.SELECTION, Mode.MERGING, Mode.PULLING, Mode.WAITING, Mode.TERMINATION)
     _SEL, _MRG, _PUL, _WAI, _TER = range(5)
 
     def accepts(self, runner) -> bool:
-        net = runner.network
-        return bool(net._identity) and len(runner._uids) == net.n
+        # Rows are uids: the kernel reads the network's identity-interned
+        # key arrays, and a fresh program never starts halted.
+        return bool(runner.network._identity)
 
     def init_state(self, runner):
         import numpy as np
@@ -507,31 +508,26 @@ class StarDenseKernel(StarPhaseKernel):
         K._publish(st, np.nonzero(ldr)[0])
         return halt_rows.tolist()
 
-    def finalize(self, state, runner) -> None:
-        modes = self._MODES
-        programs = runner.programs
-        publics = runner._publics
-        cid, leader = state["cid"], state["leader"]
-        mode, mtgt = state["mode"], state["mtgt"]
-        plink, tlink = state["plink"], state["tlink"]
-        llp, llt = state["llp"], state["llt"]
-        halted = state["halted"]
-        for i, uid in enumerate(runner.network._uid_of):
-            prog = programs[uid]
-            prog.cid = int(cid[i])
-            prog.is_leader = bool(leader[i])
-            prog.mode = modes[mode[i]]
-            prog.merge_target = None if mtgt[i] < 0 else int(mtgt[i])
-            prog.parent_link = None if plink[i] < 0 else int(plink[i])
-            prog.last_link = None if llp[i] < 0 else (int(llp[i]), int(llt[i]))
-            prog.target_link = None if tlink[i] < 0 else int(tlink[i])
-            prog.status = "leader" if leader[i] else "follower"
-            prog._foreign = []
-            prog._reports = []
-            if halted[i] and not prog.halted:
+    def materialize(self, state, uid, prog) -> None:
+        i = uid  # identity interning (accepts)
+        leader = bool(state["leader"][i])
+        mtgt, plink = int(state["mtgt"][i]), int(state["plink"][i])
+        llp, tlink = int(state["llp"][i]), int(state["tlink"][i])
+        prog.cid = int(state["cid"][i])
+        prog.is_leader = leader
+        prog.mode = self._MODES[state["mode"][i]]
+        prog.merge_target = None if mtgt < 0 else mtgt
+        prog.parent_link = None if plink < 0 else plink
+        prog.last_link = None if llp < 0 else (llp, int(state["llt"][i]))
+        prog.target_link = None if tlink < 0 else tlink
+        prog._foreign = []
+        prog._reports = []
+        if state["halted"][i]:
+            # A node's status is fixed the round it halts.
+            prog.status = "leader" if leader else "follower"
+            if not prog.halted:
                 prog.halt()
-            prog._refresh_public()
-            publics[uid] = prog.public()
+        prog._refresh_public()
 
 
 class GraphToStarProgram(NodeProgram):

@@ -10,12 +10,16 @@ what the runner adds is that the per-round cost follows the *activity*
 of the round, not ``n``.  Each round takes one of four paths, reported
 as the telemetry ``dispatch`` label:
 
-* **kernel** — when the whole population shares one program class
-  whose :attr:`~repro.engine.program.NodeProgram.phase_kernel` accepts
-  the run, rounds execute as single array dispatches over
-  struct-of-arrays state (numpy bitsets; no per-node Python at all).
-  The flooding kernel in :mod:`repro.problems.token_dissemination` is
-  the reference implementation.
+* **kernel** — when the program factory is a
+  :class:`~repro.engine.program.NodeProgram` subclass with the base
+  no-op ``setup()`` whose
+  :attr:`~repro.engine.program.NodeProgram.phase_kernel` accepts the
+  run (no adversary, no barrier), rounds execute as single array
+  dispatches over struct-of-arrays state and the fleet *is* that
+  state: no program, context or public record is built unless a
+  caller reads one (:class:`KernelFleet`).  The flooding kernel in
+  :mod:`repro.problems.token_dissemination` is the reference
+  implementation.
 * **sparse** — programs whose class declares
   :attr:`~repro.engine.program.NodeProgram.bulk_sparse` promise that a
   round in which no wake condition holds is a no-op for them (no
@@ -43,6 +47,7 @@ backend" spells out the skip-soundness argument.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import attrgetter
 
 try:
@@ -61,6 +66,7 @@ from .actions import RoundActions
 from .dense import _EMPTY_INBOX, DenseConnectivityTracker, DenseContext, DenseNetwork
 from .edge_keys import request_max
 from .observers import _PairsView
+from .program import NodeProgram
 from .runner import SynchronousRunner
 from .trace import PerturbationRecord
 
@@ -69,6 +75,75 @@ _NEVER = np.iinfo(np.int64).max // 2
 
 _HALTED = attrgetter("halted")
 _BARRIER_READY = attrgetter("barrier_ready")
+
+
+class KernelFleet(Mapping):
+    """The programs of a whole-run kernel run, built on first read.
+
+    A read-only mapping over the run's uids, iterating in the order the
+    reference backend's program dict has (``network.nodes`` at
+    construction).  Reading a node builds ``factory(uid)``, has the
+    kernel materialize it from the node's state row once the run has
+    state (:meth:`~repro.engine.program.PhaseKernel.materialize`), and
+    caches it; ``len``, iteration and membership build nothing.
+    """
+
+    __slots__ = ("_order", "_factory", "_kernel", "_state", "_built")
+
+    def __init__(self, order, factory, kernel) -> None:
+        self._order = order
+        self._factory = factory
+        self._kernel = kernel
+        self._state = None
+        self._built: dict = {}
+
+    def __getitem__(self, uid):
+        prog = self._built.get(uid)
+        if prog is None:
+            if uid not in self._order:
+                raise KeyError(uid)
+            prog = self._factory(uid)
+            if prog.uid != uid:
+                raise ConfigurationError(f"program for node {uid} reports uid {prog.uid}")
+            if self._state is not None:
+                self._kernel.materialize(self._state, uid, prog)
+            self._built[uid] = prog
+        return prog
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __contains__(self, uid) -> bool:
+        return uid in self._order
+
+    def bind(self, state) -> None:
+        """Materialize from ``state`` from now on, and bring every
+        program already built up to it (the runner calls this when the
+        run starts and again when it ends)."""
+        self._state = state
+        for uid, prog in self._built.items():
+            self._kernel.materialize(state, uid, prog)
+
+
+class _FleetPublics(Mapping):
+    """The public records of a :class:`KernelFleet`, read through it."""
+
+    __slots__ = ("_fleet",)
+
+    def __init__(self, fleet: KernelFleet) -> None:
+        self._fleet = fleet
+
+    def __getitem__(self, uid):
+        return self._fleet[uid].public()
+
+    def __iter__(self):
+        return iter(self._fleet)
+
+    def __len__(self) -> int:
+        return len(self._fleet)
 
 
 class BulkRunner(SynchronousRunner):
@@ -90,6 +165,9 @@ class BulkRunner(SynchronousRunner):
 
     backend_name = "bulk"
     _context_cls = DenseContext
+    #: The whole-run array kernel and its state (None: per-node rounds).
+    _kernel = None
+    _kstate = None
 
     @staticmethod
     def _make_network(graph: nx.Graph) -> DenseNetwork:
@@ -99,12 +177,59 @@ class BulkRunner(SynchronousRunner):
         return DenseConnectivityTracker(self.network)
 
     # ------------------------------------------------------------------
-    # slot arrays and wake-state bookkeeping
+    # the fleet: kernel state columns, or programs over slot arrays
     # ------------------------------------------------------------------
 
-    def _post_setup(self) -> None:
-        """Snapshot every post-setup public, build the slot arrays, and
-        pick the array path (whole-run kernel or rebuild assist), if any."""
+    def _init_fleet(self) -> None:
+        """Decide the whole-run array path before any program exists.
+
+        It needs a :class:`NodeProgram` subclass as the factory (so the
+        population is uniform), the base no-op ``setup()`` (so the
+        kernel's initial state is the constructed one), no adversary,
+        no barrier, and a ``phase_kernel`` whose ``accepts`` holds.
+        Then the kernel's state columns are the fleet; otherwise every
+        program is built as on the reference backend."""
+        factory = self.program_factory
+        kernel = (
+            factory.phase_kernel
+            if isinstance(factory, type) and issubclass(factory, NodeProgram)
+            else None
+        )
+        if (
+            kernel is None
+            or self.adversary is not None
+            or self.use_barrier
+            or factory.setup is not NodeProgram.setup
+            or not kernel.accepts(self)
+        ):
+            super()._init_fleet()
+            return
+        self._kernel = kernel
+        self.programs = KernelFleet(self.network.nodes, factory, kernel)
+        self._publics = _FleetPublics(self.programs)
+        self._live = dict.fromkeys(self.network._uid_of)
+
+    def _setup(self, adversary) -> None:
+        """Start the kernel, or run ``setup()`` and build the per-node
+        machinery: snapshot every post-setup public, build the slot
+        arrays, and arm the rebuild assist if a kernel offers one."""
+        if self._kernel is not None:
+            if adversary is None:
+                self._kstate = self._kernel.init_state(self)
+                self.programs.bind(self._kstate)
+                return
+            # An adversary handed to run() rules the array path out
+            # after construction: build the fleet per node after all.
+            fleet = self.programs
+            self.programs = {uid: fleet[uid] for uid in fleet}
+            self._live = {
+                uid: None for uid, prog in self.programs.items() if not prog.halted
+            }
+            self._publics = {}
+            self._kernel = None
+        # The per-node paths read the network's Python views directly.
+        self.network.views()
+        super()._setup(adversary)
         publics = self._publics
         programs = self.programs
         for uid, prog in programs.items():
@@ -116,21 +241,9 @@ class BulkRunner(SynchronousRunner):
         ]
         self._sparse = False
         self._refresh_slot_arrays()
-        self._kernel = None
-        self._kstate = None
         self._assist = None
         progs = self._progs
-        if progs and self.adversary is None and not self.use_barrier:
-            cls = type(progs[0])
-            kernel = cls.phase_kernel
-            if (
-                kernel is not None
-                and all(type(p) is cls for p in progs)
-                and kernel.accepts(self)
-            ):
-                self._kernel = kernel
-                self._kstate = kernel.init_state(self)
-        elif progs and self.adversary is None and self.use_barrier:
+        if progs and adversary is None and self.use_barrier:
             # Barrier families can't take the whole-run array path, but a
             # kernel may still volunteer to simulate individual rounds
             # (the wreath splice kernel's rebuild assist).
@@ -142,6 +255,10 @@ class BulkRunner(SynchronousRunner):
                 and all(type(p) is cls for p in progs)
             ):
                 self._assist = kernel
+
+    # ------------------------------------------------------------------
+    # slot arrays and wake-state bookkeeping
+    # ------------------------------------------------------------------
 
     def _refresh_slot_arrays(self) -> None:
         slots = self._slots
@@ -560,7 +677,7 @@ class BulkRunner(SynchronousRunner):
         for uid in newly_halted:
             del live[uid]
         if not live:
-            self._kernel.finalize(self._kstate, self)
+            self.programs.bind(self._kstate)
 
         if self._probe is not None:
             self._probe.probe_round(

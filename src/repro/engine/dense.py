@@ -11,10 +11,12 @@ machinery, not the model:
 
 * node uids are interned to dense ints ``0..n-1`` once at construction
   (joins extend the index space; indices, like uids, are never reused);
-* adjacency is a slot array of per-node int-index sets, and the active /
-  original edge sets are sets of packed int pairs
-  (``min_idx << 32 | max_idx``) — membership tests hash one small int
-  instead of a tuple of uids;
+* the edge state starts as sorted arrays of packed int pairs
+  (``min_idx << 32 | max_idx``) built straight from the graph's
+  adjacency; the per-edge round paths' views of it — a slot array of
+  per-node int-index sets and packed-pair sets, where a membership test
+  hashes one small int instead of a tuple of uids — are built on first
+  need;
 * the connectivity guard's union-find runs on plain index arrays;
 * each round's effective activations and deactivations are applied in
   one batched pass over the packed-pair sets.
@@ -35,6 +37,7 @@ rather than silently diverging.
 from __future__ import annotations
 
 import types
+from itertools import chain
 
 import networkx as nx
 
@@ -83,53 +86,85 @@ class DenseNetwork:
     read protocol plus :meth:`apply` / :meth:`apply_external`), with all
     membership-style queries answered from the interned index space.
 
-    The bulk backend's kernel rounds use :meth:`apply_arrays` instead,
-    which keeps the active state as sorted packed-key arrays
-    (:meth:`key_arrays`) and leaves the Python views — ``_iadj``,
-    ``_active_pairs``, ``_frozen`` — behind until a read needs them:
-    every public read method, :meth:`apply` and :meth:`apply_external`
-    first patch them from the arrays (:meth:`_sync_views`), so they are
-    brought up to date at most once per array run.  Code reading those
-    attributes directly (contexts, the sparse scheduler) never runs
-    while the arrays lead.
+    The state starts as sorted packed-key arrays (:meth:`key_arrays`),
+    built straight from the graph's adjacency, and the bulk backend's
+    kernel rounds keep it there through :meth:`apply_arrays`.  The
+    Python views — ``_iadj``, ``_active_pairs``, ``_orig_pairs``,
+    ``_frozen`` — are built on first need and then left behind until a
+    read needs them: the public read methods that walk adjacency,
+    :meth:`apply` and :meth:`apply_external` first bring them up to
+    date (:meth:`_sync_views`), while :meth:`edges`,
+    :meth:`snapshot_graph`, :meth:`activated_edges` and the counters
+    read the arrays as long as those lead.  Code reading the view
+    attributes directly (contexts, the sparse scheduler) runs only
+    after :meth:`views`.
     """
 
     def __init__(self, graph: nx.Graph, *, require_connected: bool = True) -> None:
+        import numpy as np
+
+        from .edge_keys import MASK, both_dirs, uf_fold
+
         if graph.number_of_nodes() == 0:
             raise ConfigurationError("initial graph must have at least one node")
-        if require_connected and graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-            raise ConfigurationError("initial graph G_s must be connected")
         self._nodes = frozenset(graph.nodes())
-        _validate_label_comparability(self._nodes)
         # Intern in sorted uid order: when uids are exactly 0..n-1 (every
         # built-in workload family) the interning is the identity map and
         # all index->uid translation vanishes from the hot paths.
-        uid_of = sorted(graph.nodes())
+        try:
+            uid_of = sorted(self._nodes)
+        except TypeError:
+            _validate_label_comparability(self._nodes)
+            raise
+        n = len(uid_of)
         idx_of = {u: i for i, u in enumerate(uid_of)}
         self._uid_of: list = uid_of
         self._idx_of: dict = idx_of
         self._identity: bool = all(type(u) is int for u in uid_of) and uid_of == list(
-            range(len(uid_of))
+            range(n)
         )
-        self._iadj: list[set[int]] = [
-            {idx_of[v] for v in graph.neighbors(u)} for u in uid_of
-        ]
-        self._orig_pairs: set[int] = {
-            _pack(idx_of[u], idx_of[v]) for u, v in graph.edges()
-        }
-        self._active_pairs: set[int] = set(self._orig_pairs)
+        # The state starts in array mode (see key_arrays), built straight
+        # from the graph's adjacency: every directed edge once, sorted,
+        # and the undirected keys are its (lo, hi) half.
+        adj = graph._adj  # the dict of dicts behind graph.adj, read in C
+        degrees = np.fromiter(map(len, adj.values()), np.int64, n)
+        total = int(degrees.sum())
+        if self._identity:
+            src = np.fromiter(adj, np.int64, n)
+            dst = np.fromiter(chain.from_iterable(adj.values()), np.int64, total)
+        else:
+            src = np.fromiter(map(idx_of.__getitem__, adj), np.int64, n)
+            dst = np.fromiter(
+                map(idx_of.__getitem__, chain.from_iterable(adj.values())), np.int64, total
+            )
+        dirs = (src.repeat(degrees) << _SHIFT) | dst
+        dirs.sort()
+        keys = dirs[(dirs >> _SHIFT) <= (dirs & MASK)]
+        if keys.size and (dirs.size != 2 * keys.size):  # self-loops
+            dirs = both_dirs(keys)
+        if require_connected and n > 1:
+            roots = uf_fold(np.arange(n, dtype=np.int64), keys >> _SHIFT, keys & MASK)
+            if roots.any():
+                raise ConfigurationError("initial graph G_s must be connected")
+        #: Sorted undirected / directed / baseline key arrays (index
+        #: space) while the arrays lead; all None once per-edge
+        #: mutation has made the Python views lead (see key_arrays).
+        self._keys, self._dir, self._orig_keys = keys, dirs, keys
+        #: The Python views — int adjacency sets, active and original
+        #: packed-pair sets — are built on first need (_sync_views);
+        #: ``_view_keys`` is the key array they currently reflect.
+        self._iadj: list | None = None
+        self._active_pairs: set | None = None
+        self._orig_pairs: set | None = None
+        self._view_keys = None
         #: ``|E(i) \ E(1)|`` maintained incrementally by :meth:`apply`
         #: (and recomputed after external strikes): the per-round
         #: ``num_activated_edges`` read must not pay an O(active) set
         #: difference each emitted round.
         self._n_activated: int = 0
         # Per-index canonical neighborhood snapshot slots (None = stale).
-        self._frozen: list = [None] * len(uid_of)
+        self._frozen: list = [None] * n
         self._original_view: frozenset | None = None
-        # Array mode (see key_arrays): sorted undirected / directed /
-        # baseline key arrays, and the undirected array the Python views
-        # currently reflect.  All None until the first array round.
-        self._keys = self._dir = self._orig_keys = self._view_keys = None
         self.round = 1
 
     # ------------------------------------------------------------------
@@ -149,10 +184,31 @@ class DenseNetwork:
         """The external baseline edge set ``E(1)`` as uid edge keys."""
         view = self._original_view
         if view is None:
+            pairs = self._orig_pairs
             view = self._original_view = frozenset(
-                self._unpack(p) for p in self._orig_pairs
+                self._uid_pairs(self._orig_keys) if pairs is None
+                else map(self._unpack, pairs)
             )
         return view
+
+    def original_keys(self):
+        """``E(1)`` as a sorted packed-key array (index space)."""
+        if self._orig_keys is not None:
+            return self._orig_keys
+        import numpy as np
+
+        keys = np.fromiter(self._orig_pairs, np.int64, len(self._orig_pairs))
+        keys.sort()
+        return keys
+
+    def _uid_pairs(self, keys):
+        """The uid edge keys of a sorted packed-key array, in its order."""
+        lo = (keys >> _SHIFT).tolist()
+        hi = (keys & _MASK).tolist()
+        if self._identity:
+            return zip(lo, hi)
+        uid_of = self._uid_of
+        return (edge_key(uid_of[i], uid_of[j]) for i, j in zip(lo, hi))
 
     def _unpack(self, p: int) -> tuple:
         """The uid edge key of a packed index pair."""
@@ -196,11 +252,14 @@ class DenseNetwork:
         j = self._idx_of.get(v)
         if i is None or j is None:
             return False
+        if self._orig_pairs is None:
+            self._orig_pairs = set(self._orig_keys.tolist())
         return _pack(i, j) in self._orig_pairs
 
     def edges(self):
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        keys = self._keys
+        if keys is not None:  # the arrays lead: no view sync needed
+            return self._uid_pairs(keys)
         unpack = self._unpack
         return (unpack(p) for p in self._active_pairs)
 
@@ -211,8 +270,11 @@ class DenseNetwork:
 
     def activated_edges(self) -> set:
         """``E(i) \\ E(1)``: currently active edges not in the baseline."""
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        keys = self._keys
+        if keys is not None:
+            from .edge_keys import member
+
+            return set(self._uid_pairs(keys[~member(self._orig_keys, keys)]))
         unpack = self._unpack
         return {unpack(p) for p in self._active_pairs - self._orig_pairs}
 
@@ -377,21 +439,20 @@ class DenseNetwork:
         """The state as sorted packed-key arrays ``(active, directed,
         original)`` (:mod:`repro.engine.edge_keys` layout, index space).
 
-        The first call switches the network into array mode, which
-        :meth:`apply_arrays` keeps: the arrays lead, and the Python views
-        follow on the next read.  Identity-interned networks only (uids
+        A network starts in array mode, and :meth:`apply_arrays` keeps
+        it there: the arrays lead, and the Python views follow on the
+        next read.  After per-edge mutation has made the views lead, a
+        call switches back.  Identity-interned networks only (uids
         exactly ``0..n-1``, none crashed) — the networks the array
         kernels accept.
         """
+        if not self._identity or len(self._idx_of) != len(self._uid_of):
+            raise ConfigurationError("array rounds need uids 0..n-1 with none crashed")
         if self._keys is None:
             import numpy as np
 
             from .edge_keys import both_dirs
 
-            if not self._identity or len(self._idx_of) != len(self._uid_of):
-                raise ConfigurationError(
-                    "array rounds need uids 0..n-1 with none crashed"
-                )
             keys = np.fromiter(self._active_pairs, np.int64, len(self._active_pairs))
             keys.sort()
             orig = np.fromiter(self._orig_pairs, np.int64, len(self._orig_pairs))
@@ -472,11 +533,15 @@ class DenseNetwork:
         return act, dea
 
     def _sync_views(self) -> None:
-        """Patch the Python views to the key arrays: only the edges that
-        changed since the views were last current are touched."""
+        """Bring the Python views up to the key arrays: built in full on
+        first need, afterwards patched — only the edges that changed
+        since the views were last current are touched."""
         from .edge_keys import member
 
         old, new = self._view_keys, self._keys
+        if self._iadj is None:
+            self._build_views()
+            return
         added = new[~member(old, new)].tolist()
         removed = old[~member(new, old)].tolist()
         iadj, frozen = self._iadj, self._frozen
@@ -493,6 +558,41 @@ class DenseNetwork:
         self._active_pairs.difference_update(removed)
         self._active_pairs.update(added)
         self._view_keys = new
+
+    def _build_views(self) -> None:
+        """The Python views, built in full from the key arrays."""
+        import numpy as np
+
+        keys, dirs = self._keys, self._dir
+        bounds = np.searchsorted(
+            dirs, np.arange(len(self._uid_of) + 1, dtype=np.int64) << _SHIFT
+        ).tolist()
+        dst = (dirs & _MASK).tolist()
+        self._iadj = [set(dst[a:b]) for a, b in zip(bounds, bounds[1:])]
+        self._active_pairs = set(keys.tolist())
+        if self._orig_pairs is None:
+            self._orig_pairs = set(self._orig_keys.tolist())
+        self._view_keys = keys
+
+    def slot_key_arrays(self):
+        """``(uids, keys, dirs)`` while the key arrays lead and hold no
+        self-loop, else None: the sorted uids and the active undirected
+        and directed key arrays over their positions — the array
+        checkers' replay state at run start, handed over without
+        unpacking an edge (both sides build new arrays, never write in
+        place)."""
+        keys = self._keys
+        if keys is None or ((keys >> _SHIFT) == (keys & _MASK)).any():
+            return None
+        return list(self._uid_of), keys, self._dir
+
+    def views(self) -> None:
+        """Bring the Python views up to date.  Per-node round paths read
+        ``_iadj``/``_frozen``/``_orig_pairs`` directly (contexts, the
+        sparse scheduler), so the bulk runner calls this before building
+        any of their machinery."""
+        if self._keys is not self._view_keys:
+            self._sync_views()
 
     def _drop_arrays(self) -> None:
         """Leave array mode: the Python views lead again."""
@@ -615,15 +715,28 @@ class DenseConnectivityTracker:
         self._network = network
         self._rebuild()
 
-    def _rebuild(self, keys=None) -> None:
-        """Recompute from the network's active pairs, or from its active
-        key array in array rounds (``keys``)."""
+    def _rebuild(self) -> None:
+        """Recompute from the network's active edges: one array fold
+        while its key arrays lead, a per-pair union otherwise."""
         net = self._network
         size = len(net._uid_of)
+        keys = net._keys
+        if keys is not None:
+            import numpy as np
+
+            from .edge_keys import MASK, uf_fold
+
+            roots = uf_fold(np.arange(size, dtype=np.int64), keys >> _SHIFT, keys & MASK)
+            # Every node points at its root, so rank 1 bounds every
+            # tree's height.
+            self._parent = roots.tolist()
+            self._rank = (np.bincount(roots, minlength=size) > 1).astype(np.int64).tolist()
+            self._components = int(np.count_nonzero(roots == np.arange(size)))
+            return
         self._parent = list(range(size))
         self._rank = [0] * size
         self._components = net.n
-        for pair in net._active_pairs if keys is None else keys.tolist():
+        for pair in net._active_pairs:
             self._union(pair >> _SHIFT, pair & _MASK)
 
     def _find(self, x: int) -> int:
@@ -670,7 +783,7 @@ class DenseConnectivityTracker:
         """Fold one array round's committed sets (sorted packed keys,
         :meth:`DenseNetwork.apply_arrays`)."""
         if deactivations.size:
-            self._rebuild(self._network.key_arrays()[0])
+            self._rebuild()
         else:
             for pair in activations.tolist():
                 self._union(pair >> _SHIFT, pair & _MASK)
@@ -751,7 +864,12 @@ class DenseContext:
         if view is None:
             view = self._network._freeze(self._idx)
         if v in view:
-            return self._network.neighbors(v)
+            # Contexts run only while the Python views lead, like the
+            # reads above: go to the snapshot slots directly.
+            net = self._network
+            j = net._idx_of[v]
+            nview = self._frozen[j]
+            return nview if nview is not None else net._freeze(j)
         raise ProtocolViolation(f"{self.uid} read adjacency of non-neighbor {v}")
 
     def is_original(self, v, u=None) -> bool:

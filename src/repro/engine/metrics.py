@@ -103,40 +103,40 @@ class MetricsRecorder:
 
     def __init__(self, network: Network) -> None:
         self._network = network
-        self._original = network.original_edges
-        self._activated_degree: dict = {u: 0 for u in network.nodes}
+        #: ``E(1)`` as uid edge keys, read on first need (the per-edge
+        #: rounds and strikes; array rounds never read it).
+        self._original = None
         self._activated_now: set = set(network.activated_edges())
-        for u, v in self._activated_now:
-            self._activated_degree[u] += 1
-            self._activated_degree[v] += 1
         self.metrics = Metrics()
-        m = self.metrics
-        m.max_activated_edges = len(self._activated_now)
-        if self._activated_degree:
-            m.max_activated_degree = max(self._activated_degree.values())
         # Identity-interned networks (uids == indices 0..n-1, canonical
-        # (lo, hi) edge tuples) additionally get array-backed counters:
-        # dense-activity kernel rounds at n=10^6 push millions of edges
-        # through record_round, and the per-edge dict/set loop is ~3 us
-        # per edge while the packed-key path is ~50 ns.  The dict/set
-        # state stays authoritative (small rounds keep the plain loop);
-        # the arrays only mirror what the fast path needs.
+        # (lo, hi) edge tuples) get array-backed degree counters instead
+        # of the degree dict: dense-activity kernel rounds at n=10^6 push
+        # millions of edges through record_round, and the per-edge
+        # dict/set loop is ~3 us per edge while the packed-key path is
+        # ~50 ns.  The activated set stays authoritative (small rounds
+        # keep the plain loop); the arrays only mirror what the fast
+        # path needs.
         self._np = None
-        if getattr(network, "_identity", False):
+        if getattr(network, "_identity", False) and not self._activated_now:
             try:
                 import numpy
             except ImportError:  # pragma: no cover - numpy is a core dep
                 numpy = None
-            if numpy is not None and not self._activated_now:
-                pairs = getattr(network, "_orig_pairs", None)
-                if pairs is not None:
-                    self._np = numpy
-                    orig = numpy.fromiter(pairs, numpy.int64, len(pairs))
-                    orig.sort()
-                    self._orig_arr = orig
-                    self._degree_arr = numpy.zeros(network.n, numpy.int64)
-                    # Activated-only keys, for runs fed by record_keys.
-                    self._act_keys = orig[:0]
+            if numpy is not None:
+                self._np = numpy
+                self._orig_arr = network.original_keys()
+                self._degree_arr = numpy.zeros(network.n, numpy.int64)
+                # Activated-only keys, for runs fed by record_keys.
+                self._act_keys = self._orig_arr[:0]
+                return
+        degree = self._activated_degree = {u: 0 for u in network.nodes}
+        for u, v in self._activated_now:
+            degree[u] += 1
+            degree[v] += 1
+        m = self.metrics
+        m.max_activated_edges = len(self._activated_now)
+        if degree:
+            m.max_activated_degree = max(degree.values())
 
     def record_round(
         self,
@@ -162,9 +162,12 @@ class MetricsRecorder:
         top = m.max_activated_degree
         if np is not None and len(activations) >= _BULK_THRESHOLD:
             top = max(top, self._bulk_activations(activations))
-        else:
+        elif activations:
+            original = self._original
+            if original is None:
+                original = self._original = self._network.original_edges
             for e in activations:
-                if e not in self._original:
+                if e not in original:
                     self._activated_now.add(e)
                     du = degree[e[0]] + 1
                     dv = degree[e[1]] + 1
@@ -303,10 +306,7 @@ class MetricsRecorder:
         if self._np is not None:
             # Adversary wiring retires/extends the uid space and folds
             # edges into E(1): fall back to the dict counters for good.
-            degree = self._activated_degree
-            for u, d in enumerate(self._degree_arr.tolist()):
-                if d:
-                    degree[u] = d
+            self._activated_degree = dict(enumerate(self._degree_arr.tolist()))
             self._np = None
         self._original = self._network.original_edges
         degree = self._activated_degree

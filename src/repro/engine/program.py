@@ -233,10 +233,21 @@ class PhaseKernel:
       dispatches one vectorized due-filter per round, running only due
       nodes through the wrapped per-node methods.
     * **Array kernels** additionally implement
-      :meth:`init_state`/:meth:`step_round`/:meth:`finalize` and
-      :meth:`accepts`: whole rounds execute as single array dispatches
-      over struct-of-arrays program state with no per-node Python at
-      all.  The flooding kernel is the reference implementation.
+      :meth:`accepts`/:meth:`init_state`/:meth:`step_round`/
+      :meth:`materialize`: whole rounds execute as single array
+      dispatches over struct-of-arrays program state with no per-node
+      Python at all.  The flooding kernel is the reference
+      implementation.
+
+    On the bulk backend the whole-run array path is decided before any
+    program exists, and the kernel's state columns *are* the fleet:
+    the factory must be the program class itself, that class must keep
+    :meth:`NodeProgram.setup` as the base no-op (the kernel's initial
+    state is what the constructor builds, with nothing run in between),
+    and the run must have no adversary and no barrier.  No program,
+    context or public record is built during such a run;
+    ``RunResult.programs`` builds a node's program on first read and
+    has the kernel :meth:`materialize` it from the node's row.
 
     Array kernels come in two flavors, distinguished by
     :attr:`produces_actions`:
@@ -288,8 +299,10 @@ class PhaseKernel:
     # -- array-kernel level (optional) ------------------------------------
 
     def accepts(self, runner) -> bool:
-        """Whether the array path may drive this run (uniform population,
-        size/feature limits).  Scheduling-only kernels return False."""
+        """Whether the array path may drive this run (size/feature
+        limits).  Called before any program exists: read the runner's
+        network and flags only, never its programs.  Scheduling-only
+        kernels return False."""
         return False
 
     def assist_round(self, runner, recorder, observers) -> bool:
@@ -301,7 +314,9 @@ class PhaseKernel:
         return False
 
     def init_state(self, runner):
-        """Gather per-node program state into struct-of-arrays form."""
+        """The whole population's initial program state, in
+        struct-of-arrays form (from the network alone: no program
+        exists yet)."""
         raise NotImplementedError
 
     def step_round(self, state, round_no: int):
@@ -316,6 +331,9 @@ class PhaseKernel:
         """
         raise NotImplementedError
 
-    def finalize(self, state, runner) -> None:
-        """Scatter bulk state back into the per-node program objects."""
+    def materialize(self, state, uid, prog) -> None:
+        """Write node ``uid``'s row of ``state`` into ``prog``, a freshly
+        constructed program (or one materialized from an earlier state),
+        so that after the run it is indistinguishable from the program a
+        per-node run leaves behind."""
         raise NotImplementedError

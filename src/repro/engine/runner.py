@@ -45,7 +45,13 @@ def resolve_backend(backend: str | None = None) -> str:
 
 @dataclass
 class RunResult:
-    """Everything produced by one execution."""
+    """Everything produced by one execution.
+
+    ``programs`` maps every uid to its final program, in the order the
+    network's nodes had at construction.  On a bulk whole-run kernel run
+    it is a read-only lazy mapping that builds a program from the
+    kernel's state row on first read (:class:`repro.engine.bulk.KernelFleet`).
+    """
 
     network: Network
     programs: Mapping
@@ -202,10 +208,6 @@ class SynchronousRunner:
             )
         self.backend = self.backend_name
         self.network = self._make_network(graph)
-        self.programs: dict = {uid: program_factory(uid) for uid in self.network.nodes}
-        for uid, prog in self.programs.items():
-            if prog.uid != uid:
-                raise ConfigurationError(f"program for node {uid} reports uid {prog.uid}")
         self.knows_n = knows_n
         self.use_barrier = use_barrier
         self.check_connectivity = check_connectivity
@@ -216,20 +218,28 @@ class SynchronousRunner:
         self.adversary = adversary
         self.program_factory = program_factory
         self.barrier_epoch = 0
-        # Ordered set of non-halted uids (dict for deterministic iteration).
-        self._live: dict = {
-            uid: None for uid, prog in self.programs.items() if not prog.halted
-        }
-        self._publics: dict = {}
+        self._publics: Mapping = {}
         self._contexts: dict = {}
         self._dirty: set = set()
         self._actions = RoundActions()
+        self._init_fleet()
         self._conn = self._make_tracker() if check_connectivity else None
         self._n_dynamic = adversary is not None
         # Telemetry probe (repro.telemetry): discovered from the observer
         # pipeline in run().  None keeps every probe site on the hot path
         # at one `is None` test per round, like the adversary hook.
         self._probe = None
+
+    @property
+    def program_class(self) -> type | None:
+        """The fleet's program class: the factory itself when it is a
+        class, else the class of the first program (a mixed population
+        is described by its first member)."""
+        factory = self.program_factory
+        if isinstance(factory, type):
+            return factory
+        programs = self.programs
+        return type(next(iter(programs.values()))) if programs else None
 
     # -- backend hooks (overridden by the bulk backend) -----------------
 
@@ -240,8 +250,45 @@ class SynchronousRunner:
     def _make_tracker(self):
         return ConnectivityTracker(self.network)
 
-    def _post_setup(self) -> None:
-        """Hook run after setup()/halt pruning, before the first round."""
+    def _init_fleet(self) -> None:
+        """Build every node's program and the live set."""
+        factory = self.program_factory
+        self.programs: Mapping = {uid: factory(uid) for uid in self.network.nodes}
+        for uid, prog in self.programs.items():
+            if prog.uid != uid:
+                raise ConfigurationError(f"program for node {uid} reports uid {prog.uid}")
+        # Ordered set of non-halted uids (dict for deterministic iteration).
+        self._live: dict = {
+            uid: None for uid, prog in self.programs.items() if not prog.halted
+        }
+
+    def _setup(self, adversary) -> None:
+        """Run every program's ``setup()`` with read-only contexts, then
+        retire the programs that halted in it (before round 1)."""
+        net = self.network
+        programs = self.programs
+        setup_actions = RoundActions()
+        for uid, prog in programs.items():
+            self._publics[uid] = prog.public()
+        for uid, prog in programs.items():
+            ctx = self._context_cls(
+                uid=uid,
+                round_no=net.round,
+                publics=self._publics,
+                actions=setup_actions,
+                network=net,
+                n=net.n if self.knows_n else None,
+                barrier_epoch=self.barrier_epoch,
+            )
+            prog.setup(ctx)
+        if setup_actions:
+            raise ProtocolViolation("setup() must not request edge actions")
+        # setup() may change public-visible state: round 1 must re-snapshot.
+        self._dirty.update(programs)
+        # A program may halt during setup(); it must not run any round.
+        for uid in list(self._live):
+            if programs[uid].halted:
+                del self._live[uid]
 
     # ------------------------------------------------------------------
 
@@ -268,7 +315,6 @@ class SynchronousRunner:
 
     def run(self, adversary=None) -> RunResult:
         net = self.network
-        programs = self.programs
         limit = self.max_rounds if self.max_rounds is not None else _default_round_limit(net.n)
         # The in-memory trace is just one observer on the record stream.
         pipeline = list(self.observers)
@@ -297,30 +343,8 @@ class SynchronousRunner:
         # Joins/crashes change n mid-run; contexts only re-read it then.
         self._n_dynamic = adversary is not None
 
-        # Setup hooks (before round 1), read-only contexts.
-        setup_actions = RoundActions()
-        for uid, prog in programs.items():
-            self._publics[uid] = prog.public()
-        for uid, prog in programs.items():
-            ctx = self._context_cls(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-        if setup_actions:
-            raise ProtocolViolation("setup() must not request edge actions")
-        # setup() may change public-visible state: round 1 must re-snapshot.
-        self._dirty.update(programs)
-        # A program may halt during setup(); it must not run any round.
-        for uid in list(self._live):
-            if programs[uid].halted:
-                del self._live[uid]
-        self._post_setup()
+        # Setup hooks (before round 1).
+        self._setup(adversary)
 
         if probe is not None:
             probe.bind_runner(self, limit=limit)
@@ -345,7 +369,7 @@ class SynchronousRunner:
                 obs.on_run_end(recorder.metrics)
         return RunResult(
             network=net,
-            programs=programs,
+            programs=self.programs,
             metrics=recorder.metrics,
             trace=trace_observer.trace if trace_observer is not None else None,
             rounds=net.round - 1,

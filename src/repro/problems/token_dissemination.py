@@ -47,15 +47,12 @@ class FloodPhaseKernel(PhaseKernel):
     )
 
     def accepts(self, runner) -> bool:
-        net = runner.network
-        return (
-            runner.knows_n
-            and net.n <= self.MAX_N
-            and len(runner._uids) == net.n
-        )
+        return runner.knows_n and runner.network.n <= self.MAX_N
 
     def init_state(self, runner):
         import numpy as np
+
+        from ..engine.edge_keys import MASK, SHIFT
 
         net = runner.network
         n = net.n
@@ -63,17 +60,15 @@ class FloodPhaseKernel(PhaseKernel):
         rows = np.arange(n)
         bits = np.zeros((n, words), dtype=np.uint64)
         bits[rows, rows >> 6] = np.uint64(1) << (rows & 63).astype(np.uint64)
-        # Static adjacency in CSR form over interned indices.
-        degrees = np.fromiter((len(s) for s in net._iadj), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter(
-            (j for s in net._iadj for j in sorted(s)),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
+        # Static adjacency in CSR form over interned indices: the
+        # network's sorted directed key array (index space; a fresh
+        # network's arrays lead) is that form already.
+        dirs = net._dir
+        indptr = np.searchsorted(dirs, np.arange(n + 1, dtype=np.int64) << SHIFT)
+        indices = dirs & MASK
         return {
             "n": n,
+            "net": net,
             "uid_of": list(net._uid_of),
             "bits": bits,
             "fresh": bits.copy(),
@@ -122,22 +117,31 @@ class FloodPhaseKernel(PhaseKernel):
         uid_of = state["uid_of"]
         return [uid_of[i] for i in self.step_arrays(state)]
 
-    def finalize(self, state, runner) -> None:
-        net = runner.network
-        programs = runner.programs
-        publics = runner._publics
-        # The run only completes when every node halted, and halting
-        # requires a complete token set: all rows hold all n tokens, so
-        # one shared immutable set materializes the O(n^2) bits in O(n).
-        everything = frozenset(net._uid_of)
-        halted = state["halted"]
-        for i, uid in enumerate(net._uid_of):
-            prog = programs[uid]
+    def materialize(self, state, uid, prog) -> None:
+        i = state["net"]._idx_of[uid]
+        if state["counts"][i] == state["n"]:
+            # Every complete row holds all n tokens: one shared immutable
+            # set materializes the O(n^2) bits of a finished run in O(n).
+            everything = state.get("everything")
+            if everything is None:
+                everything = state["everything"] = frozenset(state["uid_of"])
             prog.tokens = everything
-            prog._fresh = set()
-            if halted[i] and not prog.halted:
-                prog.halt()
-            publics[uid] = prog.public()
+        else:
+            prog.tokens = self._row_uids(state, state["bits"][i])
+        prog._fresh = self._row_uids(state, state["fresh"][i])
+        if state["halted"][i] and not prog.halted:
+            prog.halt()
+
+    @staticmethod
+    def _row_uids(state, words) -> set:
+        """The uids whose bits are set in one bitset row."""
+        import numpy as np
+
+        if not words.any():
+            return set()
+        uid_of = state["uid_of"]
+        bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+        return {uid_of[j] for j in np.flatnonzero(bits).tolist()}
 
 
 class FloodTokensProgram(NodeProgram):

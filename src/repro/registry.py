@@ -95,16 +95,18 @@ class ScenarioSpec:
     supports_backend: bool | None = None
     supports_adversary: bool | None = None
     supports_trace: bool = True
-    #: The scenario's programs declare bulk-sparse semantics (PR 6), so
-    #: ``--backend bulk`` is profitable and differentially tested.  Off
-    #: by default: a scenario must opt in once its programs are covered
-    #: by the cross-backend corpus.
+    #: ``--backend bulk`` is offered: the scenario's programs are covered
+    #: by the cross-backend corpus, and bulk runs them on a kernel, on
+    #: sparse scheduling (bulk-sparse programs, PR 6) or on its per-node
+    #: loop (clique).  Off by default: a scenario must opt in once its
+    #: programs are covered.
     supports_bulk: bool = False
-    #: The scenario's information content is Θ(n²) — every node ends up
-    #: holding Θ(n) state (flood-style dissemination, including max-UID
-    #: leader election, which floods all n UIDs).  Such scenarios fit no
-    #: memory budget at n = 10⁵ on *any* backend, so size-tier presets
-    #: (e.g. ``xlarge``) must exclude them.
+    #: The scenario's state is Θ(n²) — every node ends up holding Θ(n)
+    #: tokens or edges (flood-style dissemination, including max-UID
+    #: leader election, which floods all n UIDs, and the clique
+    #: baseline).  Such scenarios fit no memory budget at n = 10⁵ on
+    #: *any* backend, so size-tier presets (e.g. ``xlarge``) must
+    #: exclude them.
     quadratic_state: bool = False
     #: The :class:`~repro.engine.NodeProgram` classes the scenario runs,
     #: in stage order (compositions list one per stage).  Kernel coverage
@@ -252,6 +254,8 @@ def _ensure_defaults() -> None:
             "clique", run_clique_formation, "distributed",
             description="clique baseline: fast but Theta(n^2) edges",
             paper="Sec 1.2",
+            supports_bulk=True,
+            quadratic_state=True,
             invariants=quadratic,
         ),
         ScenarioSpec(

@@ -63,15 +63,13 @@ DISPATCH_UNPROBED = "unprobed"
 def _phase_of_for(runner):
     """The population's ``phase_of`` mapping, when one kernel declares it.
 
-    Populations are uniform on the kernel paths that matter; the first
-    program's class speaks for the fleet (a mixed population simply
-    falls back to the single "all" phase row).
+    Populations are uniform on the kernel paths that matter; the
+    runner's program class speaks for the fleet (a mixed population
+    simply falls back to the single "all" phase row).  Reading the
+    class, not a program, keeps a kernel run's fleet unbuilt.
     """
-    programs = getattr(runner, "programs", None)
-    if not programs:
-        return None
-    prog = next(iter(programs.values()))
-    kernel = getattr(type(prog), "phase_kernel", None)
+    cls = getattr(runner, "program_class", None)
+    kernel = getattr(cls, "phase_kernel", None)
     if kernel is None:
         return None
     return getattr(kernel, "phase_of", None)

@@ -538,6 +538,24 @@ class TestSweepTier:
         out = capsys.readouterr().out
         assert "bulk" in out and "leader" not in out
 
+    def test_scale_tiers_exclude_clique(self):
+        # clique is bulk-capable (bulk's per-node loop runs it) but its
+        # Θ(n²) edges mark it quadratic_state, which keeps it out of both
+        # scale tiers.
+        from repro.cli import SWEEP_TIERS
+        from repro.registry import get_scenario
+
+        spec = get_scenario("clique")
+        assert spec.supports_bulk and spec.quadratic_state
+        for tier in ("xlarge", "xxlarge"):
+            assert "clique" not in SWEEP_TIERS[tier]["algorithms"]()
+
+    def test_clique_runs_on_bulk_per_node_loop(self, capsys):
+        assert main(["-a", "clique", "-f", "ring", "--n", "16",
+                     "--backend", "bulk", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "bulk" in out and "pernode:" in out
+
     def test_default_sweep_grid_unchanged(self, capsys):
         assert main(["sweep", "--quiet"]) == 0
         out = capsys.readouterr().out

@@ -599,8 +599,9 @@ def test_idle_rounds_keep_per_round_checks(stream, selection):
 def test_shared_replay_slots_each_round_once(monkeypatch):
     """Both checkers attached: two ``_to_slots`` calls per round that
     changes an edge (the activations and the deactivations), none on an
-    idle round, plus one per run start — so a second fold per checker
-    would show."""
+    idle round — so a second fold per checker would show — and none at
+    the run start, where the replay adopts the bulk network's own key
+    arrays (``DenseNetwork.slot_key_arrays``)."""
     calls = []
     to_slots = ArrayReplayTracker._to_slots
 
@@ -624,7 +625,7 @@ def test_shared_replay_slots_each_round_once(monkeypatch):
     )
     assert all(c.ok for c in checkers)
     assert len(busy) == result.rounds and 0 < sum(busy) < result.rounds
-    assert len(calls) == 2 * sum(busy) + 1
+    assert len(calls) == 2 * sum(busy)
 
 
 def test_detour_rule_skips_most_rebuilds(monkeypatch):

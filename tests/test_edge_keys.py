@@ -4,13 +4,16 @@ Python-set brute force.
 These primitives are both the bulk engine's array apply and the array
 checkers' replay, so every answer is held to a plain set computation:
 sorted positions, membership, dedupe, sorted merge and delete, the
-directed closure, the distance-2 test and the legality codes.  Batches
-are drawn empty, single-element, duplicate-heavy (endpoints come from a
-few slots) and on both sides of the two size switches:
+directed closure, the distance-2 and 3-walk tests (with and without a
+slice-start table) and the legality codes.  Batches are drawn empty,
+single-element, duplicate-heavy (endpoints come from a few slots) and on
+both sides of the size switches:
 :data:`~repro.engine.edge_keys.SMALL_BATCH`, where
 :func:`~repro.engine.edge_keys.positions` moves from direct to
-sorted-order probing, and :data:`~repro.engine.edge_keys.SPLICE_MAX`,
-where merges and deletes move from slice splicing to a boolean mask.
+sorted-order probing, :data:`~repro.engine.edge_keys.SPLICE_MAX`,
+where merges and deletes move from slice splicing to a boolean mask,
+and :data:`~repro.engine.edge_keys.MERGE_BY_SORT`, where merges move
+from probing to a stable sort.
 """
 
 from bisect import bisect_left
@@ -148,3 +151,107 @@ def test_legality_codes(data, n):
     codes, packed = ek.legality_codes(keys, dirs, su, sv)
     assert codes.tolist() == [code(x, y) for x, y in zip(su.tolist(), sv.tolist())]
     assert packed.tolist() == ek.pack(su, sv).tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), big=st.integers(min_value=40, max_value=90))
+def test_merge_in_on_both_sides_of_the_sort_switch(data, big):
+    """Bases of up to ~4000 keys take adds from a handful (probing,
+    spliced or masked) to well past ``base.size / MERGE_BY_SORT``
+    (sorting); deletes reuse positions the caller probed."""
+    base = data.draw(key_sets(big))
+    present = set(base.tolist())
+    outside = sorted(
+        (u << ek.SHIFT) | v for u in range(big, big + 40) for v in range(u + 1, big + 41)
+    )
+    k = data.draw(st.sampled_from(
+        [1, SM, SM + 1, max(1, base.size // ek.MERGE_BY_SORT - 1),
+         base.size // ek.MERGE_BY_SORT + 1, len(outside)]
+    ))
+    add = _keys(data.draw(st.permutations(outside))[:k])
+    assert ek.merge_in(base, add).tolist() == sorted(present | set(add.tolist()))
+    rem = _keys(data.draw(st.permutations(base.tolist()))[: min(k, base.size)])
+    at = base.searchsorted(rem)
+    expected = sorted(present - set(rem.tolist()))
+    assert ek.delete_from(base, rem).tolist() == expected
+    assert ek.delete_from(base, rem, at).tolist() == expected
+
+
+def _walk3(adj, x, y):
+    return any(adj.get(w, set()) & adj.get(y, set()) for w in adj.get(x, ()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=N)
+def test_distance_witnesses_with_slice_starts(data, n):
+    """``dist2_witness``/``dist2_ok`` and ``walk3_witness`` against brute
+    force, reading slice bounds by probing and off a
+    :func:`slice_starts` table alike: a witness exists exactly when the
+    brute force finds one, and every witness is a real walk;
+    ``walk3_witness`` gives up (None) exactly when an expansion tops its
+    budget."""
+    dirs = ek.both_dirs(data.draw(key_sets(n)))
+    a, b = data.draw(slot_pairs(n))
+    adj = _adjacency(dirs)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    starts = ek.slice_starts(np.bincount(dirs >> ek.SHIFT, minlength=n))
+    two = [bool(adj.get(x, set()) & adj.get(y, set())) for x, y in pairs]
+    three = [_walk3(adj, x, y) for x, y in pairs]
+
+    def edge(u, v):
+        return v in adj.get(u, ())
+
+    for table in (None, starts):
+        assert ek.dist2_ok(dirs, a, b, table).tolist() == two
+        w = ek.dist2_witness(dirs, a, b, table).tolist()
+        assert [c >= 0 for c in w] == two
+        assert all(edge(x, c) and edge(c, y) for (x, y), c in zip(pairs, w) if c >= 0)
+        wx, wy = (arr.tolist() for arr in ek.walk3_witness(dirs, a, b, table))
+        assert [c >= 0 for c in wx] == three == [c >= 0 for c in wy]
+        assert all(
+            edge(x, p) and edge(p, q) and edge(q, y)
+            for (x, y), p, q in zip(pairs, wx, wy) if p >= 0
+        )
+    deg = {x: len(adj.get(x, ())) for x in range(n)}
+    first = [min(deg[x], deg[y]) for x, y in pairs]
+    inner = [
+        min(deg[w], deg[y if deg[x] <= deg[y] else x])
+        for x, y in pairs
+        for w in sorted(adj.get(x if deg[x] <= deg[y] else y, ()))
+    ]
+    budget = data.draw(st.integers(min_value=0, max_value=max(sum(first), sum(inner), 1)))
+    got = ek.walk3_witness(dirs, a, b, starts, budget)
+    if a.size and (sum(first) > budget or sum(inner) > budget):
+        assert got is None
+    else:
+        assert [c >= 0 for c in got[0].tolist()] == three
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=N)
+def test_uf_fold_spanning_forest(data, n):
+    """``uf_fold(..., forest=True)``: the roots label the components and
+    the picked edges are a spanning forest of them — one edge per merge,
+    no cycle, the same partition."""
+    keys = data.draw(key_sets(n))
+    uu, vv = keys >> ek.SHIFT, keys & ek.MASK
+    roots, picked = ek.uf_fold(np.arange(n), uu, vv, forest=True)
+    assert np.array_equal(roots, ek.uf_fold(np.arange(n), uu, vv))
+    comps = {}
+    for x, r in enumerate(roots.tolist()):
+        comps.setdefault(r, set()).add(x)
+    assert len(picked) == n - len(comps)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for k in picked.tolist():
+        x, y = find(int(uu[k])), find(int(vv[k]))
+        assert x != y  # no cycle
+        parent[x] = y
+    assert len({find(x) for x in range(n)}) == len(comps)
+    for members in comps.values():
+        assert len({find(x) for x in members}) == 1
