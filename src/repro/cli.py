@@ -90,9 +90,9 @@ SWEEP_TIERS: dict = {
     # even the sparse per-node paths are too slow; only scenarios whose
     # whole rounds execute as array dispatches (the derived ``kernel``
     # capability) and that keep sub-quadratic state qualify — today
-    # that is GraphToStar on the star dense-phase kernel.  Budget on
-    # the 1-CPU reference machine: ~30s build + ~4 min run, ~5 GB RSS
-    # (see BENCH_engine.json and the CI xxlarge smoke ceilings).
+    # that is GraphToStar on the star dense-phase kernel.  Budget on a
+    # 2-vCPU VM: ~13 s build + ~31 s run, under 2 GB RSS (see
+    # BENCH_engine.json and the CI xxlarge smoke ceilings).
     "xxlarge": {
         "algorithms": lambda: [
             spec.name
