@@ -177,6 +177,17 @@ class WreathSpliceKernel(PhaseKernel):
         return True
 
 
+def _segment_table(cls) -> tuple:
+    """The ``(step, done)`` functions per segment, indexed like
+    ``SEGMENTS``.  Read off the class once, so a subclass's overrides win
+    and no program holds bound methods of itself (which would make every
+    node a reference cycle that only the cyclic collector can free)."""
+    return tuple(
+        (getattr(cls, f"_seg_{seg.lower()}"), getattr(cls, f"_done_{seg.lower()}"))
+        for seg in SEGMENTS
+    )
+
+
 class GraphToWreathProgram(NodeProgram):
     """One node of GraphToWreath."""
 
@@ -200,15 +211,12 @@ class GraphToWreathProgram(NodeProgram):
         self._halt_at = None
         self._orig_neighbors: set = set()
         self._public: dict | None = None
-        self._seg_handlers = tuple(
-            (
-                getattr(self, f"_seg_{seg.lower()}"),
-                getattr(self, f"_done_{seg.lower()}"),
-            )
-            for seg in SEGMENTS
-        )
         self._reset_phase_state()
         self._refresh_public()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._seg_table = _segment_table(cls)
 
     # ------------------------------------------------------------------
     # lifecycle / bookkeeping
@@ -334,17 +342,14 @@ class GraphToWreathProgram(NodeProgram):
             messages = [(src, m) for src, ms in inbox.items() for m in ms]
         else:
             messages = []
-        step, done = self._seg_handlers[self.segment]
-        step(ctx, messages)
+        step, done = self._seg_table[self.segment]
+        step(self, ctx, messages)
         if self._halt_at is not None and ctx.round >= self._halt_at:
             self._refresh_public()
             self.halt()
             return
-        self.barrier_ready = not self._outbox and done(ctx)
+        self.barrier_ready = not self._outbox and done(self, ctx)
         self._refresh_public()
-
-    def _segment_done(self, ctx) -> bool:
-        return self._seg_handlers[self.segment][1](ctx)
 
     #: Parked rounds are no-ops: a node with an empty outbox past a
     #: segment's opening beats only reacts to messages and to neighbor
@@ -768,6 +773,9 @@ class GraphToWreathProgram(NodeProgram):
 
     def _done_newcid(self, ctx) -> bool:
         return self._got_newcid
+
+
+GraphToWreathProgram._seg_table = _segment_table(GraphToWreathProgram)
 
 
 def run_graph_to_wreath(graph: nx.Graph, **runner_kwargs) -> RunResult:

@@ -48,7 +48,8 @@ backend" spells out the skip-soundness argument.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, not_
 
 try:
     import numpy as np
@@ -160,7 +161,10 @@ class BulkRunner(SynchronousRunner):
     * ``_stale[i]`` — an external wake condition fired since the
       program's last ``bulk_next_wake`` acknowledgement.
 
-    Rebuilds (halt waves, joins, crashes) carry wake state over by uid.
+    Halt batches and crashes compact the arrays by a keep mask, so the
+    survivors keep their wake state; a rebuild from ``_slots`` (setup,
+    joins, the per-node path) starts everyone due — a join arrives with
+    a perturbation, which wakes the whole fleet anyway.
     """
 
     backend_name = "bulk"
@@ -270,43 +274,68 @@ class BulkRunner(SynchronousRunner):
         self._next_wakes = [s[1].bulk_next_wake for s in slots]
         self._ctxs = [s[2] for s in slots]
         self._all_plain = not any(p.manages_public_dirty for p in progs)
-        self._live = dict.fromkeys(self._uids)
 
         sparse = bool(progs) and all(
             type(p).bulk_sparse and not type(p).manages_public_dirty for p in progs
         )
         size = len(progs)
         net = self.network
-        wake = np.full(size, net.round, dtype=np.int64)
-        stale = np.ones(size, dtype=bool)
-        if sparse and self._sparse:
-            prev_pos, prev_wake, prev_stale = self._pos_of_uid, self._wake, self._stale
-            for pos, uid in enumerate(self._uids):
-                j = prev_pos.get(uid)
-                if j is not None:
-                    wake[pos] = prev_wake[j]
-                    stale[pos] = prev_stale[j]
         self._sparse = sparse
-        self._wake = wake
-        self._stale = stale
-        self._pos_of_uid = {u: i for i, u in enumerate(self._uids)}
+        self._wake = np.full(size, net.round, dtype=np.int64)
+        self._stale = np.ones(size, dtype=bool)
         self._ready = [p.barrier_ready for p in progs]
         self._ready_count = sum(self._ready)
         # Current public-record object per slot (identity = change test).
         publics = self._publics
         self._pub_objs = [publics.get(uid) for uid in self._uids]
-        # Network index -> slot position, for trigger propagation along
-        # interned adjacency (-1: halted or crashed, nothing to wake).
         idx_of = net._idx_of
-        spos = np.full(len(net._uid_of), -1, dtype=np.int64)
-        for pos, uid in enumerate(self._uids):
-            spos[idx_of[uid]] = pos
-        self._slot_of_idx = spos
         self._net_idx = [idx_of[uid] for uid in self._uids]
+        self._index_slots()
+
+    def _index_slots(self) -> None:
+        """Derive the live set and the two slot-position maps: uid ->
+        position, and network index -> position for trigger propagation
+        along interned adjacency (-1: halted or crashed, nothing to wake)."""
+        uids = self._uids
+        self._live = dict.fromkeys(uids)
+        self._pos_of_uid = {u: i for i, u in enumerate(uids)}
+        spos = np.full(len(self.network._uid_of), -1, dtype=np.int64)
+        spos[self._net_idx] = np.arange(len(uids))
+        self._slot_of_idx = spos
 
     def _rebuild_batch(self) -> None:
-        self._slots = [s for s in self._slots if not s[1].halted]
-        self._refresh_slot_arrays()
+        """Drop the halted (or crashed) slots.
+
+        On the sparse path every slot array is compacted by one keep
+        mask: survivors keep their order, wake state, ready flags and
+        record identities, so nothing is re-derived from the programs
+        (a halting wave comes in many small batches).  Callers that
+        changed ready flags behind the arrays (``on_barrier``) re-read
+        ``_ready`` themselves.  The per-node path keeps no wake state
+        and rebuilds from ``_slots``.
+        """
+        if not self._sparse:
+            self._slots = [s for s in self._slots if not s[1].halted]
+            self._refresh_slot_arrays()
+            return
+        keep = list(map(not_, map(_HALTED, self._progs)))
+        self._slots = list(compress(self._slots, keep))
+        self._uids = list(compress(self._uids, keep))
+        self._progs = list(compress(self._progs, keep))
+        self._composes = list(compress(self._composes, keep))
+        self._transitions = list(compress(self._transitions, keep))
+        self._publicfns = list(compress(self._publicfns, keep))
+        self._next_wakes = list(compress(self._next_wakes, keep))
+        self._ctxs = list(compress(self._ctxs, keep))
+        self._ready = list(compress(self._ready, keep))
+        self._ready_count = sum(self._ready)
+        self._pub_objs = list(compress(self._pub_objs, keep))
+        self._net_idx = list(compress(self._net_idx, keep))
+        mask = np.array(keep, dtype=bool)
+        self._wake = self._wake[mask]
+        self._stale = self._stale[mask]
+        self._sparse = bool(self._progs)
+        self._index_slots()
 
     # ------------------------------------------------------------------
     # round execution
@@ -627,9 +656,9 @@ class BulkRunner(SynchronousRunner):
         self._pub_objs = [publics[uid] for uid in self._uids]
         if True in map(_HALTED, progs):
             self._rebuild_batch()
-        else:
-            self._ready = [p.barrier_ready for p in progs]
-            self._ready_count = sum(self._ready)
+        # on_barrier() moved the ready flags behind the arrays' back.
+        self._ready = [p.barrier_ready for p in self._progs]
+        self._ready_count = sum(self._ready)
         return barrier_wakes
 
     # ------------------------------------------------------------------

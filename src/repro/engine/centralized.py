@@ -18,6 +18,7 @@ from .actions import RoundActions
 from .metrics import Metrics, MetricsRecorder
 from .network import Network
 from .observers import TraceObserver
+from .runner import frozen_heap
 from .trace import RoundRecord, Trace
 
 
@@ -78,34 +79,35 @@ def run_centralized(
             o.on_run_start(network)
 
     running = True
-    while running:
-        if network.round > max_rounds:
-            raise ExecutionError(f"round limit {max_rounds} exceeded")
-        actions = RoundActions()
-        running = strategy.plan_round(network, actions)
-        if not running and not actions:
-            break
-        per_node = actions.activation_count_by_actor()
-        round_no = network.round
-        # Emitted after the break decision so every round-start is
-        # followed by exactly one committed-round record.
-        if obs is not None:
-            for o in obs:
-                o.on_round_start(round_no)
-        activations, deactivations = network.apply(actions, strict=strict)
-        recorder.record_round(activations, deactivations, per_node)
-        connected = network.is_connected() if check_connectivity else True
-        if obs is not None:
-            record = RoundRecord(
-                round=round_no,
-                activations=frozenset(activations),
-                deactivations=frozenset(deactivations),
-                active_edges=network.num_active_edges,
-                activated_edges=len(network.activated_edges()),
-                connected=connected,
-            )
-            for o in obs:
-                o.on_round(record)
+    with frozen_heap():
+        while running:
+            if network.round > max_rounds:
+                raise ExecutionError(f"round limit {max_rounds} exceeded")
+            actions = RoundActions()
+            running = strategy.plan_round(network, actions)
+            if not running and not actions:
+                break
+            per_node = actions.activation_count_by_actor()
+            round_no = network.round
+            # Emitted after the break decision so every round-start is
+            # followed by exactly one committed-round record.
+            if obs is not None:
+                for o in obs:
+                    o.on_round_start(round_no)
+            activations, deactivations = network.apply(actions, strict=strict)
+            recorder.record_round(activations, deactivations, per_node)
+            connected = network.is_connected() if check_connectivity else True
+            if obs is not None:
+                record = RoundRecord(
+                    round=round_no,
+                    activations=frozenset(activations),
+                    deactivations=frozenset(deactivations),
+                    active_edges=network.num_active_edges,
+                    activated_edges=len(network.activated_edges()),
+                    connected=connected,
+                )
+                for o in obs:
+                    o.on_round(record)
 
     recorder.metrics.rounds = network.round - 1
     if obs is not None:

@@ -9,12 +9,17 @@ Hot-path design (see DESIGN.md, "Engine hot path"):
 * one :class:`Context` per node is built lazily and reused across rounds;
 * one :class:`RoundActions` batch is reused (cleared) across rounds;
 * the optional connectivity guard is incremental: activations fold into a
-  union-find, and only rounds with deactivations pay a full recheck.
+  union-find, and only rounds with deactivations pay a full recheck;
+* the heap built before round 1 is frozen for the round loop
+  (:func:`frozen_heap`), so the cyclic collector walks only what the
+  run itself allocates.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -41,6 +46,28 @@ def resolve_backend(backend: str | None = None) -> str:
             f"unknown engine backend {name!r}; known backends: {BACKENDS}"
         )
     return name
+
+
+@contextmanager
+def frozen_heap():
+    """Keep the cyclic collector off every object that exists on entry.
+
+    ``gc.freeze()`` moves the tracked heap — imported modules, the graph,
+    the network, the fleet, the checkers — into the permanent generation,
+    so the collections a round loop triggers walk only the objects the
+    run allocates; ``gc.unfreeze()`` hands them back on exit, whether the
+    body returns or raises.  A heap someone else already froze (a
+    pre-fork server, an enclosing run) is left exactly as it is.  See
+    DESIGN.md, "Engine hot path".
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 @dataclass
@@ -348,20 +375,24 @@ class SynchronousRunner:
 
         if probe is not None:
             probe.bind_runner(self, limit=limit)
-        if observers is not None:
-            for obs in observers:
-                obs.on_run_start(net)
-
-        recorder = MetricsRecorder(net)
-        while self._live:
-            if net.round > limit:
-                raise ExecutionError(
-                    f"round limit {limit} exceeded; "
-                    f"{len(self._live)} nodes still running"
-                )
-            self._run_round(recorder, round_observers)
-            if adversary is not None and self._live:
-                self._apply_adversary(adversary, recorder, observers)
+        try:
+            if observers is not None:
+                for obs in observers:
+                    obs.on_run_start(net)
+            recorder = MetricsRecorder(net)
+            with frozen_heap():
+                while self._live:
+                    if net.round > limit:
+                        raise ExecutionError(
+                            f"round limit {limit} exceeded; "
+                            f"{len(self._live)} nodes still running"
+                        )
+                    self._run_round(recorder, round_observers)
+                    if adversary is not None and self._live:
+                        self._apply_adversary(adversary, recorder, observers)
+        finally:
+            if probe is not None:
+                probe.unbind_runner()
 
         recorder.metrics.rounds = net.round - 1
         if observers is not None:

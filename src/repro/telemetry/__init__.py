@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`TelemetryObserver` — per-round instrumentation riding the
   observer stream plus runner-side probes (``bind_runner`` /
-  ``probe_round`` / ``probe_wake``).
+  ``probe_round`` / ``probe_wake`` / ``unbind_runner``).
 * :class:`RunProfile` — the bounded-size aggregate (histograms,
   extremes, per-phase breakdown, provenance) with JSON export.
 * :func:`profile_columns` — flat ``prof_*`` sweep-row columns.

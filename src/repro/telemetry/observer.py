@@ -8,7 +8,10 @@ hot-path probes the stream cannot see:
 * ``bind_runner(runner, limit=)`` — called once per run by the runner
   before ``on_run_start``; captures backend, population size, the round
   limit (the heartbeat's progress bound), and the program family's
-  optional ``PhaseKernel.phase_of`` for per-phase accounting.
+  optional ``PhaseKernel.phase_of`` for per-phase accounting, and hooks
+  ``gc.callbacks`` to count the cyclic collector's collections and
+  pauses until ``unbind_runner()``, which the runner calls once the
+  round loop ends, whether it returns or raises.
 * ``probe_round(round_no, live=, due=, dispatch=, acts=, ...)`` — called
   at the very end of each executed round by both backends with the
   round's activation counts plus the occupancy the observer cannot
@@ -46,6 +49,7 @@ stream for tests.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import resource
 import sys
@@ -87,6 +91,22 @@ def peak_rss_kb() -> int:
     if sys.platform == "darwin":
         return raw // 1024
     return raw
+
+
+def _gc_hook(stats: dict):
+    """A ``gc.callbacks`` hook adding each collection's generation and
+    pause into ``stats``.  It holds no reference to the observer."""
+    start = 0.0
+
+    def hook(phase: str, info: dict) -> None:
+        nonlocal start
+        if phase == "start":
+            start = perf_counter()
+        else:
+            stats["collections"][info["generation"]] += 1
+            stats["pause_s"] += perf_counter() - start
+
+    return hook
 
 
 class TelemetryObserver(RoundObserver):
@@ -157,6 +177,7 @@ class TelemetryObserver(RoundObserver):
         #: tuple per executed round.
         self.samples: list = []
         self._next_info: dict | None = None
+        self._gc_hook = None
         self._open = False
         self._hb_last = 0.0
         self._hb_last_round = 0
@@ -170,7 +191,17 @@ class TelemetryObserver(RoundObserver):
             "n": runner.network.n,
             "limit": limit,
             "phase_of": _phase_of_for(runner),
+            "gc": {"collections": [0] * len(gc.get_count()), "pause_s": 0.0},
         }
+        self.unbind_runner()
+        self._gc_hook = _gc_hook(self._next_info["gc"])
+        gc.callbacks.append(self._gc_hook)
+
+    def unbind_runner(self) -> None:
+        """Post-run probe: stop counting the collector's work."""
+        hook, self._gc_hook = self._gc_hook, None
+        if hook in gc.callbacks:
+            gc.callbacks.remove(hook)
 
     def probe_round(
         self,
@@ -212,6 +243,7 @@ class TelemetryObserver(RoundObserver):
             self._finalize_segment(perf_counter())
         info = self._next_info or {}
         self._next_info = None
+        self._seg_gc = info.get("gc")
         self._backend = info.get("backend")
         self._n = info.get("n", getattr(network, "n", None))
         self._limit = info.get("limit")
@@ -425,6 +457,7 @@ class TelemetryObserver(RoundObserver):
             deactivations=self._deacts,
             perturbations=self._perts,
             rss={"samples": self._rss_n, "peak_kb": self._rss_peak},
+            gc=self._seg_gc,
             phases=phases,
             provenance=build_provenance(self._backend),
             segments=1,

@@ -76,6 +76,9 @@ class RunProfile:
     perturbations: int = 0
     #: Periodic ``getrusage`` peak-RSS readings: {samples, peak_kb}.
     rss: dict | None = None
+    #: Cyclic-collector activity while the run was bound:
+    #: {collections: [gen0, gen1, gen2], pause_s}, or None (unprobed).
+    gc: dict | None = None
     #: Per-phase breakdown rows keyed off ``PhaseKernel.phase_of`` (one
     #: "all" row when the program family declares no phase structure).
     phases: list = field(default_factory=list)
@@ -105,6 +108,7 @@ class RunProfile:
             "deactivations": self.deactivations,
             "perturbations": self.perturbations,
             "rss": self.rss,
+            "gc": self.gc,
             "phases": self.phases,
             "provenance": self.provenance,
             "segments": self.segments,
@@ -154,6 +158,7 @@ class RunProfile:
         hi = max((p.round_us.get("max", 0.0) for p in profiles if p.rounds), default=0.0)
         rss_peak = 0
         rss_samples = 0
+        gc_stats = _merge_gc([p.gc for p in profiles])
         for p in profiles:
             for k, v in p.histogram_us.items():
                 hist[k] = hist.get(k, 0) + v
@@ -202,6 +207,7 @@ class RunProfile:
             deactivations=deacts,
             perturbations=perts,
             rss={"samples": rss_samples, "peak_kb": rss_peak} if rss_samples else first.rss,
+            gc=gc_stats,
             phases=merged_phases,
             provenance=first.provenance,
             segments=sum(p.segments for p in profiles),
@@ -230,6 +236,8 @@ class RunProfile:
             row["wake_hits"] = _dispatch_label(self.wake_hits)
         if self.rss is not None:
             row["rss_peak_kb"] = self.rss["peak_kb"]
+        if self.gc is not None:
+            row["gc_ms"] = round(self.gc["pause_s"] * 1e3, 1)
         return row
 
     def breakdown_table(self) -> list:
@@ -261,6 +269,16 @@ def _merge_occupancy(stats: list) -> dict | None:
         "max": max(s["max"] for s in present),
         "mean": sum(s["mean"] * s.get("count", 0) for s in present) / count,
         "count": count,
+    }
+
+
+def _merge_gc(stats: list) -> dict | None:
+    present = [s for s in stats if s is not None]
+    if not present:
+        return None
+    return {
+        "collections": [sum(gens) for gens in zip(*(s["collections"] for s in present))],
+        "pause_s": sum(s["pause_s"] for s in present),
     }
 
 

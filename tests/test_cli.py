@@ -567,7 +567,7 @@ class TestProfileFlag:
         assert main(["-a", "star", "-f", "ring", "--n", "24", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "profile" in out and "per-phase breakdown" in out
-        assert "round_mean_us" in out and "dispatch" in out
+        assert "round_mean_us" in out and "dispatch" in out and "gc_ms" in out
         # the star construction is 5-round phased: all positions appear
         for phase in ("r0", "r1", "r2", "r3", "r4"):
             assert phase in out

@@ -1,9 +1,19 @@
 """Tests for the synchronous runner: round order, messaging, metrics, barriers."""
 
+import copy
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
-from repro.engine import NodeProgram, SynchronousRunner, run_program
+from repro.engine import (
+    CentralizedStrategy,
+    NodeProgram,
+    SynchronousRunner,
+    run_centralized,
+    run_program,
+)
 from repro.errors import ExecutionError, ProtocolViolation
 
 
@@ -389,3 +399,262 @@ class TestMetricsIntegration:
 
         with pytest.raises(ProtocolViolation):
             run_program(nx.path_graph(3), Cut, check_connectivity=True)
+
+
+# ---------------------------------------------------------------------------
+# the run heap and the cyclic collector (DESIGN.md, "Engine hot path")
+# ---------------------------------------------------------------------------
+
+
+class FreezeProbe(NodeProgram):
+    """Records the permanent generation's size as seen from round 1."""
+
+    seen: list = []
+
+    def transition(self, ctx, inbox):
+        if self.uid == 0:
+            FreezeProbe.seen.append(gc.get_freeze_count())
+        self.halt()
+
+
+class CyclePerRound(NodeProgram):
+    """Builds reference cycles every round; at the last round, collects
+    and records whether the earlier rounds' cycles are gone."""
+
+    LAST = 6
+    refs: list = []
+    dead: list = []
+
+    def transition(self, ctx, inbox):
+        for _ in range(200):
+            cycle = []
+            cycle.append(cycle)
+        CyclePerRound.refs.append(weakref.ref(_Cycle()))
+        if ctx.round == self.LAST:
+            gc.collect()
+            CyclePerRound.dead.append(all(r() is None for r in CyclePerRound.refs))
+            self.halt()
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+class Crash(NodeProgram):
+    """Breaks connectivity in round 1."""
+
+    def transition(self, ctx, inbox):
+        if self.uid == 0:
+            ctx.deactivate(1)
+        self.halt()
+
+
+class _TwoRounds(CentralizedStrategy):
+    def plan_round(self, network, actions):
+        return network.round < 2
+
+
+class _Forever(CentralizedStrategy):
+    def plan_round(self, network, actions):
+        return True
+
+
+@pytest.mark.parametrize("backend", ["reference", "bulk"])
+class TestFrozenHeap:
+    def test_run_freezes_the_prebuilt_heap(self, backend):
+        assert gc.get_freeze_count() == 0
+        FreezeProbe.seen = []
+        run_program(nx.path_graph(3), FreezeProbe, backend=backend)
+        assert FreezeProbe.seen and FreezeProbe.seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "program, kwargs, error",
+        [
+            (Idle, {}, None),
+            (Crash, {"check_connectivity": True}, ProtocolViolation),
+            (NeverHalts, {"max_rounds": 5}, ExecutionError),
+        ],
+        ids=["returns", "protocol-violation", "round-limit"],
+    )
+    def test_freeze_count_is_restored(self, backend, program, kwargs, error):
+        before = gc.get_freeze_count()
+        if error is None:
+            run_program(nx.path_graph(3), program, backend=backend, **kwargs)
+        else:
+            with pytest.raises(error):
+                run_program(nx.path_graph(3), program, backend=backend, **kwargs)
+        assert gc.get_freeze_count() == before
+
+    def test_a_callers_freeze_is_left_alone(self, backend):
+        gc.freeze()
+        try:
+            FreezeProbe.seen = []
+            run_program(nx.path_graph(3), FreezeProbe, backend=backend)
+            assert FreezeProbe.seen[0] > 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_run_garbage_is_still_collected(self, backend):
+        young = []
+
+        def hook(phase, info):
+            if phase == "stop" and info["generation"] == 0:
+                young.append(1)
+
+        CyclePerRound.refs = []
+        CyclePerRound.dead = []
+        gc.callbacks.append(hook)
+        try:
+            run_program(nx.path_graph(4), CyclePerRound, backend=backend)
+        finally:
+            gc.callbacks.remove(hook)
+        assert young, "no young collection ran during the run"
+        assert CyclePerRound.dead and all(CyclePerRound.dead)
+
+
+@pytest.mark.parametrize(
+    "strategy, kwargs, error",
+    [(_TwoRounds, {}, None), (_Forever, {"max_rounds": 5}, ExecutionError)],
+    ids=["returns", "round-limit"],
+)
+def test_centralized_freeze_count_is_restored(strategy, kwargs, error):
+    before = gc.get_freeze_count()
+    if error is None:
+        run_centralized(nx.path_graph(3), strategy(), **kwargs)
+    else:
+        with pytest.raises(error):
+            run_centralized(nx.path_graph(3), strategy(), **kwargs)
+    assert gc.get_freeze_count() == before
+
+
+# ---------------------------------------------------------------------------
+# bulk sparse path: halt batches compact the slot arrays
+# ---------------------------------------------------------------------------
+
+
+class BarrierHalts(NodeProgram):
+    """A sparse barrier family whose halts come both from ``transition``
+    and from ``on_barrier``, with barrier-ready flags that on_barrier
+    resets behind the runner's arrays."""
+
+    bulk_sparse = True
+
+    def __init__(self, uid):
+        super().__init__(uid)
+        self._pub = {"uid": uid}
+
+    def public(self):
+        return self._pub
+
+    def transition(self, ctx, inbox):
+        self.barrier_ready = ctx.round % 3 != 0
+        if ctx.round > 2 and self.uid % 7 == ctx.round % 7:
+            self.halt()
+
+    def on_barrier(self, epoch):
+        super().on_barrier(epoch)
+        if self.uid % 5 == epoch % 5:
+            self.halt()
+
+
+def _slot_state(runner, ready: bool = True) -> dict:
+    state = {
+        name: list(getattr(runner, name))
+        for name in (
+            "_uids", "_progs", "_ctxs", "_composes", "_transitions",
+            "_publicfns", "_next_wakes", "_net_idx", "_live",
+        )
+    }
+    state["_pub_objs"] = [id(p) for p in runner._pub_objs]
+    state["_pos_of_uid"] = dict(runner._pos_of_uid)
+    state["_slot_of_idx"] = runner._slot_of_idx.tolist()
+    state["_wake"] = runner._wake.tolist()
+    state["_stale"] = runner._stale.tolist()
+    state["_sparse"] = runner._sparse
+    if ready:
+        state["_ready"] = list(runner._ready)
+        state["_ready_count"] = runner._ready_count
+    return state
+
+
+def _oracle_checked(monkeypatch, BulkRunner) -> dict:
+    """Check every halt batch against a from-scratch slot-array refresh.
+
+    At the compaction itself every array but the ready flags must equal
+    what ``_refresh_slot_arrays()`` builds from the surviving slots, with
+    each survivor's wake state carried over by uid.  The ready flags are
+    checked at round end, after any ``on_barrier`` sweep, against the
+    programs themselves.
+    """
+    seen = {"partial": 0, "rounds": 0}
+    rebuild, run_round = BulkRunner._rebuild_batch, BulkRunner._run_round
+
+    def checked_rebuild(self):
+        sparse = self._sparse
+        oracle = copy.copy(self)
+        oracle._slots = [s for s in self._slots if not s[1].halted]
+        oracle._refresh_slot_arrays()
+        carried = [self._pos_of_uid[s[0]] for s in oracle._slots]
+        oracle._wake = self._wake[carried]
+        oracle._stale = self._stale[carried]
+        before = len(self._progs)
+        rebuild(self)
+        if sparse:
+            assert _slot_state(self, ready=False) == _slot_state(oracle, ready=False)
+            if 0 < len(self._progs) < before:
+                seen["partial"] += 1
+
+    def checked_round(self, recorder, observers):
+        run_round(self, recorder, observers)
+        if self._sparse:
+            seen["rounds"] += 1
+            assert self._ready == [p.barrier_ready for p in self._progs]
+            assert self._ready_count == sum(self._ready)
+
+    monkeypatch.setattr(BulkRunner, "_rebuild_batch", checked_rebuild)
+    monkeypatch.setattr(BulkRunner, "_run_round", checked_round)
+    return seen
+
+
+class TestBulkHaltCompaction:
+    @pytest.mark.parametrize("family, seed", [("gnp", 3), ("increasing_ring", 0)])
+    def test_wreath_halting_wave(self, monkeypatch, family, seed):
+        from repro.core.graph_to_wreath import GraphToWreathProgram
+        from repro.engine import BulkRunner
+        from repro.graphs import families
+
+        seen = _oracle_checked(monkeypatch, BulkRunner)
+        graph = families.make(family, 64, seed=seed)
+        res = SynchronousRunner(
+            graph, GraphToWreathProgram, use_barrier=True, backend="bulk"
+        ).run()
+        assert seen["partial"] >= 2 and seen["rounds"]
+        ref = SynchronousRunner(graph, GraphToWreathProgram, use_barrier=True).run()
+        assert res.metrics == ref.metrics and res.rounds == ref.rounds
+
+    def test_halts_inside_the_barrier(self, monkeypatch):
+        from repro.engine import BulkRunner
+
+        seen = _oracle_checked(monkeypatch, BulkRunner)
+        barrier = BulkRunner._barrier_block
+        in_barrier = []
+
+        def counting_barrier(self, next_round):
+            before = len(self._progs)
+            wakes = barrier(self, next_round)
+            if 0 < len(self._progs) < before:
+                in_barrier.append(before - len(self._progs))
+            return wakes
+
+        monkeypatch.setattr(BulkRunner, "_barrier_block", counting_barrier)
+        graph = nx.cycle_graph(40)
+        res = SynchronousRunner(
+            graph, BarrierHalts, use_barrier=True, collect_trace=True, backend="bulk"
+        ).run()
+        assert in_barrier and seen["partial"] > len(in_barrier)
+        ref = SynchronousRunner(graph, BarrierHalts, use_barrier=True, collect_trace=True).run()
+        assert res.trace.to_jsonl() == ref.trace.to_jsonl()
+        assert res.barrier_epochs == ref.barrier_epochs and res.rounds == ref.rounds

@@ -1,6 +1,8 @@
 """Tests for GraphToWreath (Section 4, Theorem 4.2)."""
 
+import gc
 import math
+import weakref
 
 import networkx as nx
 import pytest
@@ -118,3 +120,41 @@ def test_property_any_tree(n, seed):
     assert graphs.is_spanning_tree(fg)
     assert graphs.is_binary_tree(fg, u_max)
     assert wreath_leader(res) == u_max
+
+
+class TestSegmentDispatch:
+    """Segment handlers are dispatched through a class-level table, so a
+    program holds no bound methods of itself."""
+
+    @pytest.mark.parametrize("thin", [False, True], ids=["wreath", "thin-wreath"])
+    def test_program_is_freed_by_refcount(self, thin):
+        from repro.core.graph_to_wreath import GraphToWreathProgram
+        from repro.core.thin_wreath import GraphToThinWreathProgram
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            prog = GraphToThinWreathProgram(7, 64) if thin else GraphToWreathProgram(7)
+            ref = weakref.ref(prog)
+            del prog
+            assert ref() is None, "the program is part of a reference cycle"
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("backend", ["reference", "bulk"])
+    def test_subclass_override_wins(self, backend):
+        from repro.core.graph_to_wreath import GraphToWreathProgram
+        from repro.engine import SynchronousRunner
+
+        calls = []
+
+        class Reporting(GraphToWreathProgram):
+            def _seg_report(self, ctx, messages):
+                calls.append(self.uid)
+                super()._seg_report(ctx, messages)
+
+        g = graphs.make("ring", 12)
+        res = SynchronousRunner(g, Reporting, use_barrier=True, backend=backend).run()
+        assert set(calls) == set(g.nodes())
+        assert wreath_leader(res) == max(g.nodes())

@@ -16,6 +16,7 @@ Covers the tentpole guarantees of the telemetry PR:
   ``BENCH_engine.json`` schema (v2 writer, v1 compat reader).
 """
 
+import gc
 import io
 import json
 
@@ -24,6 +25,7 @@ import pytest
 from repro.dynamics import ChurnSchedule, ScriptedAdversary
 from repro.engine import BACKENDS, NodeProgram, iter_traces, run_program
 from repro.engine.trace import RoundRecord
+from repro.errors import ExecutionError
 from repro.graphs import families
 from repro.registry import get_scenario
 from repro.telemetry import (
@@ -377,6 +379,59 @@ class TestRunProfile:
         assert all(k.startswith("prof_") for k in cols)
         assert prof.breakdown_table() == prof.phases
         assert prof.breakdown_table() is not prof.phases
+
+
+class TestGcProfile:
+    """The cyclic collector's work lands in ``RunProfile.gc``; the hook
+    lives on ``gc.callbacks`` only while a profiled run is bound."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_profiled_run_counts_collections(self, backend):
+        class Collects(NodeProgram):
+            def transition(self, ctx, inbox):
+                if self.uid == 0:
+                    gc.collect(1)
+                if ctx.round == 3:
+                    self.halt()
+
+        before = list(gc.callbacks)
+        telemetry = TelemetryObserver()
+        run_program(families.make("ring", 8), Collects,
+                    observers=[telemetry], backend=backend)
+        assert gc.callbacks == before
+        stats = telemetry.profile().gc
+        assert len(stats["collections"]) == 3
+        assert stats["collections"][1] >= 3 and stats["pause_s"] > 0.0
+        assert "gc_ms" in telemetry.profile().summary_row()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unprofiled_and_failed_runs_leave_callbacks_alone(self, backend):
+        class NeverHalts(NodeProgram):
+            pass
+
+        before = list(gc.callbacks)
+        _run("star", "ring", 16, backend, [])
+        assert gc.callbacks == before
+        with pytest.raises(ExecutionError):
+            run_program(families.make("ring", 8), NeverHalts, max_rounds=3,
+                        observers=[TelemetryObserver()], backend=backend)
+        assert gc.callbacks == before
+
+    def test_unbound_host_has_no_gc_field(self):
+        telemetry = TelemetryObserver()
+        _run("euler", "ring", 16, "reference", [telemetry])
+        assert telemetry.profile().gc is None
+        assert "gc_ms" not in telemetry.profile().summary_row()
+
+    def test_merge_sums_and_old_payloads_load(self):
+        a = RunProfile(gc={"collections": [5, 1, 0], "pause_s": 0.002})
+        b = RunProfile(gc={"collections": [2, 0, 1], "pause_s": 0.001})
+        m = RunProfile.merge([a, b, RunProfile()])
+        assert m.gc == {"collections": [7, 1, 1], "pause_s": pytest.approx(0.003)}
+        assert RunProfile.merge([RunProfile(), RunProfile()]).gc is None
+        old = RunProfile(rounds=3).as_dict()
+        del old["gc"]
+        assert RunProfile.from_dict(old).gc is None
 
 
 class TestHeartbeat:
