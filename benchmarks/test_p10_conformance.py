@@ -20,7 +20,9 @@ per leg, sequential):
 * wreath on increasing_ring n=8192 (about 2n rounds, nearly all of
   them touching at most four edges): checked/raw 2.32x before the
   replay's idle-round and small-batch paths, 1.38x after (medians of
-  3 alternating pairs on a 2-vCPU VM); recorded, not gated.
+  3 alternating pairs on a 2-vCPU VM); in a later session pair on the
+  same VM, 1.68x before the replay's tiny-round fold and 1.13x after
+  (medians of 3 interleaved sessions per side); recorded, not gated.
 
 Gates are ratios measured on the same box in the same session (both
 legs fresh interpreters), so a slow CI machine cannot skew them; the

@@ -26,7 +26,8 @@ Representation (see DESIGN.md, "Observer pipeline & conformance"):
   never write in place, so a round's pre-round arrays stay valid for
   every checker that reads them.
 * A whole round's legality is classified by the shared
-  :func:`~repro.engine.edge_keys.classify`; connectivity keeps a
+  :func:`~repro.engine.edge_keys.classify`, or, for a round of a few
+  requests, by the replay's own scalar fold; connectivity keeps a
   flat-array union-find (min-label hooking + full path compression)
   and a certificate subgraph, and recomputes them only when a dropped
   certificate edge has no 2- or 3-hop detour (see
@@ -48,6 +49,7 @@ from .engine.edge_keys import (
     ACTIVE,
     EMPTY,
     MASK,
+    NOT_DIST2,
     SELF_LOOP,
     SHIFT,
     UNKNOWN,
@@ -89,6 +91,16 @@ _STARTS_PER_QUERY = 256
 #: measured cheaper than the flatten-and-argsort passes up to ~64 pairs.
 _FEW_EDGES = 32
 
+#: Rounds with at most this many activations plus deactivations, all
+#: int labels under identity interning, fold in Python ints
+#: (:meth:`ArrayReplayTracker._fold_tiny`), whose cost grows by a few
+#: numpy slices per request.  Measured on both linked checkers over
+#: rings of 1024 and 8192 slots with chords (2-vCPU x86-64 VM, numpy
+#: 2.4), as a share of the array fold's cost with half the requests
+#: drops / all of them activations: 0.55-0.73x / 0.55-0.92x at 4
+#: requests, 0.6-0.9x / 0.83-1.6x at 8, 0.83-0.96x / 1.16-1.42x at 12.
+_TINY = 4
+
 
 class _DictProxy:
     """Borrowed dict-replay state: lets the array replay reuse
@@ -110,34 +122,47 @@ _NO = np.empty(0, dtype=bool)
 class _RoundStep:
     """One folded round, as every checker linked to the replay reads it.
 
-    ``su``/``sv`` and ``du``/``dv`` are the activations' and
-    deactivations' endpoint slots in ``sorted_edges`` order (``-1``:
-    unknown node), ``albl``/``dlbl`` recover the k-th label pair, and
+    ``su``/``sv`` are the activations' endpoint slots in
+    ``sorted_edges`` order (``-1``: unknown node), ``albl``/``dlbl``
+    recover the k-th activation's and deactivation's label pair, and
     ``a_on``/``d_on`` say per request whether its edge was active before
     the round (each probed once, for every reader); ``dirs`` is the
     *pre-round* directed key array (``starts`` its
     :func:`slice_starts` table, or None when the round's batches are too
     small to want one), and ``added``/``gone`` the keys the round
-    actually applied.  The post-round state is the replay's own: linked
+    actually applied.  ``codes`` holds the activations' legality codes
+    when the fold computed them (a tiny round, whose ``su``/``sv`` stay
+    empty), else None.  The post-round state is the replay's own: linked
     checkers read a step before the replay may fold the next event.
     An idle round (no activations, no deactivations) is all empty arrays
     over the unchanged state.
     """
 
     __slots__ = (
-        "su", "sv", "albl", "a_on", "du", "dv", "dlbl", "d_on",
-        "dirs", "starts", "added", "gone",
+        "su", "sv", "albl", "a_on", "dlbl", "d_on",
+        "dirs", "starts", "added", "gone", "codes",
     )
 
     def __init__(
         self, dirs, su=EMPTY, sv=EMPTY, albl=None, a_on=_NO,
-        du=EMPTY, dv=EMPTY, dlbl=None, d_on=_NO, added=EMPTY, gone=EMPTY,
-        starts=None,
+        dlbl=None, d_on=_NO, added=EMPTY, gone=EMPTY, starts=None, codes=None,
     ) -> None:
         self.su, self.sv, self.albl, self.a_on = su, sv, albl, a_on
-        self.du, self.dv, self.dlbl, self.d_on = du, dv, dlbl, d_on
+        self.dlbl, self.d_on = dlbl, d_on
         self.dirs, self.starts = dirs, starts
-        self.added, self.gone = added, gone
+        self.added, self.gone, self.codes = added, gone, codes
+
+
+def _int_pairs(edges):
+    """``edges`` as a list of int label pairs in ``sorted_edges`` order,
+    or None when a label is not an int."""
+    uarr = getattr(edges, "u", None)
+    if uarr is not None:  # _PairsView: canonical order already
+        return list(zip(uarr.tolist(), edges.v.tolist()))
+    pairs = sorted_edges(edges)
+    if all(type(u) is int and type(v) is int for u, v in pairs):
+        return pairs
+    return None
 
 
 class ArrayReplayTracker:
@@ -313,11 +338,12 @@ class ArrayReplayTracker:
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
         m = len(edges)
         if self._ident and m <= _FEW_EDGES:
-            pairs = sorted_edges(edges)
-            flat = [x for e in pairs for x in e]
-            if all(type(x) is int for x in flat):
+            pairs = _int_pairs(edges)
+            if pairs is not None:
                 n = self._n
-                slots = np.array([x if 0 <= x < n else -1 for x in flat], dtype=np.int64)
+                slots = np.array(
+                    [x if 0 <= x < n else -1 for e in pairs for x in e], dtype=np.int64
+                )
                 return slots[0::2], slots[1::2], pairs.__getitem__
         if self._uid_arr is not None:
             try:
@@ -361,11 +387,17 @@ class ArrayReplayTracker:
         after the adds.  In-batch duplicates collapse as sequential
         dict folds do.  An unknown node or a self-loop packs to a key
         no key array holds, so the membership probes need no masks.
+        A round of at most :data:`_TINY` int-labelled requests under
+        identity interning folds in :meth:`_fold_tiny` instead.
         """
         dirs = self._dir
         acts, deas = record.activations, record.deactivations
         if not acts and not deas:
             return _RoundStep(dirs)
+        if self._ident and self._directed and len(acts) + len(deas) <= _TINY:
+            apairs, dpairs = _int_pairs(acts), _int_pairs(deas)
+            if apairs is not None and dpairs is not None:
+                return self._fold_tiny(apairs, dpairs)
         # The directed array holds every active edge's undirected key.
         base = dirs if self._directed else self._keys
         su, sv, albl = self._to_slots(acts)
@@ -390,8 +422,94 @@ class ArrayReplayTracker:
             self._starts = None
         else:
             self._keys = delete_from(merge_in(base, added), gone)
+        return _RoundStep(dirs, su, sv, albl, a_on, dlbl, d_on, added, gone, starts)
+
+    def _fold_tiny(self, apairs, dpairs) -> _RoundStep:
+        """:meth:`fold_round` for a tiny round of int label pairs under
+        identity interning, in Python ints.  One probe pass over the
+        pre-round directed array answers every request's membership and
+        finds both orientations' insertion points and every distance-2
+        candidate's slice bounds; a second probes the candidates'
+        ``(neighbor, other)`` keys.  The step carries the activations'
+        legality codes, as :func:`classify` would give them."""
+        n, dirs, m = self._n, self._dir, int(MASK)
+
+        def keys(pairs):  # packed keys; None: unknown node or self-loop
+            return [
+                ((u << SHIFT) | v if u < v else (v << SHIFT) | u)
+                if 0 <= u < n and 0 <= v < n and u != v
+                else None
+                for u, v in pairs
+            ]
+
+        akeys, dkeys = keys(apairs), keys(dpairs)
+        valid = {k for k in akeys + dkeys if k is not None}
+        ends = {s for k in akeys if k is not None for s in (k >> SHIFT, k & m)}
+        q = [*valid, *(((k & m) << SHIFT) | (k >> SHIFT) for k in valid)]
+        q += [s << SHIFT for s in ends] + [(s + 1) << SHIFT for s in ends]
+        pos = dirs.searchsorted(np.array(q, dtype=np.int64)).tolist()
+        at = dict(zip(q, pos))
+        got = dirs.take(pos, mode="clip").tolist() if dirs.size else ()
+        on = {k for k, g in zip(q, got) if k == g}
+        # Legality, in classify's precedence; distance-2 candidates
+        # expand the smaller-degree endpoint's slice.
+        codes, cands = [], []
+        for (u, v), k in zip(apairs, akeys):
+            if k is None:
+                codes.append(SELF_LOOP if 0 <= u < n and 0 <= v < n else UNKNOWN)
+            elif k in on:
+                codes.append(ACTIVE)
+            else:
+                a, b = k >> SHIFT, k & m
+                sa, sb = at[a << SHIFT], at[b << SHIFT]
+                da, db = at[(a + 1) << SHIFT] - sa, at[(b + 1) << SHIFT] - sb
+                cand = (sa, da, a, b) if da <= db else (sb, db, b, a)
+                cands.append((len(codes), *cand))
+                codes.append(NOT_DIST2)
+        if any(c[2] for c in cands):
+            # Slice rows ``x << 32 | w`` of the smaller endpoint ``x``
+            # become ``other << 32 | w``: present exactly when ``w`` is
+            # a common neighbor.
+            probe = np.concatenate(
+                [dirs[s : s + d] + ((o - x) << SHIFT) for _, s, d, x, o in cands]
+            )
+            hit = (dirs.take(dirs.searchsorted(probe), mode="clip") == probe).tolist()
+            off = 0
+            for i, _, d, _, _ in cands:
+                if any(hit[off : off + d]):
+                    codes[i] = 0
+                off += d
+        # The fold: adds first, then drops (a drop may undo an add).
+        added = sorted({k for k in akeys if k is not None and k not in on})
+        gone = sorted({k for k in dkeys if k in on or k in added})
+        ins, dels = set(added).difference(gone), on.intersection(gone)
+        events = sorted(
+            (at[x], x in on, x)
+            for k in ins | dels
+            for x in (k, ((k & m) << SHIFT) | (k >> SHIFT))
+        )
+        if events:
+            new = np.array([x for _, drop, x in events if not drop], np.int64)
+            pieces, prev, j = [], 0, 0
+            for p, drop, _ in events:
+                pieces.append(dirs[prev:p])
+                if not drop:
+                    pieces.append(new[j : j + 1])
+                    j += 1
+                prev = p + drop
+            pieces.append(dirs[prev:])
+            self._dir = np.concatenate(pieces)
+            self._keys = self._starts = None
+            deg = self._deg
+            for ends, step in ((ins, 1), (dels, -1)):
+                for k in ends:
+                    deg[k >> SHIFT] += step
+                    deg[k & m] += step
         return _RoundStep(
-            dirs, su, sv, albl, a_on, du, dv, dlbl, d_on, added, gone, starts
+            dirs, albl=apairs.__getitem__, a_on=np.array([k in on for k in akeys], bool),
+            dlbl=dpairs.__getitem__, d_on=np.array([k in on for k in dkeys], bool),
+            added=np.array(added, np.int64), gone=np.array(gone, np.int64),
+            codes=np.array(codes, np.int8),
         )
 
     def _apply_perturbation(self, record) -> list:
@@ -550,7 +668,8 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
     A whole round's activations are classified in one precedence chain
     of vectorized passes — unknown node, self-loop, already-active
     (membership in the key array), then batched distance-2 — against
-    the step's pre-round arrays, and failures are formatted lazily, in
+    the step's pre-round arrays (a tiny round's step carries its codes
+    from the fold), and failures are formatted lazily, in
     ``sorted_edges`` order, only up to the ``_MAX_DETAILS`` cap.
     """
 
@@ -564,11 +683,13 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
         where = self._where(record.round)
         step = self._read(self._replay.fold_round, record)
         # -- legality, all against the pre-round state ------------------
-        code = (
-            classify(step.dirs, step.su, step.sv, step.a_on, step.starts)
-            if step.su.size
-            else _NO
-        )
+        code = step.codes
+        if code is None:
+            code = (
+                classify(step.dirs, step.su, step.sv, step.a_on, step.starts)
+                if step.su.size
+                else _NO
+            )
         for k in np.nonzero(code)[0]:
             if len(self._failures) >= _MAX_DETAILS:
                 # Everything from here on is past the cap: count it

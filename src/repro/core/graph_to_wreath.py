@@ -557,10 +557,7 @@ class GraphToWreathProgram(NodeProgram):
         if not entries:
             return
         self._slot_chain = entries
-        is_walk_end = own_gateway_x is not None and (
-            self.ring_next == own_gateway_x
-            or (self.ring_next is None and self.uid != own_gateway_x and False)
-        )
+        is_walk_end = own_gateway_x is not None and self.ring_next == own_gateway_x
         # Walk-end detection: my slot's exit is the committee exit iff my
         # ring successor is the committee's own gateway contact.  For a
         # singleton committee the sole node is both gateway and walk end.
@@ -591,20 +588,17 @@ class GraphToWreathProgram(NodeProgram):
             self._pending_forward = False
             self._assignment = None
             return
-        if not self._slots_received and self._slots_expected():
-            return  # my own committee's slot map may still flip my role
+        if not self._slots_received:
+            # A slot map is broadcast in every committee that
+            # participates; receiving an assignment proves my committee
+            # selected, so one is on its way and may still flip my role.
+            return
         # Plain walk-end connector.
         self._conn_target = (nxt, path)
         self._succ = nxt
         self._succ_changed = True
         self._await_real = False
         self._assignment = None
-
-    def _slots_expected(self) -> bool:
-        # A slot map is broadcast in every committee that participates;
-        # receiving an assignment proves my committee selected, so a
-        # broadcast is on its way unless it already arrived.
-        return True
 
     def _done_assign(self, ctx) -> bool:
         return True

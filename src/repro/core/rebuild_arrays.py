@@ -47,6 +47,8 @@ from ..errors import ProtocolViolation
 #: takes an exact float64 log2, so epoch masks must stay below 2**53;
 #: epochs reach at most ``log2 n + O(1)``, so this is never binding.
 _MAX_EPOCH = 52
+#: The bits of epochs ``0.._MAX_EPOCH``.
+_EPOCHS = (1 << (_MAX_EPOCH + 1)) - 1
 
 
 def try_arm(runner):
@@ -364,33 +366,40 @@ class RebuildSim:
         """Write the final state back into the program objects and mark
         every participant barrier-ready (the engine barrier fires next)."""
         uids = self.uids
-        parent, pending = self.parent, self.pending
+        # Each column is read once, as Python ints and bools.
+        parent, pending, ea, dea, term, settled, cc, ff, ld, pld, seen = (
+            a.tolist()
+            for a in (
+                self.parent, self.pending, self.ea, self.dea, self.term,
+                self.settled, self.cc, self.ff, self.ld, self.pld, self.seen,
+            )
+        )
         children: list = [[] for _ in uids]
-        for i, p in enumerate(parent.tolist()):
+        for i, p in enumerate(parent):
             if p >= 0:
                 children[p].append(uids[i])
-        po_valid, po_uid, po_cnt, po_ff, po_awk = self.po
-        qo_valid, qo_uid, qo_cnt, qo_ff, qo_awk = self.qo
+        po_valid, po_uid, po_cnt, po_ff, po_awk = (a.tolist() for a in self.po)
+        qo_valid, qo_uid, qo_cnt, qo_ff, qo_awk = (a.tolist() for a in self.qo)
         for i, (wr, emb) in enumerate(zip(self.wreaths, self.embs)):
             pi = parent[i]
             emb.parent = uids[pi] if pi >= 0 else None
             qi = pending[i]
             emb.pending = uids[qi] if qi >= 0 else None
-            emb.ea = int(self.ea[i])
-            emb.dea = int(self.dea[i])
+            emb.ea = ea[i]
+            emb.dea = dea[i]
             emb.awake = True
-            emb.terminated = bool(self.term[i])
-            emb.settled = bool(self.settled[i])
-            emb.child_count = int(self.cc[i])
-            emb.full_final = bool(self.ff[i])
-            emb.ladder_dead = bool(self.ld[i])
-            emb.pending_ladder_dead = bool(self.pld[i])
+            emb.terminated = term[i]
+            emb.settled = settled[i]
+            emb.child_count = cc[i]
+            emb.full_final = ff[i]
+            emb.ladder_dead = ld[i]
+            emb.pending_ladder_dead = pld[i]
             emb.parent_obs = (
                 {
                     "uid": uids[po_uid[i]],
-                    "count": int(po_cnt[i]),
-                    "full_final": bool(po_ff[i]),
-                    "awake": bool(po_awk[i]),
+                    "count": po_cnt[i],
+                    "full_final": po_ff[i],
+                    "awake": po_awk[i],
                 }
                 if po_valid[i]
                 else None
@@ -398,17 +407,22 @@ class RebuildSim:
             emb.pending_obs = (
                 {
                     "uid": uids[qo_uid[i]],
-                    "count": int(qo_cnt[i]),
-                    "full_final": bool(qo_ff[i]),
-                    "awake": bool(qo_awk[i]),
+                    "count": qo_cnt[i],
+                    "full_final": qo_ff[i],
+                    "awake": qo_awk[i],
                 }
                 if qo_valid[i]
                 else None
             )
             emb._children = children[i]
-            emb._seen_epochs = {
-                e for e in range(_MAX_EPOCH + 1) if (int(self.seen[i]) >> e) & 1
-            }
+            # The set bits of epochs 0.._MAX_EPOCH, lowest first.
+            bits = seen[i] & _EPOCHS
+            epochs = set()
+            while bits:
+                low = bits & -bits
+                epochs.add(low.bit_length() - 1)
+                bits ^= low
+            emb._seen_epochs = epochs
             emb._arrivals = {}
             emb._obs_pubs = None
             emb._obs_self = None

@@ -29,6 +29,11 @@ suite pins that contract:
 * **idle rounds** — streams of rounds with no edge changes still get
   the counter tamper check and the disconnection check on every round,
   with the oracle's failure strings and suppression counts;
+* **tiny rounds** — the replay's scalar fold of a round of a few
+  requests agrees with its vector fold field for field (a property
+  over unknown labels, self-loops, already-active edges, same-round
+  add-then-drop and empty start graphs), fails illegal requests with
+  the oracle's strings, and never calls ``classify``;
 * **the 2-hop detour rule** — the connectivity checker that skips
   union-find rebuilds agrees with one that rebuilds every round over
   random round streams, and skips nearly all of them on wreath.
@@ -516,11 +521,14 @@ def test_linked_checkers_out_of_lockstep_raise():
 
 
 def _idle_streams():
-    """Streams whose rounds after the first change no edge, on an
-    8-node path.  ``forged``: round 1 activates (0, 2) legally, then the
-    idle rounds carry forged counters.  ``disconnected``: round 1 drops
-    the path's middle edge, then every idle round must report the
-    split.  Each has more failing rounds than ``_MAX_DETAILS``."""
+    """Streams of idle and tiny rounds on an 8-node path.  ``forged``:
+    round 1 activates (0, 2) legally, then the idle rounds carry forged
+    counters.  ``disconnected``: round 1 drops the path's middle edge,
+    then every idle round must report the split.  ``tamper``: rounds of
+    a few requests each (the replay's tiny fold) naming an unknown
+    node, a self-loop, an already-active edge, a distance-3 pair and an
+    inactive edge to drop, between legal ones, with true counters.
+    Each has more failures than ``_MAX_DETAILS``."""
     import networkx as nx
 
     from repro.engine.trace import RoundRecord
@@ -540,7 +548,14 @@ def _idle_streams():
         forged.append(rnd(no, active=active, activated=activated))
     disconnected = [rnd(1, deacts=[(3, 4)], active=6)]
     disconnected += [rnd(no, active=6) for no in range(2, 12)]
-    return graph, {"forged": forged, "disconnected": disconnected}
+    tamper = [
+        rnd(1, acts=[(0, 99), (3, 3), (0, 1), (0, 3)], active=8, activated=1),
+        rnd(2, acts=[(2, 4)], deacts=[(2, 6)], active=9, activated=2),
+        rnd(3, acts=[(5, 5)], deacts=[(0, 3)], active=8, activated=1),
+        rnd(4, acts=[(4, 6)], deacts=[(2, 4)], active=8, activated=1),
+        rnd(5, acts=[(7, 8)], deacts=[(1, 5)], active=8, activated=1),
+    ]
+    return graph, {"forged": forged, "disconnected": disconnected, "tamper": tamper}
 
 
 def _raw(record):
@@ -555,16 +570,21 @@ def _raw(record):
 
 
 @pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
-@pytest.mark.parametrize("stream", ["forged", "disconnected"])
+@pytest.mark.parametrize("stream", ["forged", "disconnected", "tamper"])
 def test_idle_rounds_keep_per_round_checks(stream, selection):
     """Array verdicts equal the oracle's, byte for byte, on streams of
-    idle rounds: forged counters are still compared and a disconnected
-    replay still fails each round, past the ``_MAX_DETAILS`` cap —
-    alone and linked, live (raw rounds) and through ``check_trace``."""
+    idle and tiny rounds: forged counters are still compared, a
+    disconnected replay still fails each round, and the tiny fold's
+    legality codes fail illegal requests, past the ``_MAX_DETAILS``
+    cap — alone and linked, live (raw rounds) and through
+    ``check_trace``."""
+    from repro.conformance_arrays import _TINY
     from repro.engine.trace import Trace
 
     graph, streams = _idle_streams()
     records = streams[stream]
+    if stream == "tamper":
+        assert all(len(r.activations) + len(r.deactivations) <= _TINY for r in records)
     arrays = make_checkers(selection, arrays=True)
     oracle = make_checkers(selection, arrays=False)
     net = Network(graph, require_connected=False)
@@ -585,11 +605,12 @@ def test_idle_rounds_keep_per_round_checks(stream, selection):
     failing = {
         "forged": "temporal-legality",
         "disconnected": "connectivity",
+        "tamper": "temporal-legality",
     }[stream]
     for name, ok, detail in live:
         if name == failing:
             assert not ok and "more" in detail
-        elif stream == "forged":
+        elif stream != "disconnected":
             assert ok
     if stream == "disconnected" and "temporal-legality" in selection:
         (detail,) = [d for name, _, d in live if name == "temporal-legality"]
@@ -597,19 +618,26 @@ def test_idle_rounds_keep_per_round_checks(stream, selection):
 
 
 def test_shared_replay_slots_each_round_once(monkeypatch):
-    """Both checkers attached: two ``_to_slots`` calls per round that
-    changes an edge (the activations and the deactivations), none on an
-    idle round — so a second fold per checker would show — and none at
+    """Both checkers attached: each round that changes an edge is
+    slotted once — two ``_to_slots`` calls (the activations and the
+    deactivations) or one tiny fold — and an idle round not at all, so
+    a second fold per checker would show; nor is anything slotted at
     the run start, where the replay adopts the bulk network's own key
     arrays (``DenseNetwork.slot_key_arrays``)."""
     calls = []
     to_slots = ArrayReplayTracker._to_slots
+    fold_tiny = ArrayReplayTracker._fold_tiny
 
     def counting(self, edges):
-        calls.append(1)
+        calls.append("slots")
         return to_slots(self, edges)
 
+    def counting_tiny(self, apairs, dpairs):
+        calls.append("tiny")
+        return fold_tiny(self, apairs, dpairs)
+
     monkeypatch.setattr(ArrayReplayTracker, "_to_slots", counting)
+    monkeypatch.setattr(ArrayReplayTracker, "_fold_tiny", counting_tiny)
     busy = []
 
     class BusyRounds(RoundObserver):
@@ -625,7 +653,8 @@ def test_shared_replay_slots_each_round_once(monkeypatch):
     )
     assert all(c.ok for c in checkers)
     assert len(busy) == result.rounds and 0 < sum(busy) < result.rounds
-    assert len(calls) == 2 * sum(busy)
+    assert "slots" in calls and "tiny" in calls  # both fold paths ran
+    assert calls.count("slots") + 2 * calls.count("tiny") == 2 * sum(busy)
 
 
 def test_detour_rule_skips_most_rebuilds(monkeypatch):
@@ -657,6 +686,35 @@ def test_detour_rule_skips_most_rebuilds(monkeypatch):
     assert checkers[0].name == "connectivity" and checkers[0].ok
     assert sum(drop_rounds) > 1000
     assert len(rebuilds) <= 0.05 * sum(drop_rounds)
+
+
+def test_one_edge_round_skips_classify(monkeypatch):
+    """A 1-edge round takes the tiny fold: its legality codes come from
+    the fold's own probes, never from ``edge_keys.classify``."""
+    import repro.conformance_arrays as ca
+    from repro.engine import edge_keys
+
+    def boom(*args, **kwargs):
+        raise AssertionError("classify called on a tiny round")
+
+    monkeypatch.setattr(ca, "classify", boom)
+    monkeypatch.setattr(edge_keys, "classify", boom)
+    import networkx as nx
+
+    conn, leg = make_checkers(("connectivity", "temporal-legality"), arrays=True)
+    net = Network(nx.cycle_graph(8), require_connected=False)
+    conn.on_run_start(net)
+    leg.on_run_start(net)
+    first, second = _round(1, acts=[(0, 2)]), _round(2, acts=[(0, 4)])
+    first = dataclasses.replace(first, active_edges=9, activated_edges=1)
+    second = dataclasses.replace(second, active_edges=10, activated_edges=2)
+    for record in (_raw(first), _raw(second)):
+        conn.on_round(record)
+        leg.on_round(record)
+    assert conn.ok
+    assert leg.verdict().detail == (
+        "segment 1 round 2: activated (0, 4) but endpoints are not at distance 2"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -718,6 +776,8 @@ def test_detour_rule_cases(edges, rounds, ok):
 
 
 try:
+    from unittest import mock
+
     from hypothesis import given, strategies as st
 except ImportError:  # pragma: no cover - property tests skip without hypothesis
     given = None
@@ -744,3 +804,63 @@ if given is not None:
             live -= set(drops)
             rounds.append((acts, drops))
         _assert_agree(edges, rounds, n)
+
+    def _fold_all(edges, rounds, n, tiny):
+        """Fold ``rounds`` into a replay of ``edges`` over slots ``0..n-1``
+        (the vector fold alone when not ``tiny``); per round, the step's
+        fields, the activations' legality codes and the post-round state."""
+        import repro.conformance_arrays as ca
+        from repro.engine.edge_keys import classify
+        from repro.engine.observers import _PairsView
+
+        replay = ArrayReplayTracker()
+        replay._start(list(range(n)), list(edges))
+        out = []
+        with mock.patch.object(ca, "_TINY", ca._TINY if tiny else 0):
+            for acts, deacts, as_view in rounds:
+                if as_view:  # the .rtb decode / kernel form: sorted arrays
+                    acts, deacts = (
+                        _PairsView(
+                            np.array([u for u, _ in sorted(p)], dtype=np.int64),
+                            np.array([v for _, v in sorted(p)], dtype=np.int64),
+                        )
+                        for p in (acts, deacts)
+                    )
+                step = replay.fold_round(_round(len(out) + 1, acts, deacts))
+                codes = step.codes
+                if codes is None:
+                    codes = classify(step.dirs, step.su, step.sv, step.a_on, step.starts)
+                out.append((
+                    [step.albl(k) for k in range(step.a_on.size)],
+                    [step.dlbl(k) for k in range(step.d_on.size)],
+                    *(a.tolist() for a in (step.a_on, step.d_on, step.added, step.gone)),
+                    codes.tolist(), replay._dir.tolist(), replay._deg.tolist(),
+                ))
+        return out
+
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+    def test_tiny_fold_matches_vector_fold(data, n):
+        """Rounds of at most ``_TINY`` requests fold the same through the
+        tiny path and the vector path: membership, applied keys,
+        legality codes, label order, directed array and degrees.  Labels
+        run one past each end (unknown nodes), pairs may be self-loops
+        or already active, a drop may undo the same round's add, and
+        the start graph may be empty."""
+        from repro.conformance_arrays import _TINY
+
+        labels = st.integers(min_value=-1, max_value=n)
+        pairs = st.tuples(labels, labels)
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+        ))
+        rounds = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            acts = data.draw(st.sets(pairs, max_size=_TINY))
+            deacts = data.draw(st.sets(
+                st.sampled_from(sorted(acts)) | pairs if acts else pairs,
+                max_size=_TINY - len(acts),
+            ))
+            rounds.append((acts, deacts, data.draw(st.booleans())))
+        assert _fold_all(edges, rounds, n, True) == _fold_all(edges, rounds, n, False)
