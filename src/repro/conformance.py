@@ -46,6 +46,10 @@ from __future__ import annotations
 import math
 import os
 
+import networkx as nx
+
+from .engine.actions import edge_key
+from .engine.network import ConnectivityTracker, Network
 from .engine.observers import RoundObserver
 from .engine.trace import PerturbationRecord, Trace, sorted_edges, split_segments
 from .errors import ConfigurationError, InvariantViolation
@@ -170,92 +174,73 @@ class InvariantChecker(RoundObserver):
 
 
 class _EdgeReplay(InvariantChecker):
-    """Shared machinery: maintain the active adjacency from the stream.
+    """Shared machinery: replay the stream on a reference ``Network``.
 
-    The replayed state is a pure function of the record stream plus the
-    initial network, which is exactly what makes these checkers work
-    identically on live runs and archived traces.
+    At every run start the segment's network is copied into a fresh
+    :class:`~repro.engine.network.Network`; rounds and strikes then fold
+    into it, so the replayed state is a pure function of the record
+    stream plus the initial network (identical on live runs and
+    archived traces), and strikes, ``E(1)`` and connectivity follow the
+    reference engine's own code.
     """
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
-        self._adj: dict = {u: set() for u in network.nodes}
-        self._n_edges = 0
-        for u, v in network.edges():
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            self._n_edges += 1
+        self._net = _reference_network(network.nodes, network.edges())
 
-    def _add_edge(self, u, v) -> bool:
-        adj = self._adj
-        # u == v: Network.apply_external skips self-loops; without the
-        # guard the replay stored u in its own adjacency set and the
-        # folded edge count diverged (PR 10 differential fix).
-        if u not in adj or v not in adj or u == v or v in adj[u]:
-            return False
-        adj[u].add(v)
-        adj[v].add(u)
-        self._n_edges += 1
-        return True
+    def fold_round(self, record) -> tuple[set, set]:
+        """Fold one round's effective sets, adds first, then drops, with
+        no legality checking; returns the applied ``(added, gone)`` edge
+        keys.  An add applies when both endpoints are known, it is no
+        self-loop and its edge is not active; a drop, when its edge is
+        active after the adds."""
+        net = self._net
+        nodes = net.nodes
+        added = {
+            edge_key(u, v)
+            for u, v in record.activations
+            if u in nodes and v in nodes and u != v and not net.has_edge(u, v)
+        }
+        gone = {
+            e
+            for e in (edge_key(u, v) for u, v in record.deactivations)
+            if e in added or net.has_edge(*e)
+        }
+        net.commit(added, gone)
+        return added, gone
 
-    def _drop_edge(self, u, v) -> bool:
-        adj = self._adj
-        if u not in adj or v not in adj[u]:
-            return False
-        adj[u].discard(v)
-        adj[v].discard(u)
-        self._n_edges -= 1
-        return True
-
-    def _apply_perturbation(self, record) -> None:
-        """Fold an external strike (unconstrained by the model's rules).
-
-        Event semantics mirror ``Network.apply_external`` exactly — the
-        PR 10 hypothesis differential (tests/test_replay_differential.py)
-        pins the fold to the engine over random strike batches.  The two
-        guards below were divergences it found: the engine never crashes
-        the last remaining node, and it skips a join whose uid is
-        already present *entirely* (a duplicate join must not attach
-        edges to the existing node).
-        """
-        adj = self._adj
-        for u in record.crashes:
-            if u not in adj or len(adj) <= 1:
-                continue
-            for v in adj.pop(u):
-                adj[v].discard(u)
-                self._n_edges -= 1
-        for u, v in record.drops:
-            self._drop_edge(u, v)
-        for uid, attach in record.joins:
-            if uid in adj:
-                continue
-            adj[uid] = set()
-            for v in attach:
-                self._add_edge(uid, v)
-        for u, v in record.adds:
-            self._add_edge(u, v)
-
-    def fold_round(self, record) -> None:
-        """Fold one round's effective sets (no legality checking)."""
-        for u, v in record.activations:
-            self._add_edge(u, v)
-        for u, v in record.deactivations:
-            self._drop_edge(u, v)
+    def fold_strike(self, record) -> tuple[set, set]:
+        """Fold an external strike with ``Network.apply_external``;
+        returns its applied ``(dropped, added)`` edge keys."""
+        return _apply_strike(self._net, record)
 
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists — the baseline
         the next chained segment replays against."""
-        adj = self._adj
-        nodes = list(adj)
-        edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if _le(u, v)]
-        return nodes, edges
+        return list(self._net.nodes), list(self._net.edges())
+
+
+def _reference_network(nodes, edges) -> Network:
+    """A reference ``Network`` over a replayed graph (``E(1)`` is
+    ``edges``): the model the replays fold into."""
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return Network(graph, require_connected=False)
+
+
+def _apply_strike(net, record) -> tuple[set, set]:
+    """``net.apply_external`` over a strike record."""
+    return net.apply_external(
+        drops=record.drops, adds=record.adds,
+        crashes=record.crashes, joins=record.joins,
+    )
 
 
 class ConnectivityChecker(_EdgeReplay):
     """The active graph stays connected after every round and strike.
 
-    Connectivity is recomputed from the replayed adjacency, never
+    Connectivity is recomputed from the replayed network, never
     trusted from the record's ``connected`` flag (which is ``True``
     whenever the run had no ``check_connectivity`` guard) — the checker
     must catch a disconnection the engine itself was not asked to watch
@@ -267,56 +252,21 @@ class ConnectivityChecker(_EdgeReplay):
 
     name = "connectivity"
 
-    # A third union-find next to the engine's ConnectivityTracker /
-    # DenseConnectivityTracker is deliberate: those fold live Network
-    # state, while this one folds the *record stream* over a replayed
-    # adjacency (including offline traces, where no Network exists) —
-    # trusting an engine tracker would defeat the audit.
+    # The engine's ConnectivityTracker folds the *replayed* network here,
+    # never the live one (offline traces have none): trusting the
+    # engine's own connectivity state would defeat the audit.
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self._parent = {u: u for u in self._adj}
-        self._components = len(self._adj)
-        for u, neighbors in self._adj.items():
-            for v in neighbors:
-                self._union(u, v)
-
-    def _find(self, x):
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def _union(self, u, v) -> None:
-        ru, rv = self._find(u), self._find(v)
-        if ru != rv:
-            self._parent[rv] = ru
-            self._components -= 1
+        self._tracker = ConnectivityTracker(self._net)
 
     def on_round(self, record) -> None:
-        for u, v in record.activations:
-            self._add_edge(u, v)
-        for u, v in record.deactivations:
-            self._drop_edge(u, v)
-        if record.deactivations:
-            self._rebuild()
-        else:
-            for u, v in record.activations:
-                if u in self._parent and v in self._parent:
-                    self._union(u, v)
-        if self._components > 1:
+        if not self._tracker.update(*self.fold_round(record)):
             self._fail(f"{self._where(record.round)}: network disconnected")
 
     def on_perturbation(self, record) -> None:
-        self._apply_perturbation(record)
-        self._rebuild()
-        if self._components > 1:
+        self.fold_strike(record)
+        if not self._tracker.rebuild():
             self._fail(
                 f"segment {self._segment}: adversary strike before round "
                 f"{record.round} disconnected the network"
@@ -330,81 +280,67 @@ class TemporalLegalityChecker(_EdgeReplay):
     distance exactly 2 *at the beginning of the round*; deactivations
     target currently active edges; and the committed
     ``active_edges`` / ``activated_edges`` counters match the replayed
-    edge set (the tamper check).
+    network (the tamper check), ``activated_edges`` being
+    ``|E(i) \\ E(1)|`` against the replayed network's own ``E(1)``.
     """
 
     name = "temporal-legality"
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
-        self._activated: set = set()  # activated-only edges (E(i) \ E(1))
+        self._n_activated = 0
 
     def on_round(self, record) -> None:
-        adj = self._adj
+        net = self._net
+        nodes = net.nodes
         where = self._where(record.round)
         # Canonical-order iteration: failure details are emitted in
         # sorted-edge order, deterministically — set iteration order is
         # not, and the array checkers must reproduce these strings
         # byte-for-byte (the PR 10 verdict-equality contract).
-        acts = sorted_edges(record.activations)
-        deacts = sorted_edges(record.deactivations)
-        for u, v in acts:
-            if u not in adj or v not in adj:
+        for u, v in sorted_edges(record.activations):
+            if u not in nodes or v not in nodes:
                 self._fail(
                     f"{where}: activation ({_lbl(u)}, {_lbl(v)}) names an "
                     f"unknown node"
                 )
             elif u == v:
                 self._fail(f"{where}: activated self-loop ({_lbl(u)}, {_lbl(v)})")
-            elif v in adj[u]:
+            elif net.has_edge(u, v):
                 self._fail(
                     f"{where}: activated already-active edge ({_lbl(u)}, {_lbl(v)})"
                 )
-            elif adj[u].isdisjoint(adj[v]):
+            elif not net.common_neighbor_exists(u, v):
                 self._fail(
                     f"{where}: activated ({_lbl(u)}, {_lbl(v)}) but endpoints "
                     f"are not at distance 2"
                 )
-        for u, v in deacts:
-            if u not in adj or v not in adj[u]:
+        for u, v in sorted_edges(record.deactivations):
+            if not net.has_edge(u, v):
                 self._fail(
                     f"{where}: deactivated inactive edge ({_lbl(u)}, {_lbl(v)})"
                 )
-        for u, v in acts:
-            if self._add_edge(u, v):
-                self._activated.add((u, v) if _le(u, v) else (v, u))
-        for u, v in deacts:
-            if self._drop_edge(u, v):
-                self._activated.discard((u, v) if _le(u, v) else (v, u))
-        if record.active_edges != self._n_edges:
+        added, gone = self.fold_round(record)
+        original = net.original_edges
+        self._n_activated += sum(e not in original for e in added) - sum(
+            e not in original for e in gone
+        )
+        if record.active_edges != net.num_active_edges:
             self._fail(
                 f"{where}: active_edges says {record.active_edges}, "
-                f"replay says {self._n_edges}"
+                f"replay says {net.num_active_edges}"
             )
-        if record.activated_edges != len(self._activated):
+        if record.activated_edges != self._n_activated:
             self._fail(
                 f"{where}: activated_edges says {record.activated_edges}, "
-                f"replay says {len(self._activated)}"
+                f"replay says {self._n_activated}"
             )
 
     def on_perturbation(self, record) -> None:
-        # External events fold into the baseline E(1) (Network.apply_external
-        # semantics): adversary-created edges are not "activated" edges, and
-        # dropped/crashed activated edges stop counting.
-        self._apply_perturbation(record)
-        activated = self._activated
-        for u, v in record.drops:
-            activated.discard((u, v) if _le(u, v) else (v, u))
-        for u in record.crashes:
-            for e in [e for e in activated if u in e]:
-                activated.discard(e)
-
-
-def _le(u, v) -> bool:
-    try:
-        return u <= v
-    except TypeError:
-        return repr(u) <= repr(v)
+        # Strikes fold into E(1) (Network.apply_external semantics), so
+        # adversary-created edges are not "activated" edges.
+        self.fold_strike(record)
+        self._n_activated = self._net.num_activated_edges
 
 
 # ----------------------------------------------------------------------
@@ -518,16 +454,8 @@ def _use_arrays(arrays) -> bool:
     """Resolve the checker implementation choice (see make_checkers)."""
     if arrays is None:
         env = os.environ.get("REPRO_CHECKERS", "").strip().lower()
-        if env in ("dict", "python"):
-            return False
-        arrays = True
-    if not arrays:
-        return False
-    try:
-        from . import conformance_arrays  # noqa: F401 (probe the numpy dep)
-    except ImportError:
-        return False
-    return True
+        return env not in ("dict", "python")
+    return bool(arrays)
 
 
 def make_checkers(invariants, *, arrays: bool | None = None) -> list:
@@ -539,8 +467,9 @@ def make_checkers(invariants, *, arrays: bool | None = None) -> list:
 
     ``arrays`` selects the structural checkers' implementation: the
     array-native ones from :mod:`repro.conformance_arrays` (``True``,
-    and the default whenever numpy is importable) or the dict-based
-    oracle ones defined here (``False``).  The default can be forced to
+    the default) or the dict-based oracle ones defined here
+    (``False``), which replay on a reference
+    :class:`~repro.engine.network.Network`.  The default can be forced to
     the oracle with ``REPRO_CHECKERS=dict`` in the environment (the
     knob the verdict-equality suite and the bench gate use); verdicts
     are asserted equal either way, so the choice is a pure performance
@@ -645,8 +574,7 @@ def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
     for si, records in enumerate(segments):
         for c in checkers:
             c.on_run_start(net)
-        # The baseline tracker (array replay when numpy is available)
-        # only runs when a later segment will consume its end state:
+        # The baseline tracker only runs when a later segment will consume its end state:
         # single-segment archives — every large-n audit — skip the fold
         # entirely, and restart mode never folds.
         fold = baselines == "chained" and si + 1 < len(segments)
@@ -658,7 +586,7 @@ def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
                 for c in checkers:
                     c.on_perturbation(perts[pi])
                 if tracker is not None:
-                    tracker._apply_perturbation(perts[pi])
+                    tracker.fold_strike(perts[pi])
                 pi += 1
             for c in checkers:
                 c.on_round_start(rec.round)
@@ -834,16 +762,16 @@ def _baseline_tasks(
             tracker.on_run_start(_ReplayNetwork(nodes, edges))
             for item in segment_streams[i]():
                 if isinstance(item, PerturbationRecord):
-                    tracker._apply_perturbation(item)
+                    tracker.fold_strike(item)
                 else:
                     tracker.fold_round(item)
             nodes, edges = tracker.snapshot()
 
 
 def _make_tracker():
-    """A baseline-fold tracker: the array replay when numpy is
-    available, the dict replay otherwise.  Both fold identically (the
-    array tracker shares the dict fold for perturbations outright)."""
+    """A baseline-fold tracker: the array replay, or the dict replay
+    when ``REPRO_CHECKERS=dict`` forces the oracle.  Both fold
+    identically (both fold strikes with ``Network.apply_external``)."""
     if _use_arrays(None):
         from .conformance_arrays import ArrayReplayTracker
 

@@ -2,7 +2,7 @@
 
 Drop-in replacements for the dict-based ``ConnectivityChecker`` /
 ``TemporalLegalityChecker`` in :mod:`repro.conformance`, selected by
-``make_checkers(..., arrays=True)`` (the default when numpy imports;
+``make_checkers(..., arrays=True)`` (the default;
 ``REPRO_CHECKERS=dict`` forces the oracle).  The contract is **verdict
 equality**: identical ``Verdict``s — failure strings byte-for-byte,
 ``_MAX_DETAILS`` capping, segment numbering — over any record stream,
@@ -32,10 +32,10 @@ Representation (see DESIGN.md, "Observer pipeline & conformance"):
   and a certificate subgraph, and recomputes them only when a dropped
   certificate edge has no 2- or 3-hop detour (see
   :class:`ArrayConnectivityChecker`).
-* External perturbations are rare and semantically fiddly, so they are
-  folded by the *dict* replay itself on a materialized adjacency
-  (equality with ``Network.apply_external`` by shared code), then the
-  arrays are re-interned from the folded graph.
+* External perturbations are rare and semantically fiddly, so the
+  reference engine folds them: the replayed graph becomes a reference
+  ``Network``, ``Network.apply_external`` applies the strike, and the
+  arrays are re-interned from the result.
 """
 
 from __future__ import annotations
@@ -44,7 +44,14 @@ from itertools import chain
 
 import numpy as np
 
-from .conformance import _MAX_DETAILS, InvariantChecker, _EdgeReplay, _lbl, _le
+from .conformance import (
+    _MAX_DETAILS,
+    InvariantChecker,
+    _apply_strike,
+    _lbl,
+    _reference_network,
+)
+from .engine.actions import edge_key
 from .engine.edge_keys import (
     ACTIVE,
     EMPTY,
@@ -100,20 +107,6 @@ _FEW_EDGES = 32
 #: drops / all of them activations: 0.55-0.73x / 0.55-0.92x at 4
 #: requests, 0.6-0.9x / 0.83-1.6x at 8, 0.83-0.96x / 1.16-1.42x at 12.
 _TINY = 4
-
-
-class _DictProxy:
-    """Borrowed dict-replay state: lets the array replay reuse
-    ``_EdgeReplay``'s perturbation fold verbatim (engine equality by
-    shared code, pinned by tests/test_replay_differential.py)."""
-
-    _add_edge = _EdgeReplay._add_edge
-    _drop_edge = _EdgeReplay._drop_edge
-    _apply_perturbation = _EdgeReplay._apply_perturbation
-
-    def __init__(self, adj, n_edges):
-        self._adj = adj
-        self._n_edges = n_edges
 
 
 _NO = np.empty(0, dtype=bool)
@@ -256,9 +249,7 @@ class ArrayReplayTracker:
             ua is not None and ua.size and ua[0] == 0 and ua[-1] == ua.size - 1
         )
         if dirs is None:
-            su, sv, _ = self._to_slots(edges)
-            valid = (su >= 0) & (sv >= 0) & (su != sv)
-            edges = unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
+            edges = self._pack_pairs(edges)
             dirs = both_dirs(edges) if self._directed else EMPTY
         if self._directed:
             self._keys = edges  # derived from _dir on demand once it moves on
@@ -270,6 +261,13 @@ class ArrayReplayTracker:
         else:
             self._keys = edges
             self._dir = EMPTY
+
+    def _pack_pairs(self, edges):
+        """The sorted undirected slot keys of the label pairs ``edges``
+        that name two known, distinct nodes."""
+        su, sv, _ = self._to_slots(edges)
+        valid = (su >= 0) & (sv >= 0) & (su != sv)
+        return unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
 
     def keys(self):
         """The active edges as a sorted undirected key array."""
@@ -381,12 +379,12 @@ class ArrayReplayTracker:
         dict loop order), with no legality checking; returns the
         round's :class:`_RoundStep`.
 
-        Validity mirrors ``_EdgeReplay._add_edge``/``_drop_edge``: an
-        add applies when both endpoints are known, it is no self-loop
-        and its edge is not active; a drop, when its edge is active
-        after the adds.  In-batch duplicates collapse as sequential
-        dict folds do.  An unknown node or a self-loop packs to a key
-        no key array holds, so the membership probes need no masks.
+        Validity is ``_EdgeReplay.fold_round``'s: an add applies when
+        both endpoints are known, it is no self-loop and its edge is not
+        active; a drop, when its edge is active after the adds.  In-batch
+        duplicates collapse, as in its edge-key sets.  An unknown node or
+        a self-loop packs to a key no key array holds, so the membership
+        probes need no masks.
         A round of at most :data:`_TINY` int-labelled requests under
         identity interning folds in :meth:`_fold_tiny` instead.
         """
@@ -512,25 +510,16 @@ class ArrayReplayTracker:
             codes=np.array(codes, np.int8),
         )
 
-    def _apply_perturbation(self, record) -> list:
-        """Fold an external strike by materializing the dict adjacency,
-        running the dict replay's fold, and re-interning the result.
-        Returns the pre-strike slot -> label list."""
+    def fold_strike(self, record) -> tuple:
+        """Fold an external strike with ``Network.apply_external`` on a
+        reference network built from the replayed graph, and re-intern
+        the result.  Returns the pre-strike slot -> label list and the
+        strike's applied ``(dropped, added)`` edge keys."""
         uids = self._uids
-        adj: dict = {u: set() for u in uids}
-        keys = self.keys()
-        lo = (keys >> SHIFT).tolist()
-        hi = (keys & MASK).tolist()
-        for a, b in zip(lo, hi):
-            u, v = uids[a], uids[b]
-            adj[u].add(v)
-            adj[v].add(u)
-        proxy = _DictProxy(adj, keys.size)
-        proxy._apply_perturbation(record)
-        nodes = list(adj)
-        edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if _le(u, v)]
-        self._start(nodes, edges)
-        return uids
+        net = _reference_network(*self.snapshot())
+        dropped, added = _apply_strike(net, record)
+        self._start(list(net.nodes), list(net.edges()))
+        return uids, dropped, added
 
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists."""
@@ -653,7 +642,7 @@ class ArrayConnectivityChecker(_ReplayChecker):
         return True
 
     def on_perturbation(self, record) -> None:
-        self._read(self._replay._apply_perturbation, record)
+        self._read(self._replay.fold_strike, record)
         self._rebuild()
         if self._components > 1:
             self._fail(
@@ -677,6 +666,7 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
+        self._orig = self._replay.keys()  # E(1), in slot space
         self._act_keys = EMPTY  # activated-only edges (E(i) \ E(1))
 
     def on_round(self, record) -> None:
@@ -724,7 +714,12 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
             u, v = step.dlbl(int(k))
             self._fail(f"{where}: deactivated inactive edge ({_lbl(u)}, {_lbl(v)})")
         # -- the applied sets: adds first, then drops (dict loop order) -
-        self._act_keys = merge_in(self._act_keys, step.added)
+        # A re-activated E(1) edge is not an activated edge.
+        added = step.added
+        if added.size:
+            self._act_keys = merge_in(
+                self._act_keys, added[~member(self._orig, added)]
+            )
         gone = step.gone
         if gone.size:
             act = self._act_keys
@@ -746,27 +741,17 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
             )
 
     def on_perturbation(self, record) -> None:
-        # Same baseline-fold semantics as the dict checker: strikes fold
-        # into E(1); dropped and crash-incident activated edges stop
-        # counting whether or not the engine applied the event.  The
-        # activated keys decode against the pre-strike interning.
-        uids = self._read(self._replay._apply_perturbation, record)
-        pairs = set()
-        for key in self._act_keys.tolist():
-            x, y = uids[key >> SHIFT], uids[key & int(MASK)]
-            pairs.add((x, y) if _le(x, y) else (y, x))
-        for u, v in record.drops:
-            pairs.discard((u, v) if _le(u, v) else (v, u))
+        # Strikes fold into E(1) as Network.apply_external folds them:
+        # applied drops and every edge of a crashed node leave it, the
+        # applied adds and joins enter it.  E(1) decodes against the
+        # pre-strike interning; the activated keys are the active keys
+        # outside it.
+        uids, dropped, added = self._read(self._replay.fold_strike, record)
         crashed = set(record.crashes)
-        if crashed:
-            pairs = {e for e in pairs if e[0] not in crashed and e[1] not in crashed}
-        get = self._replay._label_index().get
-        repacked = np.fromiter(
-            (
-                pack(np.int64(get(u)), np.int64(get(v)))
-                for u, v in pairs
-            ),
-            dtype=np.int64,
-            count=len(pairs),
-        )
-        self._act_keys = np.sort(repacked)
+        m = int(MASK)
+        orig = {edge_key(uids[k >> SHIFT], uids[k & m]) for k in self._orig.tolist()}
+        orig = {e for e in orig - dropped if e[0] not in crashed and e[1] not in crashed}
+        replay = self._replay
+        self._orig = replay._pack_pairs(orig | added)
+        keys = replay.keys()
+        self._act_keys = keys[~member(self._orig, keys)]

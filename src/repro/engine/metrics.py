@@ -118,17 +118,14 @@ class MetricsRecorder:
         # path needs.
         self._np = None
         if getattr(network, "_identity", False) and not self._activated_now:
-            try:
-                import numpy
-            except ImportError:  # pragma: no cover - numpy is a core dep
-                numpy = None
-            if numpy is not None:
-                self._np = numpy
-                self._orig_arr = network.original_keys()
-                self._degree_arr = numpy.zeros(network.n, numpy.int64)
-                # Activated-only keys, for runs fed by record_keys.
-                self._act_keys = self._orig_arr[:0]
-                return
+            import numpy  # lazy: reference-network runs never need it
+
+            self._np = numpy
+            self._orig_arr = network.original_keys()
+            self._degree_arr = numpy.zeros(network.n, numpy.int64)
+            # Activated-only keys, for runs fed by record_keys.
+            self._act_keys = self._orig_arr[:0]
+            return
         degree = self._activated_degree = {u: 0 for u in network.nodes}
         for u, v in self._activated_now:
             degree[u] += 1

@@ -210,22 +210,32 @@ class Network:
         # remaining deactivation of a non-active edge is a no-op.
         deactivations = {e for e in deactivations if e in self._active}
 
-        frozen = self._frozen
+        self.commit(activations, deactivations)
+        self.round += 1
+        return activations, deactivations
+
+    def commit(self, activations, deactivations) -> None:
+        """Add the canonical edge keys ``activations``, then remove
+        ``deactivations``, with no legality filtering; the round counter
+        does not move.
+
+        :meth:`apply` commits its filtered sets through here, and the
+        dict conformance replay commits a recorded round's applicable
+        sets (keys naming known nodes, no self-loops).
+        """
+        active, adj, frozen = self._active, self._adj, self._frozen
         for u, v in activations:
-            self._active.add((u, v))
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+            active.add((u, v))
+            adj[u].add(v)
+            adj[v].add(u)
             frozen.pop(u, None)
             frozen.pop(v, None)
         for u, v in deactivations:
-            self._active.discard((u, v))
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
+            active.discard((u, v))
+            adj[u].discard(v)
+            adj[v].discard(u)
             frozen.pop(u, None)
             frozen.pop(v, None)
-
-        self.round += 1
-        return activations, deactivations
 
     # ------------------------------------------------------------------
     # external (adversarial) mutation — outside the model's legality rules

@@ -50,10 +50,7 @@ import struct
 import zlib
 from typing import NamedTuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a core dependency
-    _np = None
+import numpy as _np
 
 from ..errors import ConfigurationError, TraceError
 from .observers import JsonlSink, RawRound, RoundObserver, _PairsView
@@ -791,7 +788,7 @@ class BinaryTraceReader:
                     if tag == _FRAME_ROUND:
                         record = (
                             _decode_round_arrays(payload)
-                            if arrays and _np is not None
+                            if arrays
                             else _decode_round(payload)
                         )
                         rounds += 1

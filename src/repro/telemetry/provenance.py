@@ -30,11 +30,9 @@ def git_sha() -> str | None:
     return sha if proc.returncode == 0 and sha else None
 
 
-def _numpy_version() -> str | None:
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        return None
+def _numpy_version() -> str:
+    import numpy
+
     return numpy.__version__
 
 

@@ -61,20 +61,33 @@ def test_corpus_covers_registry():
     assert set(CORPUS) == {spec.name for spec in scenarios()}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_corpus_all_green(name, backend):
+def _corpus_all_green(name, backend, arrays):
     family, n = CORPUS[name]
     spec = get_scenario(name)
     if not spec.supports_backend and backend != "reference":
         pytest.skip("centralized strategies have no backend")
-    checkers = make_checkers(spec.invariants)
+    checkers = make_checkers(spec.invariants, arrays=arrays)
     kwargs = {"observers": checkers}
     if spec.supports_backend:
         kwargs["backend"] = backend
     spec.runner(families.make(family, n), **kwargs)
     columns = verdict_columns(checkers)
     assert all(v == "ok" for v in columns.values()), columns
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_all_green(name, backend):
+    """The array checkers (the default) are green on the corpus."""
+    _corpus_all_green(name, backend, arrays=True)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_all_green_oracle(name, backend):
+    """The dict oracle, replaying on a reference ``Network``, is green
+    on the corpus by itself."""
+    _corpus_all_green(name, backend, arrays=False)
 
 
 def test_live_and_replay_verdicts_agree():
@@ -215,6 +228,56 @@ def test_disconnecting_adversary_is_caught(backend):
     verdict = checker.verdict()
     assert not verdict.ok
     assert "disconnected" in verdict.detail
+
+
+class _Reactivate(NodeProgram):
+    """Node 0 deactivates the original edge (0, 1) in round 1 and
+    re-activates it in round 2, through the common neighbor 2."""
+
+    def transition(self, ctx, inbox):
+        if self.uid == 0 and ctx.round == 1:
+            ctx.deactivate(1)
+        elif self.uid == 0 and ctx.round == 2:
+            ctx.activate(1)
+        elif ctx.round >= 3:
+            self.halt()
+
+
+@pytest.mark.parametrize("arrays", [True, False], ids=["arrays", "dict"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reactivated_original_edge_is_not_activated(backend, arrays, tmp_path, monkeypatch):
+    """Regression: an ``E(1)`` edge deactivated and later re-activated
+    is an original edge again, not an activated one.  The engine counts
+    ``|E(i) \\ E(1)| = 0`` throughout; both checker families used to
+    count 1 from round 2 on (a false red verdict), live and offline."""
+    import networkx as nx
+
+    from repro.conformance import check_trace_parallel
+    from repro.engine import to_binary
+
+    graph = nx.Graph([(0, 1), (1, 2), (0, 2), (2, 3)])  # triangle + pendant
+    names = ("connectivity", "temporal-legality")
+    live = make_checkers(names, arrays=arrays)
+    trace = run_program(
+        graph, _Reactivate, collect_trace=True, observers=live, backend=backend
+    ).trace
+    assert [sorted(r.activations) for r in trace.records[:2]] == [[], [(0, 1)]]
+    assert [r.activated_edges for r in trace.records] == [0] * len(trace.records)
+    green = [(name, True, "") for name in names]
+    assert [(c.name, c.ok, c.verdict().detail) for c in live] == green
+    offline = check_trace(graph, trace, make_checkers(names, arrays=arrays))
+    assert [(v.invariant, v.ok, v.detail) for v in offline] == green
+    jsonl = tmp_path / "run.jsonl"
+    jsonl.write_text(trace.to_jsonl())
+    rtb = tmp_path / "run.rtb"
+    to_binary(trace, rtb)
+    if arrays:
+        monkeypatch.delenv("REPRO_CHECKERS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CHECKERS", "dict")
+    for path in (jsonl, rtb):
+        verdicts = check_trace_parallel(graph, path, names, jobs=1)
+        assert [(v.invariant, v.ok, v.detail) for v in verdicts] == green
 
 
 class TestTamperedTraces:

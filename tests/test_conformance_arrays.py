@@ -21,7 +21,8 @@ suite pins that contract:
   ``RawRound``/``_PairsView`` records that are field-equal to the
   scalar decoder's ``RoundRecord``s;
 * **tracker equivalence** — ``ArrayReplayTracker`` folds rounds and
-  strikes to the same snapshot as ``_EdgeReplay``;
+  strikes to the same snapshot as ``_EdgeReplay``'s reference
+  ``Network``;
 * **the shared replay** — the structural checkers alone and linked, in
   either hook order, live and offline, with churn and crash strikes,
   match the oracle; linked checkers fold each round that changes an
@@ -351,6 +352,10 @@ def test_rtb_array_decode_matches_scalar(tmp_path):
 
 
 def test_tracker_snapshot_matches_dict_fold():
+    """A star run's rounds, then a strike that drops, adds, crashes and
+    joins, fold to the same snapshot on the array replay as on the dict
+    replay's reference ``Network`` (both fold the strike with
+    ``Network.apply_external``)."""
     graph = families.make("ring", 16)
     result = get_scenario("star").runner(graph, collect_trace=True)
     net = Network(families.make("ring", 16), require_connected=False)
@@ -368,8 +373,8 @@ def test_tracker_snapshot_matches_dict_fold():
         crashes=(5,),
         joins=((99, (0, 2)),),
     )
-    arr._apply_perturbation(strike)
-    ref._apply_perturbation(strike)
+    arr.fold_strike(strike)
+    ref.fold_strike(strike)
     an, ae = arr.snapshot()
     dn, de = ref.snapshot()
     assert sorted(an) == sorted(dn)
