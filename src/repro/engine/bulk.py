@@ -5,9 +5,13 @@ Selected with ``SynchronousRunner(..., backend="bulk")`` or
 every scenario and every adversary schedule it produces a
 **byte-identical JSONL trace** and **equal Metrics** to the reference
 backend (``tests/test_backend_differential`` is the oracle).  Network
-state is the index-interned :class:`~repro.engine.dense.DenseNetwork`;
-what the runner adds is that the per-round cost follows the *activity*
-of the round, not ``n``.  Each round takes one of four paths, reported
+state is :class:`~repro.engine.dense.DenseNetwork`, the reference
+network plus sorted key arrays: kernel rounds commit through its array
+apply, every other round through the inherited
+:meth:`~repro.engine.network.Network.apply`, and strikes through the
+inherited :meth:`~repro.engine.network.Network.apply_external`.  What
+the runner adds is that the per-round cost follows the *activity* of
+the round, not ``n``.  Each round takes one of four paths, reported
 as the telemetry ``dispatch`` label:
 
 * **kernel** — when the program factory is a
@@ -63,9 +67,9 @@ except ImportError as exc:  # pragma: no cover - numpy is a core dependency
 import networkx as nx
 
 from ..errors import ConfigurationError, ExecutionError, ProtocolViolation
-from .actions import RoundActions
+from .actions import RequestArrays, RoundActions
 from .dense import _EMPTY_INBOX, DenseConnectivityTracker, DenseContext, DenseNetwork
-from .edge_keys import request_max
+from .edge_keys import EMPTY, request_max
 from .observers import _PairsView
 from .program import NodeProgram
 from .runner import SynchronousRunner
@@ -73,6 +77,9 @@ from .trace import PerturbationRecord
 
 #: Sentinel wake round for "parked until an external wake condition".
 _NEVER = np.iinfo(np.int64).max // 2
+
+#: A quiescent kernel round's requests: none.
+_NO_REQUESTS = RequestArrays(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY, EMPTY)
 
 _HALTED = attrgetter("halted")
 _BARRIER_READY = attrgetter("barrier_ready")
@@ -231,7 +238,7 @@ class BulkRunner(SynchronousRunner):
             }
             self._publics = {}
             self._kernel = None
-        # The per-node paths read the network's Python views directly.
+        # The per-node paths read the network's uid-keyed state directly.
         self.network.views()
         super()._setup(adversary)
         publics = self._publics
@@ -475,13 +482,15 @@ class BulkRunner(SynchronousRunner):
         # same contents, so its readers' decisions cannot change.
         uids = self._uids
         if staged:
-            net_idx = self._net_idx
-            iadj = net._iadj
+            adj = net._adj
             touched: list = []
             for i, pub in staged:
+                uid = uids[i]
                 pub_objs[i] = pub
-                publics[uids[i]] = pub
-                touched.extend(iadj[net_idx[i]])
+                publics[uid] = pub
+                touched.extend(adj[uid])
+            if not net._identity:  # identity interning: uids are indices
+                touched = list(map(net._idx_of.__getitem__, touched))
             pos = self._slot_of_idx[touched]
             pos = pos[pos >= 0]
             if len(pos):
@@ -680,20 +689,17 @@ class BulkRunner(SynchronousRunner):
         # commits sorted packed keys, which the recorder, the
         # connectivity guard and (as pair views) the observers read
         # directly.  Quiescent-phase kernels touch no edges and return
-        # only the halting wave.
+        # only the halting wave: they commit no requests the same way.
         if kernel.produces_actions:
             newly_halted, requests = kernel.step_round(self._kstate, round_no)
-            akeys, dkeys = net.apply_arrays(requests, strict=self.strict)
-            recorder.record_keys(akeys, dkeys, request_max(requests.act_actor))
-            connected = self._conn is None or self._conn.update_keys(akeys, dkeys)
-            activations = _PairsView.of_keys(akeys)
-            deactivations = _PairsView.of_keys(dkeys)
         else:
             newly_halted = kernel.step_round(self._kstate, round_no)
-            self._actions.clear()
-            activations, deactivations = net.apply(self._actions, strict=self.strict)
-            recorder.record_round(activations, deactivations, None)
-            connected = self._conn is None or self._conn.update(activations, deactivations)
+            requests = _NO_REQUESTS
+        akeys, dkeys = net.apply_arrays(requests, strict=self.strict)
+        recorder.record_keys(akeys, dkeys, request_max(requests.act_actor))
+        connected = self._conn is None or self._conn.update_keys(akeys, dkeys)
+        activations = _PairsView.of_keys(akeys)
+        deactivations = _PairsView.of_keys(dkeys)
         if not connected:
             raise ProtocolViolation(f"round {round_no} broke connectivity")
 

@@ -3,13 +3,14 @@
 The one array statement of the model's edge rules, shared by the bulk
 engine (:meth:`repro.engine.dense.DenseNetwork.apply_arrays`, the star
 kernel, the metrics recorder) and the array conformance checkers
-(:mod:`repro.conformance_arrays`).  The per-edge statements are the
-reference :meth:`repro.engine.network.Network.apply` (the oracle) and the
-bulk backend's per-edge :meth:`~repro.engine.dense.DenseNetwork.apply` loop.
+(:mod:`repro.conformance_arrays`).  The one per-edge statement is the
+reference :meth:`repro.engine.network.Network.apply` (the oracle), which
+the bulk backend's per-edge rounds inherit.
 
 * An undirected edge between slots ``i`` and ``j`` packs to
-  ``(min << 32) | max`` — the same key :class:`~repro.engine.dense.DenseNetwork`'s
-  packed-pair sets use.  An edge set is one sorted unique ``int64`` array.
+  ``(min << 32) | max`` — the layout of
+  :class:`~repro.engine.dense.DenseNetwork`'s key arrays.  An edge set is
+  one sorted unique ``int64`` array.
 * Adjacency is a second sorted array of *directed* keys (both
   orientations), so a slot's neighbor slice is two ``searchsorted``
   probes and "do ``a`` and ``b`` share a neighbor" is a flat expansion of

@@ -213,6 +213,8 @@ class MetricsRecorder:
         m.max_activations_per_node_round = max(
             m.max_activations_per_node_round, per_node_max
         )
+        if not k and not deactivations.size:
+            return  # an idle round: the activated-only subgraph is unchanged
         degree = self._degree_arr
         fresh = activations[~member(self._orig_arr, activations)]
         if fresh.size:

@@ -130,7 +130,7 @@ class Network:
         """The current snapshot ``D(i)`` as a fresh :class:`networkx.Graph`."""
         g = nx.Graph()
         g.add_nodes_from(self._nodes)
-        g.add_edges_from(self._active)
+        g.add_edges_from(self.edges())
         return g
 
     def is_connected(self) -> bool:
@@ -160,40 +160,38 @@ class Network:
         :class:`ProtocolViolation`; otherwise illegal actions are dropped
         silently (useful for adversarial/fuzz tests).
         """
+        nodes, adj, active = self._nodes, self._adj, self._active
         activations: set = set()
         for actor, u, v in actions.activations:
-            if u not in self._nodes or v not in self._nodes:
+            if u not in nodes or v not in nodes:
                 if strict:
-                    raise ProtocolViolation(
-                        f"node {actor} activated ({u}, {v}) referencing an unknown node"
-                    )
+                    raise _illegal("unknown", actor, u, v)
                 continue
-            e = edge_key(u, v)
             if u == v:
                 if strict:
-                    raise ProtocolViolation(f"node {actor} attempted a self-loop at {u}")
+                    raise _illegal("self-loop", actor, u, v)
                 continue
-            if e in self._active:
+            e = edge_key(u, v)
+            if e in active:
                 # Activating an already active edge has no effect (model rule).
                 continue
-            if not self.common_neighbor_exists(u, v):
+            a, b = adj[u], adj[v]
+            if len(a) > len(b):
+                a, b = b, a
+            if b.isdisjoint(a):
                 if strict:
-                    raise ProtocolViolation(
-                        f"node {actor} activated {e} but endpoints are not at distance 2"
-                    )
+                    raise _illegal("distance", actor, u, v)
                 continue
             activations.add(e)
 
         deactivations: set = set()
         for actor, u, v in actions.deactivations:
-            if u not in self._nodes or v not in self._nodes:
+            if u not in nodes or v not in nodes:
                 if strict:
-                    raise ProtocolViolation(
-                        f"node {actor} deactivated ({u}, {v}) referencing an unknown node"
-                    )
+                    raise _illegal("deactivated-unknown", actor, u, v)
                 continue
             e = edge_key(u, v)
-            if e not in self._active:
+            if e not in active:
                 # Deactivating an inactive edge has no effect (model rule),
                 # unless it was activated this very round: that is a conflict
                 # handled below.
@@ -208,7 +206,7 @@ class Network:
         # A deactivation may target an edge that was only just requested for
         # activation by the other endpoint; after conflict removal, any
         # remaining deactivation of a non-active edge is a no-op.
-        deactivations = {e for e in deactivations if e in self._active}
+        deactivations = {e for e in deactivations if e in active}
 
         self.commit(activations, deactivations)
         self.round += 1
@@ -255,10 +253,16 @@ class Network:
         Entries that no longer match the current state (an already-gone
         edge, an unknown crash uid, a duplicate join) are skipped: a
         scripted schedule may legitimately race the algorithm's own
-        reconfiguration.  Returns the effective ``(dropped, added)`` edge
-        sets, with crash-incident edges included in ``dropped`` and join
-        attach edges included in ``added``.  Does not advance the round.
+        reconfiguration.  A join whose uid is not order-comparable with
+        the current labels raises :class:`ConfigurationError` before
+        anything changes, as the constructor would.  Returns the
+        effective ``(dropped, added)`` edge sets, with crash-incident
+        edges included in ``dropped`` and join attach edges included in
+        ``added``.  Does not advance the round.
         """
+        fresh = {uid for uid, _ in joins} - self._nodes
+        if fresh:
+            _validate_label_comparability(self._nodes | fresh)
         dropped: set = set()
         added: set = set()
         nodes = set(self._nodes)
@@ -339,6 +343,26 @@ class Network:
         g = nx.Graph()
         g.add_edges_from(edges)
         return cls(g, **kwargs)
+
+
+def _illegal(kind: str, actor, u, v) -> ProtocolViolation:
+    """The strict-mode error for one illegal request, worded once for
+    :meth:`Network.apply` and the array apply
+    (:meth:`repro.engine.dense.DenseNetwork.apply_arrays`)."""
+    if kind == "unknown":
+        return ProtocolViolation(
+            f"node {actor} activated ({u}, {v}) referencing an unknown node"
+        )
+    if kind == "self-loop":
+        return ProtocolViolation(f"node {actor} attempted a self-loop at {u}")
+    if kind == "distance":
+        return ProtocolViolation(
+            f"node {actor} activated {edge_key(u, v)} "
+            f"but endpoints are not at distance 2"
+        )
+    return ProtocolViolation(
+        f"node {actor} deactivated ({u}, {v}) referencing an unknown node"
+    )
 
 
 def _validate_label_comparability(nodes: frozenset) -> None:

@@ -280,6 +280,40 @@ def test_reactivated_original_edge_is_not_activated(backend, arrays, tmp_path, m
         assert [(v.invariant, v.ok, v.detail) for v in verdicts] == green
 
 
+def test_incomparable_join_is_rejected_at_its_strike():
+    """Regression: a strike joining a uid that is not order-comparable
+    with the current labels (``"x"`` joining a ring of ints) is out of
+    the model, like such a ``G_s``.  Both backends (live) and both
+    checker families (offline) reject it at that strike with the
+    constructor's one-line error; the array replay used to fail only at
+    the *next* strike, while the dict checkers returned verdicts."""
+    import networkx as nx
+
+    from repro.engine import PerturbationRecord, edge_key
+
+    graph = nx.cycle_graph(6)
+    errors = []
+    for backend in BACKENDS:
+        with pytest.raises(ConfigurationError) as exc:
+            run_program(
+                graph, _Idle, backend=backend,
+                adversary=ScriptedAdversary({2: {"joins": [("x", [0])]}}),
+            )
+        errors.append(str(exc.value))
+    trace = run_program(graph, _Idle, collect_trace=True).trace
+    trace.perturbations.append(PerturbationRecord(
+        round=2, drops=frozenset(), adds=frozenset({edge_key(0, "x")}),
+        crashes=(), joins=(("x", (0,)),),
+    ))
+    for arrays in (True, False):
+        checkers = make_checkers(("connectivity", "temporal-legality"), arrays=arrays)
+        with pytest.raises(ConfigurationError) as exc:
+            check_trace(graph, trace, checkers)
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1, errors
+    assert "mutually comparable" in errors[0] and "\n" not in errors[0]
+
+
 class TestTamperedTraces:
     """Invariant class 2 (temporal legality): forged records are caught."""
 

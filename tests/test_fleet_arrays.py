@@ -231,8 +231,9 @@ def _labelled(graph, kind):
 def test_fresh_network_reads_need_no_views(family, kind):
     """A fresh ``DenseNetwork`` answers the edge-set reads from its key
     arrays — exactly as the reference ``Network`` does — without
-    building a Python view; ``is_original`` stays exact before and
-    after per-edge rounds; the adjacency reads build the views."""
+    building the uid-keyed adjacency or active set; ``is_original``
+    stays exact before and after per-edge rounds; the adjacency reads
+    build that state."""
     from repro.engine import Network, RoundActions
     from repro.engine.dense import DenseNetwork
 
@@ -248,7 +249,7 @@ def test_fresh_network_reads_need_no_views(family, kind):
         )
 
     assert edge_reads(dense) == edge_reads(ref)
-    assert dense._iadj is None and dense._active_pairs is None
+    assert dense._adj is None and dense._active is None
     nodes = sorted(graph.nodes)
     pairs = [(u, v) for u in nodes[:8] for v in nodes[:8] if u != v]
     assert [dense.is_original(u, v) for u, v in pairs] == [
@@ -257,7 +258,7 @@ def test_fresh_network_reads_need_no_views(family, kind):
     assert {u: set(dense.neighbors(u)) for u in nodes} == {
         u: set(ref.neighbors(u)) for u in nodes
     }
-    assert dense._iadj is not None
+    assert dense._adj is not None and dense._active is not None
     # One per-edge round: activate every distance-2 pair around nodes[0].
     u = nodes[0]
     for net in (ref, dense):
@@ -281,3 +282,21 @@ def test_disconnected_graph_still_rejected():
     with pytest.raises(ConfigurationError):
         DenseNetwork(graph)
     assert DenseNetwork(graph, require_connected=False).num_active_edges == 2
+
+
+def test_checked_star_kernel_run_builds_no_uid_keyed_state():
+    """A checked bulk star run and its sweep row read the network only
+    through the key arrays: the uid-keyed adjacency, active and
+    baseline sets are never built (that is what keeps the n=10^6 star
+    cell's memory flat)."""
+    from repro.analysis import sweep
+    from repro.conformance import make_checkers
+
+    spec = get_scenario("star")
+    graph = families.make("ring", 4096, seed=0)
+    checkers = make_checkers(spec.invariants)
+    result = spec.runner(graph, observers=checkers, backend="bulk")
+    row = sweep.measure("star", "ring", graph, result)
+    net = result.network
+    assert all(c.ok for c in checkers) and row.rounds == result.rounds
+    assert (net._adj, net._active, net._original, net._frozen) == (None, None, None, {})

@@ -15,7 +15,11 @@ illegal) ``RoundActions`` batches, checking after every round:
   state-level arm of the cross-backend differential oracle);
 * its array apply (the bulk backend's kernel rounds) commits the same
   sets, keeps both edge counters exact, and raises the same strict-mode
-  violation as the reference on the same requests given as arrays.
+  violation as the reference on the same requests given as arrays;
+* per-edge rounds, array rounds and strikes interleaved on one
+  :class:`DenseNetwork` keep it equal to the reference step by step
+  (the array state and the uid-keyed state hand over in both
+  directions).
 """
 
 import networkx as nx
@@ -330,3 +334,98 @@ def test_dense_external_mutation_matches_reference(data):
         assert _observable_state(dense) == _observable_state(ref)
         for u in ref.nodes:
             assert list(ref.neighbors(u)) == list(dense.neighbors(u))
+
+
+# ----------------------------------------------------------------------
+# per-edge rounds, array rounds and strikes interleaved on one network
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def mixed_steps(draw, n):
+    """A sequence of per-edge rounds, array rounds and strikes.  Labels
+    run from ``-1`` to ``n + 3``, so requests name unknown, crashed and
+    joined nodes; a join of uid ``len(uids)`` keeps the interning the
+    identity (array rounds stay possible), any other uid or a crash
+    ends it."""
+    node = st.integers(min_value=-1, max_value=n + 3)
+    pair = st.tuples(node, node)
+    join = st.tuples(st.integers(min_value=n, max_value=n + 3), st.lists(node, max_size=3))
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["edge", "arrays", "arrays", "strike"]))
+        if kind == "strike":
+            drops = draw(st.lists(pair, max_size=3))
+            steps.append((kind, {
+                "drops": [edge_key(u, v) for u, v in drops if u != v],
+                "adds": draw(st.lists(pair, max_size=3)),
+                "crashes": draw(st.lists(node, max_size=1)),
+                "joins": [(uid, tuple(att)) for uid, att in draw(st.lists(join, max_size=2))],
+            }))
+        else:
+            acts = draw(st.lists(pair, max_size=8))
+            steps.append((kind, acts, draw(st.lists(pair, max_size=4))))
+    return steps
+
+
+def _strict_outcome(apply):
+    try:
+        return apply(True)
+    except ProtocolViolation as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+def test_mixed_modes_match_reference(data):
+    """After every step: the edge sets, both edge counters, ``E(1)``
+    membership, the canonical neighbor views in iteration order, the
+    connectivity components, and the strict-mode outcome (the commit or
+    the violation text) agree with the reference."""
+    graph = data.draw(connected_graphs())
+    n = graph.number_of_nodes()
+    ref, dense = Network(graph), DenseNetwork(graph)
+    ref_tracker, dense_tracker = ConnectivityTracker(ref), DenseConnectivityTracker(dense)
+    for step in data.draw(mixed_steps(n)):
+        kind = step[0]
+        if kind == "strike":
+            events = step[1]
+            assert dense.apply_external(**events) == ref.apply_external(**events)
+            assert dense_tracker.rebuild() == ref_tracker.rebuild()
+        else:
+            acts, dacts = step[1], step[2]
+            arrays = kind == "arrays" and dense._identity and (
+                len(dense._idx_of) == len(dense._uid_of)
+            )
+
+            def ref_apply(strict):
+                return ref.apply(_batch(acts, dacts), strict=strict)
+
+            def dense_apply(strict):
+                if arrays:
+                    return dense.apply_arrays(_arrays(acts, dacts), strict=strict)
+                return dense.apply(_batch(acts, dacts), strict=strict)
+
+            expected, got = _strict_outcome(ref_apply), _strict_outcome(dense_apply)
+            assert isinstance(got, str) is isinstance(expected, str), (got, expected)
+            if isinstance(expected, str):  # rejected atomically: commit leniently
+                assert got == expected
+                expected, got = ref_apply(False), dense_apply(False)
+            (ra, rd), (da, dd) = expected, got
+            if arrays:
+                assert (_pairs(da), _pairs(dd)) == (ra, rd)
+                updated = dense_tracker.update_keys(da, dd)
+            else:
+                assert (da, dd) == (ra, rd)
+                updated = dense_tracker.update(da, dd)
+            assert updated == ref_tracker.update(ra, rd)
+        assert dense_tracker.components == ref_tracker.components
+        assert set(dense.edges()) == set(ref.edges())
+        assert dense.num_active_edges == ref.num_active_edges
+        assert dense.num_activated_edges == ref.num_activated_edges
+        labels = range(-1, n + 4)
+        assert [dense.is_original(u, v) for u in labels for v in labels] == [
+            ref.is_original(u, v) for u in labels for v in labels
+        ]
+        assert _observable_state(dense) == _observable_state(ref)
+        for u in ref.nodes:
+            assert list(dense.neighbors(u)) == list(ref.neighbors(u))
