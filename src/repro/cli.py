@@ -27,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import conformance, graphs
@@ -64,9 +65,10 @@ SWEEP_TIERS: dict = {
     },
     # The ``xlarge`` tier (PR 6) runs the log-round bulk-capable
     # scenarios at n = 10^5 on the array-native backend.  Two exclusions
-    # are inherent, not backend limits: the wreath family's round count
-    # grows ~2n (ring splices advance one stepping stone per round),
-    # exceeding the engine round limit long before 10^5; and the
+    # are not backend limits: the wreath family's round count grows ~2n
+    # on increasing-order rings (ring splices advance one stepping stone
+    # per round; a known defect, DESIGN.md note 9), exceeding the engine
+    # round limit long before 10^5; and the
     # flood-style scenarios (token dissemination *and* max-UID leader
     # election, which floods all n UIDs) are Theta(n^2) information by
     # definition — ``quadratic_state`` in the registry — so they fit no
@@ -341,13 +343,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message) -> int:
+    """Report a usage error as one ``repro: error:`` line; exit code 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _check_writable(*outputs) -> None:
+    """Raise :class:`ConfigurationError` for the first ``(flag, path)``
+    output that cannot be written, so a bad path fails before the run
+    rather than after it.  ``None`` paths are skipped."""
+    for flag, path in outputs:
+        if path is None:
+            continue
+        target = os.path.abspath(path)
+        parent = os.path.dirname(target)
+        if os.path.isdir(target):
+            reason = "is a directory"
+        elif not os.path.isdir(parent):
+            reason = f"has no directory {parent}"
+        elif not os.access(parent, os.W_OK) or (
+            os.path.exists(target) and not os.access(target, os.W_OK)
+        ):
+            reason = "is not writable"
+        else:
+            continue
+        raise ConfigurationError(f"{flag} {path} {reason}")
+
+
 def _check_cells(args, algorithms, families) -> int:
     """Resolve every requested scenario and validate every requested cell
     through the registry's single capability path.  Returns an exit code
     (0 = all cells are runnable)."""
-    adversary = _adversary_spec(args)
     params = _provided_params(args)
     try:
+        adversary = _adversary_spec(args)
         for name in algorithms:
             spec = get_scenario(name)  # fail fast, before any cell runs
             for family in families:
@@ -359,8 +389,7 @@ def _check_cells(args, algorithms, families) -> int:
             if spec.supports_backend:
                 resolve_backend(args.backend)  # $REPRO_BACKEND may name none
     except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     return 0
 
 
@@ -398,12 +427,14 @@ def _main_sweep(args) -> int:
     algorithms, families_, sizes = _resolve_tier(args)
     for family in families_:
         if family not in graphs.FAMILIES:
-            print(f"unknown family {family!r}; known: {sorted(graphs.FAMILIES)}",
-                  file=sys.stderr)
-            return 2
+            return _error(f"unknown family {family!r}; known: {sorted(graphs.FAMILIES)}")
     code = _check_cells(args, algorithms, families_)
     if code:
         return code
+    try:
+        _check_writable(("--json", args.json_path), ("--csv", args.csv_path))
+    except ConfigurationError as exc:
+        return _error(exc)
     plan = SweepPlan.grid(
         algorithms, families_, sizes,
         seeds=args.seeds, adversary=_adversary_spec(args),
@@ -422,8 +453,7 @@ def _main_sweep(args) -> int:
             trace_out=getattr(args, "trace_out", None),
         )
     except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _error(exc)
     if args.json_path:
         result.to_json(args.json_path)
     if args.csv_path:
@@ -450,12 +480,10 @@ def _main_check_trace(args) -> int:
     """Offline audit: replay an archive against a scenario's invariants."""
     spec = get_scenario(args.algorithm)
     if not spec.invariants:
-        print(
+        return _error(
             f"scenario {args.algorithm!r} declares no invariants to audit "
-            f"against; pick the scenario the archive was recorded with",
-            file=sys.stderr,
+            f"against; pick the scenario the archive was recorded with"
         )
-        return 2
     try:
         graph = graphs.make(args.family, args.n, seed=args.seed)
         verdicts = conformance.check_trace_parallel(
@@ -463,8 +491,7 @@ def _main_check_trace(args) -> int:
             jobs=args.jobs, baselines=args.baselines,
         )
     except (ConfigurationError, TraceError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _error(exc)
     print_table(
         [{v.invariant: v.cell for v in verdicts}],
         title=f"offline audit: {args.archive} "
@@ -486,7 +513,11 @@ def main(argv=None) -> int:
     if code:
         return code
     spec = get_scenario(args.algorithm)
-    graph = graphs.make(args.family, args.n, seed=args.seed)
+    try:
+        _check_writable(("--trace-out", args.trace_out), ("--profile-out", args.profile_out))
+        graph = graphs.make(args.family, args.n, seed=args.seed)
+    except ConfigurationError as exc:
+        return _error(exc)
     kwargs = _provided_params(args)
     # Every sink on the run is a streaming observer: --trace keeps only
     # a bounded activity summary, --trace-out streams JSONL to disk, and
@@ -499,8 +530,7 @@ def main(argv=None) -> int:
         try:
             check_cell(spec, trace=True)
         except ConfigurationError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            return _error(exc)
     if args.trace:
         activity = ActivityObserver()
         observers.append(activity)
@@ -529,6 +559,8 @@ def main(argv=None) -> int:
         kwargs["adversary"] = make_adversary(adversary)
     try:
         result = spec.runner(graph, **kwargs)
+    except ConfigurationError as exc:
+        return _error(exc)
     finally:
         if sink is not None:
             sink.close()

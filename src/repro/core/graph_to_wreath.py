@@ -1,10 +1,15 @@
 """GraphToWreath (Section 4): bounded-degree Depth-log n Tree.
 
 Transforms any connected bounded-degree ``G_s`` into a spanning binary
-tree of depth ``O(log n)`` rooted at the maximum-UID node, in
-``O(log² n)`` rounds with ``O(n log² n)`` total activations, ``O(n)``
-active edges per round, and **constant** maximum activated degree —
-Theorem 4.2's corner of the time/edge trade-off.
+tree of depth ``O(log n)`` rooted at the maximum-UID node, with
+``O(n log² n)`` total activations, ``O(n)`` active edges per round, and
+**constant** maximum activated degree — Theorem 4.2's corner of the
+time/edge trade-off.  Theorem 4.2 also claims ``O(log² n)`` rounds on
+every input; this implementation misses that bound on inputs whose
+selection forest is deep.  On ``increasing_ring`` it takes Θ(n) rounds
+(316 at n=128, 4184 at n=2048), because ASSIGN and SPLICE_A below walk
+the selection tree one hop per round.  That is a known defect, not the
+paper's claim (DESIGN.md, faithfulness note 9).
 
 Committees are *wreaths*: a spanning ring (merged with O(1) structural
 splices) plus a spanning binary tree (internal communication, diameter

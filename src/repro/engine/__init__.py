@@ -2,7 +2,7 @@
 
 from .actions import RoundActions, canonical_view, edge_key
 from .centralized import CentralizedResult, CentralizedStrategy, run_centralized
-from .dense import DenseConnectivityTracker, DenseContext, DenseNetwork
+from .dense import DenseConnectivityTracker, DenseNetwork
 from .metrics import Metrics, MetricsRecorder, aggregate_metrics
 from .network import ConnectivityTracker, Network
 from .observers import ActivityObserver, JsonlSink, RoundObserver, TraceObserver
@@ -49,7 +49,6 @@ __all__ = [
     "RoundObserver",
     "TraceObserver",
     "DenseConnectivityTracker",
-    "DenseContext",
     "DenseNetwork",
     "Metrics",
     "MetricsRecorder",

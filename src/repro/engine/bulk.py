@@ -4,14 +4,23 @@ Selected with ``SynchronousRunner(..., backend="bulk")`` or
 ``REPRO_BACKEND=bulk``.  The contract is strict: for every program,
 every scenario and every adversary schedule it produces a
 **byte-identical JSONL trace** and **equal Metrics** to the reference
-backend (``tests/test_backend_differential`` is the oracle).  Network
-state is :class:`~repro.engine.dense.DenseNetwork`, the reference
-network plus sorted key arrays: kernel rounds commit through its array
-apply, every other round through the inherited
-:meth:`~repro.engine.network.Network.apply`, and strikes through the
-inherited :meth:`~repro.engine.network.Network.apply_external`.  What
-the runner adds is that the per-round cost follows the *activity* of
-the round, not ``n``.  Each round takes one of four paths, reported
+backend (``tests/test_backend_differential`` is the oracle).  The model
+is stated once, in the reference engine, and inherited here:
+
+* network state is :class:`~repro.engine.dense.DenseNetwork`, the
+  reference network plus sorted key arrays: kernel rounds commit
+  through its array apply, every other round through the inherited
+  :meth:`~repro.engine.network.Network.apply`, and strikes through the
+  inherited :meth:`~repro.engine.network.Network.apply_external`;
+* programs see the network through the reference
+  :class:`~repro.engine.program.Context`;
+* setup and strikes run the reference runner's handlers, after which
+  the runner only rebuilds its slot arrays;
+* the connectivity guard is the reference union-find over interned
+  indices (:class:`~repro.engine.dense.DenseConnectivityTracker`).
+
+What the runner adds is that the per-round cost follows the *activity*
+of the round, not ``n``.  Each round takes one of four paths, reported
 as the telemetry ``dispatch`` label:
 
 * **kernel** — when the program factory is a
@@ -51,6 +60,7 @@ backend" spells out the skip-soundness argument.
 
 from __future__ import annotations
 
+import types
 from collections.abc import Mapping
 from itertools import compress
 from operator import attrgetter, not_
@@ -66,20 +76,25 @@ except ImportError as exc:  # pragma: no cover - numpy is a core dependency
 
 import networkx as nx
 
-from ..errors import ConfigurationError, ExecutionError, ProtocolViolation
-from .actions import RequestArrays, RoundActions
-from .dense import _EMPTY_INBOX, DenseConnectivityTracker, DenseContext, DenseNetwork
+from ..errors import ConfigurationError, ProtocolViolation
+from .actions import RequestArrays
+from .dense import DenseConnectivityTracker, DenseNetwork
 from .edge_keys import EMPTY, request_max
 from .observers import _PairsView
 from .program import NodeProgram
 from .runner import SynchronousRunner
-from .trace import PerturbationRecord
 
 #: Sentinel wake round for "parked until an external wake condition".
 _NEVER = np.iinfo(np.int64).max // 2
 
 #: A quiescent kernel round's requests: none.
 _NO_REQUESTS = RequestArrays(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY, EMPTY)
+
+#: The inbox of every program that received no message: one immutable
+#: empty mapping instead of a fresh dict per program.  Inboxes are
+#: read-only by contract; a program that tried to mutate one fails
+#: loudly here rather than silently diverging.
+_EMPTY_INBOX: types.MappingProxyType = types.MappingProxyType({})
 
 _HALTED = attrgetter("halted")
 _BARRIER_READY = attrgetter("barrier_ready")
@@ -157,7 +172,7 @@ class _FleetPublics(Mapping):
 class BulkRunner(SynchronousRunner):
     """The bulk backend's round executor.
 
-    Inherits construction, setup and the outer run loop from
+    Inherits construction, setup, strikes and the outer run loop from
     :class:`SynchronousRunner`; replaces the per-round machinery with
     persistent parallel slot arrays — uids, programs, pre-bound
     ``compose`` / ``transition`` / ``public`` / ``bulk_next_wake``
@@ -168,14 +183,12 @@ class BulkRunner(SynchronousRunner):
     * ``_stale[i]`` — an external wake condition fired since the
       program's last ``bulk_next_wake`` acknowledgement.
 
-    Halt batches and crashes compact the arrays by a keep mask, so the
-    survivors keep their wake state; a rebuild from ``_slots`` (setup,
-    joins, the per-node path) starts everyone due — a join arrives with
-    a perturbation, which wakes the whole fleet anyway.
+    Halt batches compact the arrays by a keep mask, so the survivors
+    keep their wake state; a rebuild (setup, strikes, the per-node path)
+    starts everyone due — a strike wakes the whole fleet anyway.
     """
 
     backend_name = "bulk"
-    _context_cls = DenseContext
     #: The whole-run array kernel and its state (None: per-node rounds).
     _kernel = None
     _kstate = None
@@ -241,17 +254,7 @@ class BulkRunner(SynchronousRunner):
         # The per-node paths read the network's uid-keyed state directly.
         self.network.views()
         super()._setup(adversary)
-        publics = self._publics
-        programs = self.programs
-        for uid, prog in programs.items():
-            publics[uid] = prog.public()
-            prog.public_dirty = False
-        self._dirty.clear()
-        self._slots = [
-            (uid, programs[uid], self._context(uid)) for uid in self._live
-        ]
-        self._sparse = False
-        self._refresh_slot_arrays()
+        self._rebuild_slots()
         self._assist = None
         progs = self._progs
         if progs and adversary is None and self.use_barrier:
@@ -270,6 +273,15 @@ class BulkRunner(SynchronousRunner):
     # ------------------------------------------------------------------
     # slot arrays and wake-state bookkeeping
     # ------------------------------------------------------------------
+
+    def _rebuild_slots(self) -> None:
+        """Snapshot every stale record at once (the per-node paths keep
+        records eager, never dirty) and rebuild the slot arrays from the
+        live set, everyone due."""
+        self._flush_dirty()
+        programs = self.programs
+        self._slots = [(uid, programs[uid], self._context(uid)) for uid in self._live]
+        self._refresh_slot_arrays()
 
     def _refresh_slot_arrays(self) -> None:
         slots = self._slots
@@ -311,7 +323,7 @@ class BulkRunner(SynchronousRunner):
         self._slot_of_idx = spos
 
     def _rebuild_batch(self) -> None:
-        """Drop the halted (or crashed) slots.
+        """Drop the halted slots.
 
         On the sparse path every slot array is compacted by one keep
         mask: survivors keep their order, wake state, ready flags and
@@ -725,100 +737,14 @@ class BulkRunner(SynchronousRunner):
     # ------------------------------------------------------------------
 
     def _apply_adversary(self, adversary, recorder, observers) -> None:
-        """Apply one adversary strike at the current round boundary.
-
-        Mirrors the reference backend exactly; publics are already fresh
-        (every round path re-snapshots eagerly), so joined programs'
-        setup() reads current broadcast state on both backends.
-        """
-        net = self.network
-        pert = adversary.perturb(net, net.round)
-        if not pert:
-            return
+        """Apply one adversary strike through the reference handler, then
+        catch the slot arrays up: a strike is a wake condition for
+        everyone (adjacency, membership and n may all have changed), so
+        they are rebuilt from the live set with every slot due."""
         before = recorder.metrics.adversary_events
-        programs = self.programs
-
-        joins = []
-        join_uids = []
-        for uid, att in pert.joins:
-            if uid in programs or uid in net.nodes or uid in join_uids:
-                continue
-            joins.append((uid, att))
-            join_uids.append(uid)
-
-        dropped, added = net.apply_external(
-            drops=pert.drops, adds=pert.adds, crashes=pert.crashes, joins=joins
-        )
-        crashed = [
-            u for u in pert.crashes
-            if u in programs and u not in net.nodes and not programs[u].crashed
-        ]
-        recorder.record_external(dropped, added, crashed, [(u, ()) for u in join_uids])
-
-        for uid in crashed:
-            prog = programs[uid]
-            prog.crashed = True
-            prog.halted = True
-            self._contexts.pop(uid, None)
-        if crashed:
-            self._rebuild_batch()
-
-        for uid in join_uids:
-            prog = self.program_factory(uid)
-            if prog.uid != uid:
-                raise ConfigurationError(f"program for joined node {uid} reports uid {prog.uid}")
-            programs[uid] = prog
-            self._publics[uid] = prog.public()
-            setup_actions = RoundActions()
-            ctx = DenseContext(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-            if setup_actions:
-                raise ProtocolViolation("setup() must not request edge actions")
-            self._publics[uid] = prog.public()
-            prog.public_dirty = False
-            if not prog.halted:
-                self._slots.append((uid, prog, self._context(uid)))
-        if join_uids:
-            self._refresh_slot_arrays()
-
-        # Crashes/joins changed n: refresh the persistent contexts once.
-        if self.knows_n:
-            n = net.n
-            for ctx in self._ctxs:
-                ctx.n = n
-
-        if self._conn is not None and not self._conn.rebuild():
-            raise ExecutionError(
-                f"adversary disconnected the network at the round-{net.round} boundary"
-            )
-
-        if observers is not None:
-            record = PerturbationRecord(
-                round=net.round,
-                drops=frozenset(dropped),
-                adds=frozenset(added),
-                crashes=tuple(crashed),
-                joins=tuple(joins),
-            )
-            for obs in observers:
-                obs.on_perturbation(record)
-
-        # A perturbation is a wake condition for everyone: adjacency,
-        # membership, and n may all have changed.
-        if (
-            recorder.metrics.adversary_events != before
-            and self._sparse
-            and len(self._wake)
-        ):
-            self._wake[:] = net.round
-            self._stale[:] = True
-            if self._probe is not None:
-                self._probe.probe_wake("perturbation", len(self._wake))
+        super()._apply_adversary(adversary, recorder, observers)
+        if recorder.metrics.adversary_events == before:
+            return
+        self._rebuild_slots()
+        if self._probe is not None and self._sparse:
+            self._probe.probe_wake("perturbation", len(self._wake))

@@ -1,14 +1,14 @@
-"""Index-interned state used by the bulk backend.
+"""Index-interned network state used by the bulk backend.
 
-The bulk runner (:mod:`repro.engine.bulk`) keeps the network as the
-reference :class:`~repro.engine.network.Network` plus sorted key
-arrays, and the connectivity guard in interned index space.  The
-contract is the bulk backend's: byte-identical JSONL traces and equal
-Metrics to the reference backend for every program
-(``tests/test_backend_differential`` is the oracle, and
-``tests/test_property_network`` holds :class:`DenseNetwork` to
-:class:`~repro.engine.network.Network` directly).  What changes is the
-machinery, not the model:
+The bulk runner (:mod:`repro.engine.bulk`) keeps the network as
+:class:`DenseNetwork`, the reference
+:class:`~repro.engine.network.Network` plus sorted key arrays, and the
+connectivity guard as :class:`DenseConnectivityTracker`, the reference
+union-find over interned indices.  The contract is the bulk backend's:
+byte-identical JSONL traces and equal Metrics to the reference backend
+for every program (``tests/test_backend_differential`` is the oracle,
+and ``tests/test_property_network`` holds both classes to the reference
+ones directly).  What changes is the machinery, not the model:
 
 * node uids are interned to dense ints ``0..n-1`` once at construction
   (joins extend the index space; indices, like uids, are never reused);
@@ -22,38 +22,34 @@ machinery, not the model:
   :meth:`Network.apply_external` on it, so the model's per-edge
   legality and its strike semantics are stated once, in
   :mod:`repro.engine.network`;
-* the connectivity guard's union-find runs on plain index arrays.
+* the connectivity guard inherits
+  :class:`~repro.engine.network.ConnectivityTracker`'s union-find and
+  adds only the array fold of a rebuild and the uid -> index
+  translation of a round's sets.
 
-Program-visible views stay in uid space (contexts speak uids by API
-contract) and are built through :func:`repro.engine.actions.canonical_view`
-on both backends, so neighbor iteration order — and therefore every
-trace — is a pure function of network contents.  DESIGN.md ("Interned
+Programs see the network only through the reference
+:class:`~repro.engine.program.Context`, which speaks uids and reads the
+uid-keyed state.  Its neighborhood snapshots are built through
+:func:`repro.engine.actions.canonical_view` on both backends, so
+neighbor iteration order — and therefore every trace — is a pure
+function of network contents.  DESIGN.md ("Interned
 network state") spells out the equivalence argument.
-
-One deliberate representation note: the bulk runner hands every
-program whose inbox is empty the *same* immutable empty mapping
-(:data:`_EMPTY_INBOX`) instead of a fresh dict.  Inboxes are read-only
-by contract; a program that tried to mutate one fails loudly here
-rather than silently diverging.
 """
 
 from __future__ import annotations
 
-import types
 from itertools import chain
 
 import networkx as nx
 
-from ..errors import ConfigurationError, ProtocolViolation
+from ..errors import ConfigurationError
 from .actions import RoundActions, edge_key
-from .network import Network, _illegal, _validate_label_comparability
+from .network import ConnectivityTracker, Network, _illegal, _validate_label_comparability
 
 #: Bits reserved for the minor index in a packed edge pair.  2**32 nodes
 #: is far beyond any simulable size, and packed keys stay machine-sized.
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
-
-_EMPTY_INBOX: types.MappingProxyType = types.MappingProxyType({})
 
 
 class DenseNetwork(Network):
@@ -436,17 +432,13 @@ def _pack_pairs(pairs):
     return keys
 
 
-class DenseConnectivityTracker:
-    """Union-find connectivity guard on the interned index space.
+class DenseConnectivityTracker(ConnectivityTracker):
+    """The connectivity guard on the interned index space.
 
-    Same incremental contract as :class:`ConnectivityTracker` — near-O(1)
-    activation folding, full rebuild after deactivations — but parent and
-    rank live in flat index-keyed lists instead of uid-keyed dicts.
+    :class:`ConnectivityTracker`'s union-find, with parent and rank in
+    flat index-keyed lists: a rebuild is one array fold while the key
+    arrays lead, and the folded round sets are translated to indices.
     """
-
-    def __init__(self, network: DenseNetwork) -> None:
-        self._network = network
-        self._rebuild()
 
     def _rebuild(self) -> None:
         """Recompute from the network's active edges: one array fold
@@ -473,148 +465,17 @@ class DenseConnectivityTracker:
         for u, v in net._active:
             self._union(idx_of[u], idx_of[v])
 
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri == rj:
-            return
-        rank = self._rank
-        if rank[ri] < rank[rj]:
-            ri, rj = rj, ri
-        self._parent[rj] = ri
-        if rank[ri] == rank[rj]:
-            rank[ri] += 1
-        self._components -= 1
-
-    @property
-    def components(self) -> int:
-        return self._components
-
-    def rebuild(self) -> bool:
-        """Full recompute (after external perturbations); return connectedness."""
-        self._rebuild()
-        return self._components <= 1
-
     def update(self, activations, deactivations) -> bool:
         """Fold one round's effective uid-space action sets."""
-        if deactivations:
-            self._rebuild()
-        else:
-            idx_of = self._network._idx_of
-            for u, v in activations:
-                self._union(idx_of[u], idx_of[v])
-        return self._components <= 1
+        idx_of = self._network._idx_of
+        return super().update(
+            ((idx_of[u], idx_of[v]) for u, v in activations), deactivations
+        )
 
     def update_keys(self, activations, deactivations) -> bool:
         """Fold one array round's committed sets (sorted packed keys,
         :meth:`DenseNetwork.apply_arrays`)."""
-        if deactivations.size:
-            self._rebuild()
-        else:
-            for pair in activations.tolist():
-                self._union(pair >> _SHIFT, pair & _MASK)
-        return self._components <= 1
-
-    def is_connected(self) -> bool:
-        return self._components <= 1
-
-
-class DenseContext:
-    """Per-node round view for the bulk backend (same API as Context).
-
-    Persistent across the whole run: ``round`` / ``barrier_epoch`` / ``n``
-    are refreshed in the runner's batched end-of-round pass instead of per
-    node per round, and reads go straight to the network's uid-keyed
-    state and shared snapshot cache (contexts run only while that state
-    leads, see :meth:`DenseNetwork.views`).
-    """
-
-    __slots__ = (
-        "uid",
-        "round",
-        "n",
-        "barrier_epoch",
-        "_publics",
-        "_actions",
-        "_network",
-        "_frozen",
-        "_request_act",
-        "_request_dact",
-    )
-
-    def __init__(self, uid, round_no, publics, actions, network, n, barrier_epoch):
-        self.uid = uid
-        self.round = round_no
-        self.n = n
-        self.barrier_epoch = barrier_epoch
-        self._publics = publics
-        self._actions = actions
-        self._network = network
-        self._frozen = network._frozen
-        self._request_act = actions.activations.append
-        self._request_dact = actions.deactivations.append
-
-    # -- reads ---------------------------------------------------------
-
-    @property
-    def neighbors(self) -> frozenset:
-        """``N_1(uid)`` at the beginning of the round (immutable)."""
-        view = self._frozen.get(self.uid)
-        return view if view is not None else self._network.neighbors(self.uid)
-
-    def neighbor_public(self, v) -> dict:
-        """The public record broadcast by neighbor ``v`` this round."""
-        view = self._frozen.get(self.uid)
-        if view is None:
-            view = self._network.neighbors(self.uid)
-        if v in view:
-            return self._publics[v]
-        raise ProtocolViolation(f"{self.uid} read public state of non-neighbor {v}")
-
-    def public_of(self, v) -> dict:
-        """Unchecked public-record access (engine/analysis use only)."""
-        return self._publics[v]
-
-    def neighbor_publics(self) -> list:
-        """All of this round's broadcasts, as ``(neighbor, record)`` pairs."""
-        view = self._frozen.get(self.uid)
-        if view is None:
-            view = self._network.neighbors(self.uid)
-        publics = self._publics
-        return [(v, publics[v]) for v in view]
-
-    def neighbor_adjacency(self, v) -> frozenset:
-        """Neighbor ``v``'s adjacency at the beginning of the round."""
-        view = self._frozen.get(self.uid)
-        if view is None:
-            view = self._network.neighbors(self.uid)
-        if v in view:
-            view = self._frozen.get(v)
-            return view if view is not None else self._network.neighbors(v)
-        raise ProtocolViolation(f"{self.uid} read adjacency of non-neighbor {v}")
-
-    def is_original(self, v, u=None) -> bool:
-        """Whether edge ``(u or uid, v)`` belongs to ``E(1)``."""
-        return edge_key(self.uid if u is None else u, v) in self._network._original
-
-    @property
-    def degree(self) -> int:
-        return len(self._network._adj[self.uid])
-
-    # -- writes --------------------------------------------------------
-
-    def activate(self, v) -> None:
-        """Request activation of edge ``(uid, v)`` this round."""
-        self._request_act((self.uid, self.uid, v))
-
-    def deactivate(self, v) -> None:
-        """Request deactivation of edge ``(uid, v)`` this round."""
-        self._request_dact((self.uid, self.uid, v))
+        return super().update(
+            ((pair >> _SHIFT, pair & _MASK) for pair in activations.tolist()),
+            deactivations.size,
+        )

@@ -93,11 +93,6 @@ def aggregate_metrics(parts) -> Metrics:
     return total
 
 
-#: Effective-set size above which :class:`MetricsRecorder` switches a
-#: round to its vectorized counters (identity-interned networks only).
-_BULK_THRESHOLD = 1024
-
-
 class MetricsRecorder:
     """Incrementally tracks the activated-only subgraph ``D(i) \\ D(1)``."""
 
@@ -109,13 +104,12 @@ class MetricsRecorder:
         self._activated_now: set = set(network.activated_edges())
         self.metrics = Metrics()
         # Identity-interned networks (uids == indices 0..n-1, canonical
-        # (lo, hi) edge tuples) get array-backed degree counters instead
-        # of the degree dict: dense-activity kernel rounds at n=10^6 push
-        # millions of edges through record_round, and the per-edge
-        # dict/set loop is ~3 us per edge while the packed-key path is
-        # ~50 ns.  The activated set stays authoritative (small rounds
-        # keep the plain loop); the arrays only mirror what the fast
-        # path needs.
+        # (lo, hi) edge tuples) start with array-backed degree counters,
+        # which kernel rounds (record_keys) work on alone.  The first
+        # per-edge round or strike falls back to the degree dict for good
+        # (_leave_arrays): per edge, the dict loop is cheaper than numpy
+        # scalar indexing, and packing a round's edge tuples into arrays
+        # costs more than the loop it replaces.
         self._np = None
         if getattr(network, "_identity", False) and not self._activated_now:
             import numpy  # lazy: reference-network runs never need it
@@ -151,21 +145,21 @@ class MetricsRecorder:
             m.max_activations_per_node_round = max(
                 m.max_activations_per_node_round, max(per_node_counts.values())
             )
+        if self._np is not None:
+            self._leave_arrays()
         # Both extremes are high-watermarks: they can only rise through this
         # round's activations, so only the touched degrees need re-checking
         # (keeps idle rounds O(1) instead of O(n)).
-        np = self._np
-        degree = self._activated_degree if np is None else self._degree_arr
+        degree = self._activated_degree
+        now = self._activated_now
         top = m.max_activated_degree
-        if np is not None and len(activations) >= _BULK_THRESHOLD:
-            top = max(top, self._bulk_activations(activations))
-        elif activations:
+        if activations:
             original = self._original
             if original is None:
                 original = self._original = self._network.original_edges
             for e in activations:
                 if e not in original:
-                    self._activated_now.add(e)
+                    now.add(e)
                     du = degree[e[0]] + 1
                     dv = degree[e[1]] + 1
                     degree[e[0]] = du
@@ -174,21 +168,13 @@ class MetricsRecorder:
                         top = du
                     if dv > top:
                         top = dv
-        m.max_activated_degree = int(top)
-        # The vectorized deactivation filter needs the activated-only set
-        # as a packed array (O(|A|) rebuild), so it only pays off when the
-        # round retires a sizable fraction of it — the halting fan-out.
-        if np is not None and len(deactivations) >= max(
-            _BULK_THRESHOLD, len(self._activated_now) >> 3
-        ):
-            self._bulk_deactivations(deactivations)
-        else:
-            for e in deactivations:
-                if e in self._activated_now:
-                    self._activated_now.discard(e)
-                    degree[e[0]] -= 1
-                    degree[e[1]] -= 1
-        m.max_activated_edges = max(m.max_activated_edges, len(self._activated_now))
+        m.max_activated_degree = top
+        for e in deactivations:
+            if e in now:
+                now.discard(e)
+                degree[e[0]] -= 1
+                degree[e[1]] -= 1
+        m.max_activated_edges = max(m.max_activated_edges, len(now))
 
     def record_keys(self, activations, deactivations, per_node_max: int) -> None:
         """:meth:`record_round` for array rounds (the bulk kernel path).
@@ -232,58 +218,10 @@ class MetricsRecorder:
             self._act_keys = delete_from(self._act_keys, gone)
         m.max_activated_edges = max(m.max_activated_edges, self._act_keys.size)
 
-    def _bulk_activations(self, activations: set) -> int:
-        """Array-path activation counters; returns the touched-degree max.
-
-        Equivalent to the per-edge loop: edges are canonical ``(lo, hi)``
-        int tuples under identity interning, each distinct within the
-        round, so original-membership is one sorted packed-key probe and
-        the degree bumps are one scatter-add.
-        """
-        np = self._np
-        k = len(activations)
-        flat = np.fromiter(
-            (c for e in activations for c in e), dtype=np.int64, count=2 * k
-        )
-        u, v = flat[0::2], flat[1::2]
-        orig = self._orig_arr
-        if len(orig):
-            pk = (u << 32) | v
-            pos = orig.searchsorted(pk).clip(max=len(orig) - 1)
-            fresh = orig[pos] != pk
-            u, v = u[fresh], v[fresh]
-        if not len(u):
-            return 0
-        degree = self._degree_arr
-        np.add.at(degree, u, 1)
-        np.add.at(degree, v, 1)
-        self._activated_now.update(zip(u.tolist(), v.tolist()))
-        return max(int(degree[u].max()), int(degree[v].max()))
-
-    def _bulk_deactivations(self, deactivations: set) -> None:
-        """Array-path deactivation counters (the halting fan-out rounds)."""
-        np = self._np
-        now = self._activated_now
-        k = len(deactivations)
-        flat = np.fromiter(
-            (c for e in deactivations for c in e), dtype=np.int64, count=2 * k
-        )
-        u, v = flat[0::2], flat[1::2]
-        act = np.fromiter(
-            ((a << 32) | b for a, b in now), dtype=np.int64, count=len(now)
-        )
-        act.sort()
-        pk = (u << 32) | v
-        if len(act):
-            pos = act.searchsorted(pk).clip(max=len(act) - 1)
-            hit = act[pos] == pk
-        else:
-            hit = np.zeros(len(pk), dtype=bool)
-        u, v = u[hit], v[hit]
-        degree = self._degree_arr
-        np.add.at(degree, u, -1)
-        np.add.at(degree, v, -1)
-        now.difference_update(zip(u.tolist(), v.tolist()))
+    def _leave_arrays(self) -> None:
+        """Fall back from the array counters to the degree dict for good."""
+        self._activated_degree = dict(enumerate(self._degree_arr.tolist()))
+        self._np = None
 
     def record_external(self, dropped: set, added: set, crashes, joins) -> None:
         """Fold one adversary strike into the recorder's state.
@@ -304,9 +242,8 @@ class MetricsRecorder:
         m.adversary_joins += len(joins)
         if self._np is not None:
             # Adversary wiring retires/extends the uid space and folds
-            # edges into E(1): fall back to the dict counters for good.
-            self._activated_degree = dict(enumerate(self._degree_arr.tolist()))
-            self._np = None
+            # edges into E(1): the arrays cannot follow.
+            self._leave_arrays()
         self._original = self._network.original_edges
         degree = self._activated_degree
         for e in dropped:

@@ -24,6 +24,7 @@ Public records are re-snapshotted lazily: the engine only calls
 from __future__ import annotations
 
 from ..errors import ProtocolViolation
+from .actions import edge_key
 
 
 class Context:
@@ -32,45 +33,56 @@ class Context:
     All reads reflect the *beginning* of the current round; all writes
     (activation/deactivation requests) take effect at the end of the round.
     The engine reuses one :class:`Context` per node across rounds (updating
-    :attr:`round` and :attr:`barrier_epoch` in place), so holding on to a
-    context between rounds is safe — it always describes the current round.
+    :attr:`round`, :attr:`barrier_epoch` and, under an adversary,
+    :attr:`n` in place), so holding on to a context between rounds is
+    safe — it always describes the current round.
 
-    All neighborhood reads go through :meth:`Network.neighbors`, which
-    returns immutable snapshots: programs cannot mutate adjacency and
-    thereby bypass the model's legality rules.
+    Reads go straight to the network's state: the per-node snapshot
+    cache ``_frozen`` (:meth:`Network.neighbors` fills it on a miss),
+    ``_adj`` and ``_original``.  Neighborhoods are immutable snapshots:
+    programs cannot mutate adjacency and thereby bypass the model's
+    legality rules.
     """
 
     __slots__ = (
         "uid",
         "round",
-        "_actions",
-        "_publics",
-        "_network",
         "n",
         "barrier_epoch",
+        "_publics",
+        "_network",
+        "_frozen",
+        "_request_act",
+        "_request_dact",
     )
 
     def __init__(self, uid, round_no, publics, actions, network, n, barrier_epoch):
         self.uid = uid
         self.round = round_no
-        self._publics = publics
-        self._actions = actions
-        self._network = network
         self.n = n
         self.barrier_epoch = barrier_epoch
+        self._publics = publics
+        self._network = network
+        self._frozen = network._frozen
+        self._request_act = actions.activations.append
+        self._request_dact = actions.deactivations.append
 
     # -- reads ---------------------------------------------------------
 
     @property
     def neighbors(self) -> frozenset:
         """``N_1(uid)`` at the beginning of the round (immutable)."""
-        return self._network.neighbors(self.uid)
+        view = self._frozen.get(self.uid)
+        return view if view is not None else self._network.neighbors(self.uid)
 
     def neighbor_public(self, v) -> dict:
         """The public record broadcast by neighbor ``v`` this round."""
-        if not self._network.has_edge(self.uid, v):
-            raise ProtocolViolation(f"{self.uid} read public state of non-neighbor {v}")
-        return self._publics[v]
+        view = self._frozen.get(self.uid)
+        if view is None:
+            view = self._network.neighbors(self.uid)
+        if v in view:
+            return self._publics[v]
+        raise ProtocolViolation(f"{self.uid} read public state of non-neighbor {v}")
 
     def neighbor_publics(self) -> list:
         """All of this round's broadcasts, as ``(neighbor, record)`` pairs.
@@ -80,8 +92,11 @@ class Context:
         construction, so the per-read neighbor check is dropped.  Pairs
         follow the canonical neighbor-view order.
         """
+        view = self._frozen.get(self.uid)
+        if view is None:
+            view = self._network.neighbors(self.uid)
         publics = self._publics
-        return [(v, publics[v]) for v in self._network.neighbors(self.uid)]
+        return [(v, publics[v]) for v in view]
 
     def public_of(self, v) -> dict:
         """Unchecked public-record access (engine/analysis use only)."""
@@ -89,28 +104,31 @@ class Context:
 
     def neighbor_adjacency(self, v) -> frozenset:
         """Neighbor ``v``'s adjacency at the beginning of the round."""
-        if not self._network.has_edge(self.uid, v):
-            raise ProtocolViolation(f"{self.uid} read adjacency of non-neighbor {v}")
-        return self._network.neighbors(v)
+        view = self._frozen.get(self.uid)
+        if view is None:
+            view = self._network.neighbors(self.uid)
+        if v in view:
+            view = self._frozen.get(v)
+            return view if view is not None else self._network.neighbors(v)
+        raise ProtocolViolation(f"{self.uid} read adjacency of non-neighbor {v}")
 
     def is_original(self, v, u=None) -> bool:
         """Whether edge ``(u or uid, v)`` belongs to ``E(1)``."""
-        a = self.uid if u is None else u
-        return self._network.is_original(a, v)
+        return edge_key(self.uid if u is None else u, v) in self._network._original
 
     @property
     def degree(self) -> int:
-        return self._network.degree(self.uid)
+        return len(self._network._adj[self.uid])
 
     # -- writes --------------------------------------------------------
 
     def activate(self, v) -> None:
         """Request activation of edge ``(uid, v)`` this round."""
-        self._actions.request_activation(self.uid, self.uid, v)
+        self._request_act((self.uid, self.uid, v))
 
     def deactivate(self, v) -> None:
         """Request deactivation of edge ``(uid, v)`` this round."""
-        self._actions.request_deactivation(self.uid, self.uid, v)
+        self._request_dact((self.uid, self.uid, v))
 
 
 class NodeProgram:

@@ -148,8 +148,6 @@ class SynchronousRunner:
 
     #: Which backend this runner class implements (subclasses override).
     backend_name = "reference"
-    #: The per-node context class this backend hands to programs.
-    _context_cls = Context
     #: Cached observer payload partition for :meth:`_emit_round`
     #: (``(observers, per-observer raw flags, any_raw, any_record)``).
     _obs_partition = None
@@ -290,32 +288,51 @@ class SynchronousRunner:
         }
 
     def _setup(self, adversary) -> None:
-        """Run every program's ``setup()`` with read-only contexts, then
-        retire the programs that halted in it (before round 1)."""
+        """Run every program's ``setup()`` before round 1."""
+        self._setup_programs(list(self.programs))
+
+    def _setup_programs(self, uids) -> None:
+        """Run the ``setup()`` of the programs of ``uids`` (all of them
+        before round 1, a strike's joins after it) with read-only
+        contexts.
+
+        Stale records are flushed and every record of ``uids`` is
+        snapshotted before any ``setup()`` runs, so each reads its
+        neighbors' current broadcast state, even a neighbor that joined
+        in the same strike.  ``setup()`` may change public-visible state,
+        so the next round re-snapshots them.  A program that halted in
+        it runs no round; the others join the live set.
+        """
         net = self.network
         programs = self.programs
+        publics = self._publics
+        self._flush_dirty()
+        for uid in uids:
+            publics[uid] = programs[uid].public()
         setup_actions = RoundActions()
-        for uid, prog in programs.items():
-            self._publics[uid] = prog.public()
-        for uid, prog in programs.items():
-            ctx = self._context_cls(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
+        n = net.n if self.knows_n else None
+        for uid in uids:
+            ctx = Context(uid, net.round, publics, setup_actions, net, n, self.barrier_epoch)
+            programs[uid].setup(ctx)
         if setup_actions:
             raise ProtocolViolation("setup() must not request edge actions")
-        # setup() may change public-visible state: round 1 must re-snapshot.
-        self._dirty.update(programs)
-        # A program may halt during setup(); it must not run any round.
-        for uid in list(self._live):
+        self._dirty.update(uids)
+        live = self._live
+        for uid in uids:
             if programs[uid].halted:
-                del self._live[uid]
+                live.pop(uid, None)
+            else:
+                live[uid] = None
+
+    def _flush_dirty(self) -> None:
+        """Re-snapshot the public records that went stale."""
+        programs = self.programs
+        publics = self._publics
+        for uid in self._dirty:
+            prog = programs[uid]
+            publics[uid] = prog.public()
+            prog.public_dirty = False
+        self._dirty.clear()
 
     # ------------------------------------------------------------------
 
@@ -323,7 +340,7 @@ class SynchronousRunner:
         """The node's reusable context, refreshed for the current round."""
         ctx = self._contexts.get(uid)
         if ctx is None:
-            ctx = self._context_cls(
+            ctx = Context(
                 uid=uid,
                 round_no=self.network.round,
                 publics=self._publics,
@@ -413,7 +430,6 @@ class SynchronousRunner:
         net = self.network
         programs = self.programs
         live = self._live
-        publics = self._publics
         actions = self._actions
         actions.clear()
 
@@ -424,11 +440,7 @@ class SynchronousRunner:
         # Re-snapshot the public records that went stale last round; every
         # other node's snapshot (notably every halted node's) is current.
         if self._dirty:
-            for uid in self._dirty:
-                prog = programs[uid]
-                publics[uid] = prog.public()
-                prog.public_dirty = False
-            self._dirty.clear()
+            self._flush_dirty()
 
         batch = [(uid, programs[uid], self._context(uid)) for uid in live]
 
@@ -514,7 +526,8 @@ class SynchronousRunner:
         The perturbation becomes visible at the beginning of the next
         round: crashed nodes' programs are retired immediately (their
         neighbors simply see the edges gone), joined nodes' programs are
-        spawned via the program factory and run from the next round on.
+        spawned via the program factory, set up together
+        (:meth:`_setup_programs`) and run from the next round on.
         """
         net = self.network
         pert = adversary.perturb(net, net.round)
@@ -552,39 +565,13 @@ class SynchronousRunner:
             self._contexts.pop(uid, None)
             self._dirty.discard(uid)
 
-        # A joined node's setup() reads its neighbors' *current* broadcast
-        # state: flush any still-dirty snapshots from the round that just
-        # ended before spawning (matches the bulk backend, which
-        # re-snapshots eagerly at the end of every round).
-        if join_uids and self._dirty:
-            for uid in self._dirty:
-                prog = programs[uid]
-                self._publics[uid] = prog.public()
-                prog.public_dirty = False
-            self._dirty.clear()
-
         for uid in join_uids:
             prog = self.program_factory(uid)
             if prog.uid != uid:
                 raise ConfigurationError(f"program for joined node {uid} reports uid {prog.uid}")
             programs[uid] = prog
-            self._publics[uid] = prog.public()
-            setup_actions = RoundActions()
-            ctx = self._context_cls(
-                uid=uid,
-                round_no=net.round,
-                publics=self._publics,
-                actions=setup_actions,
-                network=net,
-                n=net.n if self.knows_n else None,
-                barrier_epoch=self.barrier_epoch,
-            )
-            prog.setup(ctx)
-            if setup_actions:
-                raise ProtocolViolation("setup() must not request edge actions")
-            self._dirty.add(uid)
-            if not prog.halted:
-                live[uid] = None
+        if join_uids:
+            self._setup_programs(join_uids)
 
         if self._conn is not None and not self._conn.rebuild():
             raise ExecutionError(

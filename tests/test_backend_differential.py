@@ -267,6 +267,72 @@ def test_runner_scripted_adversary_equivalent():
         assert traces[backend] == traces["reference"], backend
 
 
+class _SetupReader(NodeProgram):
+    """``setup()`` reads every neighbor's record, and the node's first
+    edge requests depend on what it read.
+
+    A record is ``"built"`` until the program's own ``setup()`` has run,
+    ``"setup-done"`` after it.  Two nodes joined in one strike read each
+    other's records as snapshotted before either ``setup()`` ran; a
+    backend that snapshots a joined record only after its ``setup()``
+    (or never) reads something else, requests other edges, and the
+    trace diverges.
+    """
+
+    def __init__(self, uid):
+        super().__init__(uid)
+        self.stage = "built"
+        self.read = {}
+        self.acted = False
+
+    def public(self):
+        return {"uid": self.uid, "stage": self.stage}
+
+    def setup(self, ctx):
+        self.read = {v: ctx.neighbor_public(v)["stage"] for v in sorted(ctx.neighbors)}
+        self.stage = "setup-done"
+
+    def transition(self, ctx, inbox):
+        if not self.acted and ctx.round % 2 == 0:
+            self.acted = True
+            built = [v for v, stage in self.read.items() if stage == "built"]
+            for v in built or self.read:
+                if v not in ctx.neighbors:
+                    continue
+                far = sorted(
+                    w for w in ctx.neighbor_adjacency(v)
+                    if w != self.uid and w not in ctx.neighbors
+                )
+                if far:
+                    ctx.activate(far[-1] if built else far[0])
+                    break
+        if ctx.round >= 12:
+            self.halt()
+
+
+def test_runner_chained_joins_read_presetup_records():
+    """One strike joins 100 attached to 0 and 1, and 101 attached to
+    100: each joined setup() reads the other's record as it was before
+    any setup ran, on every backend."""
+    script = {4: {"joins": [(100, (0, 1)), (101, (100,))]}}
+    runs = {}
+    for backend in ["reference", *COMPARISON_BACKENDS]:
+        runs[backend] = _run_profiled(
+            families.make("ring", 10), _SetupReader, backend,
+            adversary=ScriptedAdversary(dict(script)),
+        )
+    ref = runs["reference"]
+    assert ref.metrics.adversary_joins == 2
+    assert ref.programs[100].read == {0: "setup-done", 1: "setup-done", 101: "built"}
+    assert ref.programs[101].read == {100: "built"}
+    for backend in COMPARISON_BACKENDS:
+        alt = runs[backend]
+        assert alt.trace.to_jsonl() == ref.trace.to_jsonl(), backend
+        assert alt.metrics == ref.metrics, backend
+        for uid in (100, 101):
+            assert alt.programs[uid].read == ref.programs[uid].read, backend
+
+
 class _BarrierTally(NodeProgram):
     """Manual dirty tracking plus a global barrier.
 

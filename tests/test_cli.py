@@ -744,3 +744,46 @@ class TestCheckTraceErrorRouting:
                      "--n", "16"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+#: Bad input that is only caught past argparse; ``{missing}`` is a path
+#: under a directory that does not exist and ``{dir}`` an existing
+#: directory.
+_USAGE_ERRORS = {
+    "reseeded-increasing-ring": ["-a", "star", "-f", "increasing_ring",
+                                 "--n", "16", "--seed", "2"],
+    "negative-strikes": ["-a", "star-heal", "-f", "ring", "--n", "16",
+                         "--strikes", "-1"],
+    "churn-rate-run": ["-a", "star-heal", "-f", "ring", "--n", "16",
+                       "--adversary", "drop", "--churn-rate", "2"],
+    "churn-rate-sweep": ["sweep", "-a", "star-heal", "-f", "ring",
+                         "--sizes", "16", "--adversary", "drop",
+                         "--churn-rate", "2", "--quiet"],
+    "trace-out-missing-dir": ["-a", "star", "-f", "ring", "--n", "16",
+                              "--trace-out", "{missing}"],
+    "profile-out-missing-dir": ["-a", "star", "-f", "ring", "--n", "16",
+                                "--profile-out", "{missing}"],
+    "profile-out-directory": ["-a", "star", "-f", "ring", "--n", "16",
+                              "--profile-out", "{dir}"],
+    "sweep-json-missing-dir": ["sweep", "-a", "star", "-f", "ring",
+                               "--sizes", "16", "--json", "{missing}",
+                               "--quiet"],
+    "sweep-csv-directory": ["sweep", "-a", "star", "-f", "ring",
+                            "--sizes", "16", "--csv", "{dir}", "--quiet"],
+}
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_usage_error_is_one_line_exit_2(argv, capsys, tmp_path):
+    """Each of these exits 2 with one ``repro: error:`` line, no
+    traceback and no table; an output path is rejected before the run,
+    so nothing is written."""
+    missing = tmp_path / "no-such-dir" / "out"
+    argv = [a.format(missing=missing, dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("repro: error: ")
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
