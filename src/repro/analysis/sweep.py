@@ -95,7 +95,7 @@ class SweepRow:
 
 
 def measure(algorithm: str, family: str, graph: nx.Graph, result) -> SweepRow:
-    """Build a row from any RunResult/CentralizedResult/PipelineResult."""
+    """Build a row from any RunResult/PipelineResult."""
     final = result.final_graph()
     row = SweepRow(
         algorithm=algorithm,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from ..engine import CentralizedResult, CentralizedStrategy, RoundActions, run_centralized
+from ..engine import CentralizedStrategy, RoundActions, RunResult, run_centralized
 from ..errors import ConfigurationError
 
 
@@ -94,7 +94,7 @@ class CutInHalfStrategy(CentralizedStrategy):
         return False
 
 
-def run_cut_in_half(line: nx.Graph, *, prune_to_tree: bool = False, **kwargs) -> CentralizedResult:
+def run_cut_in_half(line: nx.Graph, *, prune_to_tree: bool = False, **kwargs) -> RunResult:
     """Run CutInHalf on a path graph (uses its recorded or derived order)."""
     order = line.graph.get("order")
     if order is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from ..engine import CentralizedResult, run_centralized
+from ..engine import RunResult, run_centralized
 from ..errors import ConfigurationError
 from .cut_in_half import CutInHalfStrategy
 
@@ -58,7 +58,7 @@ class EulerRingStrategy(CutInHalfStrategy):
 
 def run_euler_ring(
     graph: nx.Graph, root=None, *, prune_to_tree: bool = False, **kwargs
-) -> CentralizedResult:
+) -> RunResult:
     """Solve Depth-log n Tree centrally on any connected graph."""
     strategy = EulerRingStrategy(graph, root, prune_to_tree=prune_to_tree)
     result = run_centralized(graph, strategy, **kwargs)

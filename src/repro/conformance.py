@@ -450,15 +450,7 @@ _BUDGET_CHECKERS = {
 }
 
 
-def _use_arrays(arrays) -> bool:
-    """Resolve the checker implementation choice (see make_checkers)."""
-    if arrays is None:
-        env = os.environ.get("REPRO_CHECKERS", "").strip().lower()
-        return env not in ("dict", "python")
-    return bool(arrays)
-
-
-def make_checkers(invariants, *, arrays: bool | None = None) -> list:
+def make_checkers(invariants, *, arrays: bool = True) -> list:
     """Build one fresh checker per declared invariant name.
 
     Names are either structural (``connectivity``,
@@ -469,17 +461,15 @@ def make_checkers(invariants, *, arrays: bool | None = None) -> list:
     array-native ones from :mod:`repro.conformance_arrays` (``True``,
     the default) or the dict-based oracle ones defined here
     (``False``), which replay on a reference
-    :class:`~repro.engine.network.Network`.  The default can be forced to
-    the oracle with ``REPRO_CHECKERS=dict`` in the environment (the
-    knob the verdict-equality suite and the bench gate use); verdicts
-    are asserted equal either way, so the choice is a pure performance
-    trade.  The array checkers built by one call share one
+    :class:`~repro.engine.network.Network` and serve as the test oracle;
+    verdicts are asserted equal either way, so the choice is a pure
+    performance trade.  The array checkers built by one call share one
     :class:`~repro.conformance_arrays.ArrayReplayTracker`, so each event
     is folded once however many of them are attached; they must then
     observe the same stream in lockstep.  Budget checkers are O(1) per
     round and have one implementation.
     """
-    if _use_arrays(arrays):
+    if arrays:
         from functools import partial
 
         from .conformance_arrays import (
@@ -769,14 +759,12 @@ def _baseline_tasks(
 
 
 def _make_tracker():
-    """A baseline-fold tracker: the array replay, or the dict replay
-    when ``REPRO_CHECKERS=dict`` forces the oracle.  Both fold
-    identically (both fold strikes with ``Network.apply_external``)."""
-    if _use_arrays(None):
-        from .conformance_arrays import ArrayReplayTracker
+    """A baseline-fold tracker: the array replay (which folds exactly
+    as the dict oracle's ``_EdgeReplay``; both fold strikes with
+    ``Network.apply_external``)."""
+    from .conformance_arrays import ArrayReplayTracker
 
-        return ArrayReplayTracker(directed=False)
-    return _EdgeReplay()
+    return ArrayReplayTracker(directed=False)
 
 
 def _audit_segment_task(task):

@@ -2,8 +2,8 @@
 
 Drop-in replacements for the dict-based ``ConnectivityChecker`` /
 ``TemporalLegalityChecker`` in :mod:`repro.conformance`, selected by
-``make_checkers(..., arrays=True)`` (the default;
-``REPRO_CHECKERS=dict`` forces the oracle).  The contract is **verdict
+``make_checkers(..., arrays=True)`` (the default; ``arrays=False``
+builds the oracle).  The contract is **verdict
 equality**: identical ``Verdict``s — failure strings byte-for-byte,
 ``_MAX_DETAILS`` capping, segment numbering — over any record stream,
 live or offline (``tests/test_conformance_arrays.py`` pins it over the

@@ -172,19 +172,7 @@ class RebuildSim:
         actions.clear()
         self._sim_round(round_no, actions)
 
-        per_node = actions.activation_count_by_actor() if actions.activations else None
-        activations, deactivations = net.apply(actions, strict=runner.strict)
-        recorder.record_round(activations, deactivations, per_node)
-        if runner._conn is not None:
-            connected = runner._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-        if observers is not None:
-            runner._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = runner._commit_round(recorder, observers)
 
         barrier_wakes = 0
         if self.settled.all():

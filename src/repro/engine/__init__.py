@@ -1,7 +1,7 @@
 """Synchronous actively-dynamic-network simulation engine."""
 
 from .actions import RoundActions, canonical_view, edge_key
-from .centralized import CentralizedResult, CentralizedStrategy, run_centralized
+from .centralized import CentralizedStrategy, run_centralized
 from .dense import DenseConnectivityTracker, DenseNetwork
 from .metrics import Metrics, MetricsRecorder, aggregate_metrics
 from .network import ConnectivityTracker, Network
@@ -41,7 +41,6 @@ __all__ = [
     "BACKENDS",
     "BinarySink",
     "BinaryTraceReader",
-    "CentralizedResult",
     "CentralizedStrategy",
     "ConnectivityTracker",
     "Context",

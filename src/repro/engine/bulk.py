@@ -472,21 +472,7 @@ class BulkRunner(SynchronousRunner):
             wake[due_list] = new_wakes
             stale[due_list] = False
 
-        per_node = actions.activation_count_by_actor() if actions.activations else None
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = self._commit_round(recorder, observers)
 
         # Commit re-bound public records (visible from next round) and
         # propagate the wake condition to the broadcasting node's
@@ -603,22 +589,8 @@ class BulkRunner(SynchronousRunner):
         for ctx in ctxs:
             ctx.round = next_round
 
-        per_node = actions.activation_count_by_actor() if actions.activations else None
         round_no = net.round
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = self._commit_round(recorder, observers)
 
         # Commit the pooled snapshots in one bulk pass (including a
         # halting program's final state, which neighbors may still read).
@@ -712,13 +684,7 @@ class BulkRunner(SynchronousRunner):
         connected = self._conn is None or self._conn.update_keys(akeys, dkeys)
         activations = _PairsView.of_keys(akeys)
         deactivations = _PairsView.of_keys(dkeys)
-        if not connected:
-            raise ProtocolViolation(f"round {round_no} broke connectivity")
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        self._guard_and_emit(observers, round_no, activations, deactivations, connected)
 
         live = self._live
         for uid in newly_halted:

@@ -1,25 +1,22 @@
 """Centralized transformation strategies (Section 6 / Appendix D).
 
 A centralized strategy has full knowledge of the network and submits one
-:class:`RoundActions` batch per round.  It runs under exactly the same
-legality rules and metrics as distributed programs, which makes the
-centralized-vs-distributed comparison of Section 6 an apples-to-apples
-measurement.
+:class:`RoundActions` batch per round.  It runs on the reference round
+loop (:class:`CentralizedRunner`), whose only difference from a
+distributed run is where a round's actions come from: the commit — the
+legality rules, the metrics, the connectivity guard and the observer
+stream — is the one every distributed round goes through, which makes
+the centralized-vs-distributed comparison of Section 6 an
+apples-to-apples measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import networkx as nx
 
-from ..errors import ExecutionError
 from .actions import RoundActions
-from .metrics import Metrics, MetricsRecorder
 from .network import Network
-from .observers import TraceObserver
-from .runner import frozen_heap
-from .trace import RoundRecord, Trace
+from .runner import RunResult, SynchronousRunner
 
 
 class CentralizedStrategy:
@@ -37,15 +34,43 @@ class CentralizedStrategy:
         raise NotImplementedError
 
 
-@dataclass
-class CentralizedResult:
-    network: Network
-    metrics: Metrics
-    trace: Trace | None
-    rounds: int
+class CentralizedRunner(SynchronousRunner):
+    """The reference round loop driven by one strategy instead of a fleet.
 
-    def final_graph(self) -> nx.Graph:
-        return self.network.snapshot_graph()
+    There are no node programs: the strategy is the run's only live
+    actor, and the run ends after the round in which ``plan_round``
+    returns ``False`` (or, with an empty batch, before it).
+    """
+
+    def __init__(self, graph: nx.Graph, strategy: CentralizedStrategy, **kwargs) -> None:
+        self.strategy = strategy
+        super().__init__(graph, None, **kwargs)
+
+    def _init_fleet(self) -> None:
+        self.programs = {}
+        self._live = {"strategy": None}
+
+    def _setup(self, adversary) -> None:
+        self.strategy.setup(self.network)
+
+    def _run_round(self, recorder, observers) -> None:
+        net = self.network
+        actions = self._actions
+        actions.clear()
+        if not self.strategy.plan_round(net, actions):
+            self._live.clear()
+            if not actions:
+                return
+        round_no = net.round
+        if observers is not None:
+            for obs in observers:
+                obs.on_round_start(round_no)
+        activations, deactivations = self._commit_round(recorder, observers)
+        if self._probe is not None:
+            self._probe.probe_round(
+                round_no, dispatch="centralized",
+                acts=len(activations), deacts=len(deactivations),
+            )
 
 
 def run_centralized(
@@ -57,65 +82,23 @@ def run_centralized(
     collect_trace: bool = False,
     max_rounds: int = 10_000,
     observers=(),
-) -> CentralizedResult:
+) -> RunResult:
     """Execute a centralized strategy round by round.
 
     Feeds the same :class:`~repro.engine.observers.RoundObserver`
     pipeline as the distributed backends (``collect_trace`` is one
-    :class:`TraceObserver` on it), so streaming sinks and conformance
-    checkers work identically on centralized scenarios.
+    :class:`~repro.engine.observers.TraceObserver` on it), so streaming
+    sinks, conformance checkers and telemetry work identically on
+    centralized scenarios.  ``check_connectivity`` raises
+    :class:`~repro.errors.ProtocolViolation` on a round that disconnects
+    the network, as on every other executor.
     """
-    network = Network(graph)
-    strategy.setup(network)
-    recorder = MetricsRecorder(network)
-    pipeline = list(observers)
-    trace_observer = None
-    if collect_trace:
-        trace_observer = TraceObserver()
-        pipeline.append(trace_observer)
-    obs = tuple(pipeline) if pipeline else None
-    if obs is not None:
-        for o in obs:
-            o.on_run_start(network)
-
-    running = True
-    with frozen_heap():
-        while running:
-            if network.round > max_rounds:
-                raise ExecutionError(f"round limit {max_rounds} exceeded")
-            actions = RoundActions()
-            running = strategy.plan_round(network, actions)
-            if not running and not actions:
-                break
-            per_node = actions.activation_count_by_actor()
-            round_no = network.round
-            # Emitted after the break decision so every round-start is
-            # followed by exactly one committed-round record.
-            if obs is not None:
-                for o in obs:
-                    o.on_round_start(round_no)
-            activations, deactivations = network.apply(actions, strict=strict)
-            recorder.record_round(activations, deactivations, per_node)
-            connected = network.is_connected() if check_connectivity else True
-            if obs is not None:
-                record = RoundRecord(
-                    round=round_no,
-                    activations=frozenset(activations),
-                    deactivations=frozenset(deactivations),
-                    active_edges=network.num_active_edges,
-                    activated_edges=len(network.activated_edges()),
-                    connected=connected,
-                )
-                for o in obs:
-                    o.on_round(record)
-
-    recorder.metrics.rounds = network.round - 1
-    if obs is not None:
-        for o in obs:
-            o.on_run_end(recorder.metrics)
-    return CentralizedResult(
-        network=network,
-        metrics=recorder.metrics,
-        trace=trace_observer.trace if trace_observer is not None else None,
-        rounds=network.round - 1,
-    )
+    return CentralizedRunner(
+        graph,
+        strategy,
+        strict=strict,
+        check_connectivity=check_connectivity,
+        collect_trace=collect_trace,
+        max_rounds=max_rounds,
+        observers=observers,
+    ).run()

@@ -78,6 +78,7 @@ class RunResult:
     network's nodes had at construction.  On a bulk whole-run kernel run
     it is a read-only lazy mapping that builds a program from the
     kernel's state row on first read (:class:`repro.engine.bulk.KernelFleet`).
+    A centralized run has no programs: the mapping is empty.
     """
 
     network: Network
@@ -152,10 +153,8 @@ class SynchronousRunner:
     #: (``(observers, per-observer raw flags, any_raw, any_record)``).
     _obs_partition = None
 
-    def _emit_round(
-        self, observers, net, round_no, activations, deactivations, connected
-    ) -> None:
-        """Deliver a committed round to every observer.
+    def _emit_round(self, observers, round_no, activations, deactivations) -> None:
+        """Deliver a committed (hence connected) round to every observer.
 
         Observers declaring ``accepts_raw_rounds`` receive a borrowed
         :class:`~repro.engine.observers.RawRound` over the runner's own
@@ -172,6 +171,7 @@ class SynchronousRunner:
             cached = (observers, flags, any(flags), not all(flags))
             self._obs_partition = cached
         _, flags, any_raw, any_record = cached
+        net = self.network
         active_edges = net.num_active_edges
         activated_edges = net.num_activated_edges
         record = (
@@ -181,7 +181,7 @@ class SynchronousRunner:
                 deactivations=frozenset(deactivations),
                 active_edges=active_edges,
                 activated_edges=activated_edges,
-                connected=connected,
+                connected=True,
                 barrier_epoch=self.barrier_epoch,
             )
             if any_record
@@ -194,7 +194,7 @@ class SynchronousRunner:
                 deactivations,
                 active_edges,
                 activated_edges,
-                connected,
+                True,
                 self.barrier_epoch,
             )
             if any_raw
@@ -466,22 +466,8 @@ class SynchronousRunner:
             if not prog.manages_public_dirty:
                 prog.public_dirty = True
 
-        per_node = actions.activation_count_by_actor()
         round_no = net.round
-        activations, deactivations = net.apply(actions, strict=self.strict)
-        recorder.record_round(activations, deactivations, per_node)
-
-        if self._conn is not None:
-            connected = self._conn.update(activations, deactivations)
-            if not connected:
-                raise ProtocolViolation(f"round {round_no} broke connectivity")
-        else:
-            connected = True
-
-        if observers is not None:
-            self._emit_round(
-                observers, net, round_no, activations, deactivations, connected
-            )
+        activations, deactivations = self._commit_round(recorder, observers)
 
         # Mark stale publics (including a halting program's final state,
         # which neighbors may still read in later rounds) and retire the
@@ -515,6 +501,35 @@ class SynchronousRunner:
                 round_no, live=len(batch), dispatch="pernode",
                 acts=len(activations), deacts=len(deactivations),
             )
+
+    def _commit_round(self, recorder: MetricsRecorder, observers: tuple | None):
+        """Commit the round's requested actions and return the effective
+        ``(activations, deactivations)``.
+
+        The one commit of every per-edge round — the reference round,
+        bulk's sparse and per-node rounds, the wreath rebuild assist and
+        the centralized executor: apply under the legality rules, record
+        the metrics, then :meth:`_guard_and_emit`.
+        """
+        actions = self._actions
+        round_no = self.network.round
+        per_node = actions.activation_count_by_actor() if actions.activations else None
+        activations, deactivations = self.network.apply(actions, strict=self.strict)
+        recorder.record_round(activations, deactivations, per_node)
+        connected = self._conn is None or self._conn.update(activations, deactivations)
+        self._guard_and_emit(observers, round_no, activations, deactivations, connected)
+        return activations, deactivations
+
+    def _guard_and_emit(
+        self, observers, round_no, activations, deactivations, connected
+    ) -> None:
+        """The tail of every committed round, bulk's array kernel rounds
+        included: fail a round that disconnected the network, then
+        deliver it to the observers."""
+        if not connected:
+            raise ProtocolViolation(f"round {round_no} broke connectivity")
+        if observers is not None:
+            self._emit_round(observers, round_no, activations, deactivations)
 
     # ------------------------------------------------------------------
     # external dynamics (see repro.dynamics and DESIGN.md note 8)

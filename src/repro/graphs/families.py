@@ -113,12 +113,14 @@ def make(family: str, n: int, seed: int = 0) -> nx.Graph:
     deterministically re-permutes the UIDs, giving independent sweep
     repetitions.  Families whose UID placement *is* the workload
     (:data:`UID_STRUCTURED_FAMILIES`) reject non-zero seeds, as reseeding
-    would silently measure a different experiment.
+    would silently measure a different experiment.  ``n < 1`` is
+    rejected for every family, including those that round small sizes up.
     """
     try:
         factory = FAMILIES[family]
     except KeyError:
         raise KeyError(f"unknown family {family!r}; known: {sorted(FAMILIES)}") from None
+    gen._require_positive(n)
     if seed and family in UID_STRUCTURED_FAMILIES:
         raise ConfigurationError(
             f"family {family!r} is defined by its UID placement; re-permuting "

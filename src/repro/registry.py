@@ -15,8 +15,8 @@ Capabilities default from ``kind`` and can be overridden per spec:
 * ``distributed`` — an engine-backed per-node program: takes a
   ``backend``, no adversary (the paper's committee algorithms are not
   self-stabilizing; DESIGN.md note 8).
-* ``centralized`` — a full-knowledge strategy: no per-node round loop,
-  hence no ``backend`` and no adversary.
+* ``centralized`` — a full-knowledge strategy on the reference round
+  loop with no per-node programs, hence no ``backend`` and no adversary.
 * ``self-healing`` — build/strike/repair wrappers: engine-backed *and*
   adversary-capable.
 * ``composition`` — transform-then-solve pipelines (Section 1.3):

@@ -13,11 +13,12 @@ hot-path probes the stream cannot see:
   pauses until ``unbind_runner()``, which the runner calls once the
   round loop ends, whether it returns or raises.
 * ``probe_round(round_no, live=, due=, dispatch=, acts=, ...)`` — called
-  at the very end of each executed round by both backends with the
-  round's activation counts plus the occupancy the observer cannot
-  reconstruct: live-set size, the bulk backend's due-filter (wake-set)
-  size and per-cause wake-condition hit counts, and which dispatch path
-  ran (pernode / sparse / kernel).
+  at the very end of each executed round by every executor (both
+  backends and the centralized one) with the round's activation counts
+  plus the occupancy the observer cannot reconstruct: live-set size,
+  the bulk backend's due-filter (wake-set) size and per-cause
+  wake-condition hit counts, and which dispatch path ran (pernode /
+  sparse / kernel / assist / centralized).
 
 The runner discovers the probe by the ``telemetry_probe`` class marker;
 with no telemetry attached every probe site is one ``is None`` test per
@@ -37,11 +38,6 @@ post-record bookkeeping — public-record commits, wake propagation,
 barrier sweeps — while boundary work between rounds (adversary
 application, loop control) lands on the round it precedes.
 
-On a host with no probe wiring (the centralized executor) the observer
-falls back to sampling off the record stream alone — rounds are then
-timed ``on_round_start(k)`` → ``on_round_start(k+1)`` and labeled with
-the ``unprobed`` dispatch, with no occupancy data.
-
 Aggregation is O(1) per round (see :mod:`repro.telemetry.profile`);
 ``keep_samples=True`` additionally records the raw per-round sample
 stream for tests.
@@ -59,9 +55,6 @@ from ..engine.observers import RoundObserver
 from .heartbeat import format_heartbeat
 from .profile import WAKE_CAUSES, RunProfile, _round_stats
 from .provenance import build_provenance
-
-#: Dispatch label for rounds no probe reported (centralized executor).
-DISPATCH_UNPROBED = "unprobed"
 
 
 def _phase_of_for(runner):
@@ -219,7 +212,6 @@ class TelemetryObserver(RoundObserver):
     ) -> None:
         """End-of-round probe: timing, occupancy and dispatch of ``round_no``."""
         now = perf_counter()
-        self._probed = True
         if msg_wakes:
             self._wake["message"] += msg_wakes
         if rebind_wakes:
@@ -240,7 +232,7 @@ class TelemetryObserver(RoundObserver):
         if self._open:
             # Defensive: a segment that never saw on_run_end (the run
             # raised) still finalizes rather than leaking into the next.
-            self._finalize_segment(perf_counter())
+            self._finalize_segment()
         info = self._next_info or {}
         self._next_info = None
         self._seg_gc = info.get("gc")
@@ -275,44 +267,17 @@ class TelemetryObserver(RoundObserver):
         self._rss_peak = 0
         self._rss_n = 0
         self._phases: dict = {}
-        self._probed = False
-        self._pending: int | None = None
-        self._pending_acts = 0
-        self._pending_deacts = 0
         self._last_live: int | None = None
         if self.keep_samples:
             self._seg_samples: list = []
             self.samples.append(self._seg_samples)
         self._t_prev = perf_counter()
 
-    # The record-stream hooks below are the unprobed-host fallback; a
-    # probed runner never routes them here (see module docstring).
-
-    def on_round_start(self, round_no: int) -> None:
-        if self._probed:
-            return
-        now = perf_counter()
-        if self._pending is not None:
-            self._record(
-                self._pending, now, None, None, DISPATCH_UNPROBED,
-                self._pending_acts, self._pending_deacts,
-            )
-        self._pending = round_no
-        self._pending_acts = 0
-        self._pending_deacts = 0
-        self._t_prev = now
-
-    def on_round(self, record) -> None:
-        if self._probed:
-            return
-        self._pending_acts = len(record.activations)
-        self._pending_deacts = len(record.deactivations)
-
     def on_perturbation(self, record) -> None:
         self._perts += 1
 
     def on_run_end(self, metrics) -> None:
-        self._finalize_segment(perf_counter())
+        self._finalize_segment()
 
     # -- sample lifecycle -----------------------------------------------
 
@@ -389,13 +354,7 @@ class TelemetryObserver(RoundObserver):
             self._hb_last_round = round_no
             self._emit_heartbeat(round_no)
 
-    def _finalize_segment(self, now: float) -> None:
-        if self._pending is not None:
-            self._record(
-                self._pending, now, None, None, DISPATCH_UNPROBED,
-                self._pending_acts, self._pending_deacts,
-            )
-            self._pending = None
+    def _finalize_segment(self) -> None:
         self._open = False
         rss = peak_rss_kb()
         self._rss_n += 1
@@ -471,7 +430,7 @@ class TelemetryObserver(RoundObserver):
         if self._open:
             # A still-open segment (caller asked mid-run, or the run
             # raised): snapshot what we have.
-            self._finalize_segment(perf_counter())
+            self._finalize_segment()
         return RunProfile.merge(self.segments)
 
     def samples_by_segment(self) -> list:

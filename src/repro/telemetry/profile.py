@@ -63,9 +63,11 @@ class RunProfile:
     histogram_us: dict = field(default_factory=dict)
     #: Top-k slowest rounds as ``[round_no, us]`` pairs, slowest first.
     slowest: list = field(default_factory=list)
-    #: Rounds per dispatch path: pernode / sparse / kernel / unprobed.
+    #: Rounds per dispatch path: pernode / sparse / kernel / assist /
+    #: centralized.
     dispatch: dict = field(default_factory=dict)
-    #: Live-set occupancy stats ({min, mean, max}) or None (unprobed).
+    #: Live-set occupancy stats ({min, mean, max}) or None (centralized
+    #: runs, which have no live set of node programs).
     live: dict | None = None
     #: Wake-set (due-filter) occupancy stats, bulk sparse path only.
     due: dict | None = None
@@ -77,7 +79,8 @@ class RunProfile:
     #: Periodic ``getrusage`` peak-RSS readings: {samples, peak_kb}.
     rss: dict | None = None
     #: Cyclic-collector activity while the run was bound:
-    #: {collections: [gen0, gen1, gen2], pause_s}, or None (unprobed).
+    #: {collections: [gen0, gen1, gen2], pause_s}, or None (a profile
+    #: loaded from a payload that predates the field).
     gc: dict | None = None
     #: Per-phase breakdown rows keyed off ``PhaseKernel.phase_of`` (one
     #: "all" row when the program family declares no phase structure).

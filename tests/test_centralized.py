@@ -16,7 +16,8 @@ from repro.centralized import (
     run_euler_ring,
     time_lower_bound_line,
 )
-from repro.errors import ConfigurationError
+from repro.engine import CentralizedStrategy, run_centralized
+from repro.errors import ConfigurationError, ProtocolViolation
 
 
 class TestCutInHalf:
@@ -53,6 +54,20 @@ class TestCutInHalf:
     def test_rejects_non_path(self):
         with pytest.raises(ConfigurationError):
             run_cut_in_half(nx.cycle_graph(5))
+
+
+class _CutPath(CentralizedStrategy):
+    """Deactivates the middle edge of the path 0-1-2-3 in round 1."""
+
+    def plan_round(self, network, actions):
+        actions.request_deactivation(1, 1, 2)
+        return False
+
+
+class TestConnectivityGuard:
+    def test_disconnecting_round_raises(self):
+        with pytest.raises(ProtocolViolation, match="round 1 broke connectivity"):
+            run_centralized(nx.path_graph(4), _CutPath(), check_connectivity=True)
 
 
 class TestEulerTour:

@@ -605,11 +605,15 @@ class TestProfileFlag:
         assert trace_path.read_text() == res.trace.to_jsonl()
         assert json.loads(prof_path.read_text())["rounds"] == res.metrics.rounds
 
-    def test_profile_on_centralized_scenario(self, capsys):
-        # No probe wiring in the centralized executor: rounds are still
-        # sampled off the record stream, labeled "unprobed".
-        assert main(["-a", "euler", "-f", "ring", "--n", "24", "--profile"]) == 0
-        assert "unprobed" in capsys.readouterr().out
+    def test_profile_on_centralized_scenario(self, capsys, tmp_path):
+        # The centralized executor probes every round it commits.
+        prof_path = tmp_path / "profile.json"
+        assert main(["-a", "euler", "-f", "ring", "--n", "24",
+                     "--profile-out", str(prof_path)]) == 0
+        prof = json.loads(prof_path.read_text())
+        assert prof["rounds"] > 0
+        assert prof["dispatch"] == {"centralized": prof["rounds"]}
+        assert "centralized" in capsys.readouterr().out
 
     def test_sweep_profile_stamps_columns(self, capsys):
         assert main(["sweep", "-a", "star,wreath", "-f", "ring", "--sizes", "16",
@@ -770,6 +774,7 @@ _USAGE_ERRORS = {
                                "--quiet"],
     "sweep-csv-directory": ["sweep", "-a", "star", "-f", "ring",
                             "--sizes", "16", "--csv", "{dir}", "--quiet"],
+    "grid-negative-n": ["-a", "star", "-f", "grid", "--n", "-4"],
 }
 
 

@@ -12,7 +12,7 @@ suite pins that contract:
   verdicts;
 * **corpus equality, offline** — :func:`check_trace` over the recorded
   trace and :func:`check_trace_parallel` over the ``.rtb`` archive
-  (workers forced to the oracle via ``REPRO_CHECKERS=dict``) agree;
+  agree with a serial audit by the dict oracle;
 * **tamper negatives** — forged counters, phantom deactivations and
   distance-3 activations are caught by the array path with the
   oracle's exact failure strings, including the ``+N more``
@@ -144,9 +144,9 @@ def test_offline_verdicts_match_oracle(name):
     assert _vsig(va) == _vsig(vd)
 
 
-def test_parallel_rtb_verdicts_match_oracle(tmp_path, monkeypatch):
-    """The ``.rtb`` parallel audit agrees with oracle-forced workers
-    (``REPRO_CHECKERS=dict`` inherited by the pool)."""
+def test_parallel_rtb_verdicts_match_oracle(tmp_path):
+    """The ``.rtb`` parallel audit (array checkers in a two-worker pool)
+    agrees with a serial audit by the dict oracle."""
     family, n = CORPUS["wreath-heal"]
     spec = get_scenario("wreath-heal")
     trace = _record(spec, families.make(family, n))
@@ -154,20 +154,14 @@ def test_parallel_rtb_verdicts_match_oracle(tmp_path, monkeypatch):
     to_binary(trace, path)
     graph = families.make(family, n)
     va = check_trace_parallel(graph, path, spec.invariants, jobs=2)
-    monkeypatch.setenv("REPRO_CHECKERS", "dict")
-    vd = check_trace_parallel(graph, path, spec.invariants, jobs=2)
+    vd = check_trace(graph, trace, make_checkers(spec.invariants, arrays=False))
     assert _vsig(va) == _vsig(vd)
 
 
-def test_default_resolves_to_arrays_env_forces_oracle(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKERS", raising=False)
+def test_default_resolves_to_arrays():
     conn, leg = make_checkers(("connectivity", "temporal-legality"))
     assert isinstance(conn, ArrayConnectivityChecker)
     assert isinstance(leg, ArrayTemporalLegalityChecker)
-    monkeypatch.setenv("REPRO_CHECKERS", "dict")
-    conn, leg = make_checkers(("connectivity", "temporal-legality"))
-    assert type(conn) is ConnectivityChecker
-    assert type(leg) is TemporalLegalityChecker
 
 
 def test_string_labels_fall_back_to_dict_interning():
@@ -451,7 +445,7 @@ def _struck_star_trace():
 
 
 @pytest.mark.parametrize("selection", SELECTIONS, ids="+".join)
-def test_linked_offline_verdicts_match_oracle(selection, tmp_path, monkeypatch):
+def test_linked_offline_verdicts_match_oracle(selection, tmp_path):
     """``check_trace`` and ``check_trace_parallel`` (JSONL and ``.rtb``)
     over a struck trace: linked array verdicts equal the oracle's."""
     graph, trace = _struck_star_trace()
@@ -463,11 +457,8 @@ def test_linked_offline_verdicts_match_oracle(selection, tmp_path, monkeypatch):
     rtb = tmp_path / "run.rtb"
     to_binary(trace, rtb)
     for path in (jsonl, rtb):
-        monkeypatch.delenv("REPRO_CHECKERS", raising=False)
         va = check_trace_parallel(graph, path, selection, jobs=1)
-        monkeypatch.setenv("REPRO_CHECKERS", "dict")
-        vd = check_trace_parallel(graph, path, selection, jobs=1)
-        assert _vsig(va) == _vsig(vd) == oracle
+        assert _vsig(va) == oracle
 
 
 def test_make_checkers_links_one_replay():

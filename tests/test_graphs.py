@@ -157,6 +157,14 @@ class TestFamilies:
         with pytest.raises(KeyError):
             graphs.make("nope", 10)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    @pytest.mark.parametrize("name", sorted(graphs.FAMILIES))
+    def test_non_positive_n_rejected(self, name, n):
+        # Families that round small sizes up (ring, caterpillar, grid)
+        # must not turn n <= 0 into a silently different graph.
+        with pytest.raises(ConfigurationError, match=f"n must be >= 1, got {n}"):
+            graphs.make(name, n)
+
     def test_bounded_degree_families_bounded(self):
         for name in graphs.BOUNDED_DEGREE_FAMILIES:
             g = graphs.make(name, 64)

@@ -46,7 +46,6 @@ from repro.telemetry.bench import (
     read_bench,
     write_bench,
 )
-from repro.telemetry.observer import DISPATCH_UNPROBED
 
 
 def _round_counts(result):
@@ -253,41 +252,6 @@ class TestBackendProfiles:
         assert prof.provenance == build_provenance("reference")
 
 
-class TestUnprobedHostFallback:
-    """A host that drives only the record stream still gets timed
-    samples, labeled with the ``unprobed`` dispatch."""
-
-    def test_hook_driven_sampling(self):
-        class Net:
-            n = 7
-
-        def rec(round_no, acts):
-            return RoundRecord(
-                round=round_no,
-                activations=frozenset(acts),
-                deactivations=frozenset(),
-                active_edges=0,
-                activated_edges=0,
-                connected=True,
-                barrier_epoch=0,
-            )
-
-        telemetry = TelemetryObserver(keep_samples=True)
-        telemetry.on_run_start(Net())
-        for k in range(1, 4):
-            telemetry.on_round_start(k)
-            telemetry.on_round(rec(k, [(0, i) for i in range(1, k + 1)]))
-        telemetry.on_run_end(None)
-        prof = telemetry.profile()
-        assert prof.rounds == 3
-        assert prof.n == 7
-        assert prof.dispatch == {DISPATCH_UNPROBED: 3}
-        assert prof.live is None and prof.due is None
-        assert prof.activations == 1 + 2 + 3
-        samples = telemetry.samples_by_segment()[0]
-        assert [s[0] for s in samples] == [1, 2, 3]
-
-
 class TestRunProfile:
     def _profile(self):
         telemetry = TelemetryObserver()
@@ -417,11 +381,15 @@ class TestGcProfile:
                         observers=[TelemetryObserver()], backend=backend)
         assert gc.callbacks == before
 
-    def test_unbound_host_has_no_gc_field(self):
+    def test_centralized_run_has_gc_field(self):
+        # The centralized executor is a runner like any other: it binds
+        # the probe, so its profile counts the collector's work too.
         telemetry = TelemetryObserver()
         _run("euler", "ring", 16, "reference", [telemetry])
-        assert telemetry.profile().gc is None
-        assert "gc_ms" not in telemetry.profile().summary_row()
+        prof = telemetry.profile()
+        assert prof.gc is not None
+        assert len(prof.gc["collections"]) == len(gc.get_count())
+        assert "gc_ms" in prof.summary_row()
 
     def test_merge_sums_and_old_payloads_load(self):
         a = RunProfile(gc={"collections": [5, 1, 0], "pause_s": 0.002})
