@@ -93,8 +93,9 @@ SWEEP_TIERS: dict = {
     # whole rounds execute as array dispatches (the derived ``kernel``
     # capability) and that keep sub-quadratic state qualify — today
     # that is GraphToStar on the star dense-phase kernel.  Budget on a
-    # 2-vCPU VM: ~13 s build + ~31 s run, under 2 GB RSS (see
-    # BENCH_engine.json and the CI xxlarge smoke ceilings).
+    # 2-vCPU VM: ~8 s build + ~31 s run, ~63 s for the checked cell,
+    # about 1.6 GB peak RSS (see BENCH_engine.json and the CI xxlarge
+    # smoke ceilings).
     "xxlarge": {
         "algorithms": lambda: [
             spec.name

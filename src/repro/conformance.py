@@ -51,6 +51,7 @@ import networkx as nx
 from .engine.actions import edge_key
 from .engine.network import ConnectivityTracker, Network
 from .engine.observers import RoundObserver
+from .engine.runner import frozen_heap
 from .engine.trace import PerturbationRecord, Trace, sorted_edges, split_segments
 from .errors import ConfigurationError, InvariantViolation
 
@@ -522,6 +523,7 @@ def enforce(checkers, context: str = "") -> None:
 # ----------------------------------------------------------------------
 
 
+@frozen_heap()
 def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
     """Replay ``trace`` (recorded on ``graph``) through ``checkers``.
 
@@ -553,6 +555,11 @@ def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
     strike silently changed, so the audit conservatively reports
     legality failures — it flags what it cannot validate.  Audit heal
     scenarios per episode, live.
+
+    Like a run, an audit keeps the cyclic collector off the heap that
+    exists on entry — the graph, the trace, the checkers
+    (:func:`~repro.engine.runner.frozen_heap`; DESIGN.md, "Engine hot
+    path").
     """
     _check_baselines(baselines)
     segments = _split_segments(trace)
@@ -624,6 +631,7 @@ def _reject_multisegment_perts(n_segments: int, n_perts: int) -> None:
 # ----------------------------------------------------------------------
 
 
+@frozen_heap()
 def check_trace_parallel(
     graph, source, invariants, *, jobs: int | None = None,
     baselines: str = "chained",
@@ -649,6 +657,8 @@ def check_trace_parallel(
     parent must still fold each segment's edge delta (one array fold
     per round, cheap relative to checking it) before dispatching the
     next; ``"restart"`` mode dispatches all segments immediately.
+    The pre-built heap is frozen for the audit, as in
+    :func:`check_trace`.
     """
     _check_baselines(baselines)
     names = list(invariants)

@@ -70,12 +70,11 @@ class DenseNetwork(Network):
       patched from key diffs (:meth:`views`): the read methods that walk
       adjacency, :meth:`apply` and :meth:`apply_external` bring it up to
       date first, while :meth:`edges`, :meth:`activated_edges` and the
-      counters read the arrays as long as those lead.  Code reading the
-      state attributes directly (contexts, the sparse scheduler) runs
-      only after :meth:`views`;
-    * the ``|E(i) \\ E(1)|`` counter, so the per-round
-      :attr:`num_activated_edges` read is O(1) rather than a set
-      difference.
+      active-edge count read the arrays as long as those lead.  Code
+      reading the state attributes directly (contexts, the sparse
+      scheduler) runs only after :meth:`views`;
+    * :meth:`apply_arrays`' own upkeep of the inherited
+      ``|E(i) \\ E(1)|`` counter.
     """
 
     def __init__(self, graph: nx.Graph, *, require_connected: bool = True) -> None:
@@ -198,11 +197,6 @@ class DenseNetwork(Network):
 
         return set(self._uid_pairs(keys[~member(self._orig_keys, keys)]))
 
-    @property
-    def num_activated_edges(self) -> int:
-        """``|E(i) \\ E(1)|`` from the incrementally maintained counter."""
-        return self._n_activated
-
     def potential_neighbors(self, u) -> set:
         if self._keys is not self._view_keys:
             self._sync_views()
@@ -223,7 +217,7 @@ class DenseNetwork(Network):
     # ------------------------------------------------------------------
 
     def apply(self, actions: RoundActions, *, strict: bool = True) -> tuple[set, set]:
-        """:meth:`Network.apply` on the uid-keyed state; keeps the counter.
+        """:meth:`Network.apply` on the uid-keyed state.
 
         An idle round leaves the arrays leading, so it stays O(1).
         """
@@ -231,11 +225,7 @@ class DenseNetwork(Network):
             self.round += 1
             return set(), set()
         self._drop_arrays()
-        activations, deactivations = super().apply(actions, strict=strict)
-        # The effective sets hold newly active and newly inactive edges.
-        original = self._original
-        self._n_activated += len(activations - original) - len(deactivations - original)
-        return activations, deactivations
+        return super().apply(actions, strict=strict)
 
     # ------------------------------------------------------------------
     # array rounds (the bulk backend's kernel path)
@@ -397,7 +387,7 @@ class DenseNetwork(Network):
 
     def apply_external(self, *, drops=(), adds=(), crashes=(), joins=()) -> tuple[set, set]:
         """:meth:`Network.apply_external` on the uid-keyed state; keeps
-        the interning and the counter.
+        the interning.
 
         Crashed nodes' index slots are retired, never reused — exactly
         like uids.  Joined nodes extend the interning tables.
@@ -416,9 +406,6 @@ class DenseNetwork(Network):
                     self._identity = False
                 idx_of[uid] = len(uid_of)
                 uid_of.append(uid)
-        # Strikes are rare (inter-episode): one exact recompute keeps
-        # the counter honest.
-        self._n_activated = len(self._active - self._original)
         return result
 
 

@@ -47,6 +47,9 @@ class Network:
         self._adj: dict[object, set] = {u: set(graph.neighbors(u)) for u in graph.nodes()}
         self._original: frozenset = frozenset(edge_key(u, v) for u, v in graph.edges())
         self._active: set = set(self._original)
+        #: ``|E(i) \ E(1)|``, kept by apply and apply_external (not by
+        #: commit): every edge of G_s is original.
+        self._n_activated: int = 0
         # Per-node frozen neighborhood snapshots handed out by neighbors();
         # invalidated lazily when apply() touches a node's adjacency.
         self._frozen: dict = {}
@@ -107,8 +110,8 @@ class Network:
 
     @property
     def num_activated_edges(self) -> int:
-        """``|E(i) \\ E(1)|``."""
-        return len(self._active - self._original)
+        """``|E(i) \\ E(1)|``, an O(1) read of the counter."""
+        return self._n_activated
 
     def potential_neighbors(self, u) -> set:
         """``N_2(u)``: nodes at distance exactly two from ``u``."""
@@ -209,6 +212,9 @@ class Network:
         deactivations = {e for e in deactivations if e in active}
 
         self.commit(activations, deactivations)
+        # The effective sets hold newly active and newly inactive edges.
+        original = self._original
+        self._n_activated += len(activations - original) - len(deactivations - original)
         self.round += 1
         return activations, deactivations
 
@@ -219,7 +225,8 @@ class Network:
 
         :meth:`apply` commits its filtered sets through here, and the
         dict conformance replay commits a recorded round's applicable
-        sets (keys naming known nodes, no self-loops).
+        sets (keys naming known nodes, no self-loops).  The
+        :attr:`num_activated_edges` counter is the caller's to keep.
         """
         active, adj, frozen = self._active, self._adj, self._frozen
         for u, v in activations:
@@ -332,6 +339,9 @@ class Network:
 
         self._nodes = frozenset(nodes)
         self._original = frozenset(original)
+        # Strikes are rare (inter-episode): one exact recount keeps the
+        # counter honest.
+        self._n_activated = len(active - self._original)
         return dropped, added
 
     # ------------------------------------------------------------------

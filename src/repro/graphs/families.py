@@ -16,54 +16,95 @@ from ..errors import ConfigurationError
 from . import generators as gen
 from . import uids
 
-Family = Callable[[int], nx.Graph]
+#: ``factory(n, seed)``: the family's graph at size ``n`` with its UIDs
+#: re-permuted by ``seed`` (see :func:`make`).
+Family = Callable[[int, int], nx.Graph]
 
 
-def _line(n: int) -> nx.Graph:
-    return uids.random_uids(gen.line_graph(n), seed=n)
+def _reseed(perm: list[int], seed: int) -> list[int]:
+    """Compose a family's UIDs with ``random_uids(..., seed=seed)`` applied
+    to the family graph (whose UIDs are ``0..len(perm)-1``)."""
+    if not seed:
+        return perm
+    again = uids.random_permutation(len(perm), seed)
+    return [again[uid] for uid in perm]
 
 
-def _line_adversarial(n: int) -> nx.Graph:
-    return uids.adversarial_max_far(gen.line_graph(n), seed=n)
+def _structured(edges, perm: list[int], **meta) -> nx.Graph:
+    """Insert nodes ``0..len(perm)-1`` and ``edges`` (listed as
+    :mod:`.generators` states them) once, each node already under its
+    final UID ``perm[v]``."""
+    g = nx.Graph()
+    g.add_nodes_from(perm)
+    g.add_edges_from((perm[u], perm[v]) for u, v in edges)
+    g.graph.update(meta)
+    return g
 
 
-def _ring(n: int) -> nx.Graph:
-    return uids.random_uids(gen.ring_graph(max(3, n)), seed=n)
+def _relabelled(graph: nx.Graph, uid_seed: int, seed: int) -> nx.Graph:
+    """One relabel copy of a generated graph on ``0..n-1``, by the family's
+    ``random_uids(uid_seed)`` composed with the reseed."""
+    perm = _reseed(uids.random_permutation(len(graph), uid_seed), seed)
+    return uids.relabel(graph, dict(enumerate(perm)))
 
 
-def _increasing_ring(n: int) -> nx.Graph:
-    return uids.increasing_along_order(gen.increasing_order_ring(max(3, n)))
+def _line(n: int, seed: int) -> nx.Graph:
+    perm = _reseed(uids.random_permutation(n, n), seed)
+    return _structured(gen.line_edges(n), perm, order=perm, kind="line")
 
 
-def _random_tree(n: int) -> nx.Graph:
-    return uids.random_uids(gen.random_tree(n, seed=n), seed=n + 1)
+def _line_adversarial(n: int, seed: int) -> nx.Graph:
+    # A line's two ends tie for the largest eccentricity; the tie goes to
+    # the larger label, n - 1.
+    perm = uids.max_far_permutation(n, n - 1, seed=n)
+    return _structured(gen.line_edges(n), perm, order=perm, kind="line")
 
 
-def _gnp(n: int) -> nx.Graph:
-    return uids.random_uids(gen.random_connected_gnp(n, seed=n), seed=n + 1)
+def _ring(n: int, seed: int) -> nx.Graph:
+    count = max(3, n)
+    perm = _reseed(uids.random_permutation(count, n), seed)
+    return _structured(gen.ring_edges(count), perm, order=perm, kind="ring")
 
 
-def _grid(n: int) -> nx.Graph:
+def _increasing_ring(n: int, seed: int) -> nx.Graph:
+    count = max(3, n)
+    perm = list(range(count))  # UIDs increase along the ring's order
+    return _structured(gen.ring_edges(count), perm, order=perm, kind="ring")
+
+
+def _random_tree(n: int, seed: int) -> nx.Graph:
+    return _relabelled(gen.random_tree(n, seed=n), n + 1, seed)
+
+
+def _gnp(n: int, seed: int) -> nx.Graph:
+    return _relabelled(gen.random_connected_gnp(n, seed=n), n + 1, seed)
+
+
+def _grid(n: int, seed: int) -> nx.Graph:
     side = max(2, int(math.isqrt(n)))
-    return uids.random_uids(gen.grid_graph(side, side), seed=n)
+    perm = _reseed(uids.random_permutation(side * side, n), seed)
+    return _structured(gen.grid_edges(side, side), perm, kind="grid")
 
 
-def _regular3(n: int) -> nx.Graph:
+def _regular3(n: int, seed: int) -> nx.Graph:
     m = n if n % 2 == 0 else n + 1
-    return uids.random_uids(gen.random_regular(m, 3, seed=n), seed=n + 1)
+    return _relabelled(gen.random_regular(m, 3, seed=n), n + 1, seed)
 
 
-def _caterpillar(n: int) -> nx.Graph:
+def _caterpillar(n: int, seed: int) -> nx.Graph:
     spine = max(1, n // 2)
-    return uids.random_uids(gen.caterpillar(spine, 1), seed=n)
+    perm = _reseed(uids.random_permutation(2 * spine, n), seed)
+    return _structured(gen.caterpillar_edges(spine, 1), perm, kind="caterpillar")
 
 
-def _star(n: int) -> nx.Graph:
-    return uids.random_uids(gen.star_graph(n), seed=n)
+def _star(n: int, seed: int) -> nx.Graph:
+    perm = _reseed(uids.random_permutation(n, n), seed)
+    return _structured(gen.star_edges(n, n - 1), perm, center=perm[n - 1], kind="star")
 
 
-def _cbt(n: int) -> nx.Graph:
-    return uids.random_uids(gen.complete_binary_tree(n), seed=n)
+def _cbt(n: int, seed: int) -> nx.Graph:
+    perm = _reseed(uids.random_permutation(n, n), seed)
+    return _structured(gen.cbt_edges(n), perm, root=perm[0], kind="cbt")
 
 
 FAMILIES: dict[str, Family] = {
@@ -99,6 +140,7 @@ GENERAL_FAMILIES = (
 
 #: Families whose UID placement *is* the workload: re-permuting their UIDs
 #: (make(..., seed!=0)) would silently measure a different experiment.
+#: Their factories ignore ``seed``, which :func:`make` holds at 0.
 UID_STRUCTURED_FAMILIES = (
     "line_adversarial",
     "increasing_ring",
@@ -115,6 +157,11 @@ def make(family: str, n: int, seed: int = 0) -> nx.Graph:
     (:data:`UID_STRUCTURED_FAMILIES`) reject non-zero seeds, as reseeding
     would silently measure a different experiment.  ``n < 1`` is
     rejected for every family, including those that round small sizes up.
+
+    The graph is built in one pass, already under its final UIDs: it
+    equals the generator graph relabelled by the family's UID scheme and
+    then by ``random_uids(..., seed=seed)``, node order, adjacency order
+    and metadata included, without building either intermediate graph.
     """
     try:
         factory = FAMILIES[family]
@@ -126,7 +173,4 @@ def make(family: str, n: int, seed: int = 0) -> nx.Graph:
             f"family {family!r} is defined by its UID placement; re-permuting "
             f"UIDs with seed={seed} would destroy the workload (use seed=0)"
         )
-    graph = factory(n)
-    if seed:
-        graph = uids.random_uids(graph, seed=seed)
-    return graph
+    return factory(n, seed)

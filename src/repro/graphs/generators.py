@@ -21,13 +21,66 @@ def _require_positive(n: int) -> None:
         raise ConfigurationError(f"n must be >= 1, got {n}")
 
 
+# Structures.  Each structured generator's edges, stated once, in the order
+# a relabel copy (``nx.relabel_nodes(copy=True)``) re-inserts them: node by
+# node in label order, each node's not-yet-listed neighbours in adjacency
+# order.  The generators below insert them as listed, and
+# ``families.make`` inserts the same lists straight under their final UIDs,
+# so a one-pass family graph equals the relabelled generator graph down to
+# each node's adjacency order (DESIGN.md, "Graph families").
+
+
+def line_edges(n: int):
+    return zip(range(n - 1), range(1, n))
+
+
+def ring_edges(n: int):
+    """The ring's closing edge comes second, where a relabelled
+    ``cycle_graph`` lists it (:func:`ring_graph` itself inserts it last)."""
+    yield 0, 1
+    yield 0, n - 1
+    yield from zip(range(1, n - 1), range(2, n))
+
+
+def star_edges(n: int, center: int):
+    return ((center, v) for v in range(n) if v != center)
+
+
+def cbt_edges(n: int):
+    return (((v - 1) // 2, v) for v in range(1, n))
+
+
+def grid_edges(rows: int, cols: int):
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                yield v, v + 1
+            if r + 1 < rows:
+                yield v, v + cols
+
+
+def caterpillar_edges(spine: int, legs_per_node: int):
+    for s in range(spine):
+        if s + 1 < spine:
+            yield s, s + 1
+        first = spine + s * legs_per_node
+        for leg in range(first, first + legs_per_node):
+            yield s, leg
+
+
+def _graph(count: int, edges, **meta) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(count))
+    g.add_edges_from(edges)
+    g.graph.update(meta)
+    return g
+
+
 def line_graph(n: int) -> nx.Graph:
     """A spanning line ``0 - 1 - ... - n-1`` (the paper's hardest G_s)."""
     _require_positive(n)
-    g = nx.path_graph(n)
-    g.graph["order"] = list(range(n))
-    g.graph["kind"] = "line"
-    return g
+    return _graph(n, line_edges(n), order=list(range(n)), kind="line")
 
 
 def ring_graph(n: int) -> nx.Graph:
@@ -54,24 +107,13 @@ def star_graph(n: int, center: int | None = None) -> nx.Graph:
     """A spanning star on ``n`` nodes; ``center`` defaults to ``n - 1``."""
     _require_positive(n)
     c = (n - 1) if center is None else center
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from((c, v) for v in range(n) if v != c)
-    g.graph["center"] = c
-    g.graph["kind"] = "star"
-    return g
+    return _graph(n, star_edges(n, c), center=c, kind="star")
 
 
 def complete_binary_tree(n: int) -> nx.Graph:
     """A complete binary tree on ``n`` nodes (heap numbering, root 0)."""
     _require_positive(n)
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for v in range(1, n):
-        g.add_edge(v, (v - 1) // 2)
-    g.graph["root"] = 0
-    g.graph["kind"] = "cbt"
-    return g
+    return _graph(n, cbt_edges(n), root=0, kind="cbt")
 
 
 def random_tree(n: int, seed: int = 0) -> nx.Graph:
@@ -118,17 +160,7 @@ def grid_graph(rows: int, cols: int) -> nx.Graph:
     """A 2-D grid with integer labels ``r * cols + c``."""
     if rows < 1 or cols < 1:
         raise ConfigurationError("grid dimensions must be >= 1")
-    g = nx.Graph()
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            g.add_node(v)
-            if r > 0:
-                g.add_edge(v, (r - 1) * cols + c)
-            if c > 0:
-                g.add_edge(v, r * cols + c - 1)
-    g.graph["kind"] = "grid"
-    return g
+    return _graph(rows * cols, grid_edges(rows, cols), kind="grid")
 
 
 def random_regular(n: int, d: int = 3, seed: int = 0) -> nx.Graph:
@@ -146,14 +178,10 @@ def random_regular(n: int, d: int = 3, seed: int = 0) -> nx.Graph:
 def caterpillar(spine: int, legs_per_node: int = 1) -> nx.Graph:
     """A caterpillar: a spine path with pendant legs (bounded degree)."""
     _require_positive(spine)
-    g = nx.path_graph(spine)
-    nxt = spine
-    for s in range(spine):
-        for _ in range(legs_per_node):
-            g.add_edge(s, nxt)
-            nxt += 1
-    g.graph["kind"] = "caterpillar"
-    return g
+    return _graph(
+        spine * (1 + legs_per_node), caterpillar_edges(spine, legs_per_node),
+        kind="caterpillar",
+    )
 
 
 def lollipop(clique: int, tail: int) -> nx.Graph:

@@ -33,6 +33,20 @@ def identity_uids(graph: nx.Graph) -> nx.Graph:
     return graph
 
 
+def random_permutation(count: int, seed: int = 0) -> list[int]:
+    """The UIDs :func:`random_uids` gives a graph on ``0..count-1``:
+    node ``v`` gets ``perm[v]``.
+
+    A shuffle's swaps depend only on the list's length and the seed, so
+    shuffling any sorted node list ``nodes`` yields ``nodes[p]`` for
+    ``p`` in this permutation; :func:`random_uids` relies on that, and
+    ``families.make`` composes these lists instead of relabelling twice.
+    """
+    perm = list(range(count))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
 def random_uids(graph: nx.Graph, seed: int = 0, *, spread: int = 1) -> nx.Graph:
     """Assign a random permutation of ``0..n-1`` (optionally spaced out).
 
@@ -40,11 +54,38 @@ def random_uids(graph: nx.Graph, seed: int = 0, *, spread: int = 1) -> nx.Graph:
     exercises comparison-based code against non-contiguous UIDs.
     """
     nodes = sorted(graph.nodes())
-    rng = random.Random(seed)
-    shuffled = nodes[:]
-    rng.shuffle(shuffled)
-    mapping = {v: spread * s for v, s in zip(nodes, shuffled)}
-    return relabel(graph, mapping)
+    perm = random_permutation(len(nodes), seed)
+    return relabel(graph, {v: spread * nodes[p] for v, p in zip(nodes, perm)})
+
+
+def max_far_permutation(count: int, far: int, seed: int = 0) -> list[int]:
+    """The UIDs :func:`adversarial_max_far` gives a graph on ``0..count-1``
+    whose chosen far node is ``far``: ``count - 1`` there, a shuffle of
+    the rest elsewhere."""
+    rest = [v for v in range(count) if v != far]
+    random.Random(seed).shuffle(rest)
+    perm = [0] * count
+    perm[far] = count - 1
+    for uid, v in enumerate(rest):
+        perm[v] = uid
+    return perm
+
+
+def eccentricities(graph: nx.Graph) -> dict:
+    """Every node's eccentricity; exact, and linear time on a tree.
+
+    On a tree a double sweep finds a diameter pair ``(a, b)``, and every
+    node's farthest node is one of the two: ``ecc(v) = max(d(v, a),
+    d(v, b))``, three BFS passes in all.  Any other graph pays
+    ``nx.eccentricity``'s BFS from every node.
+    """
+    if graph.number_of_edges() != len(graph) - 1 or not nx.is_connected(graph):
+        return nx.eccentricity(graph)
+    bfs = nx.single_source_shortest_path_length
+    start = bfs(graph, next(iter(graph)))
+    dist_a = bfs(graph, max(start, key=start.get))
+    dist_b = bfs(graph, max(dist_a, key=dist_a.get))
+    return {v: max(dist_a[v], dist_b[v]) for v in graph}
 
 
 def adversarial_max_far(graph: nx.Graph, seed: int = 0) -> nx.Graph:
@@ -52,19 +93,16 @@ def adversarial_max_far(graph: nx.Graph, seed: int = 0) -> nx.Graph:
 
     The committee algorithms elect the maximum UID; placing it as far as
     possible from the rest maximizes information-propagation distance.
+    Ties go to the largest label.
     """
     nodes = sorted(graph.nodes())
     n = len(nodes)
     if n == 1:
         return graph
-    ecc = nx.eccentricity(graph)
+    ecc = eccentricities(graph)
     far_node = max(ecc, key=lambda v: (ecc[v], v))
-    rng = random.Random(seed)
-    rest = [v for v in nodes if v != far_node]
-    rng.shuffle(rest)
-    mapping = {far_node: n - 1}
-    mapping.update({v: i for i, v in enumerate(rest)})
-    return relabel(graph, mapping)
+    perm = max_far_permutation(n, nodes.index(far_node), seed)
+    return relabel(graph, {v: perm[i] for i, v in enumerate(nodes)})
 
 
 def increasing_along_order(graph: nx.Graph) -> nx.Graph:

@@ -467,3 +467,42 @@ def test_multi_segment_budgets_reset_per_segment():
     spec.runner(families.make("line", 24), observers=checkers)
     assert all(c.ok for c in checkers)
     assert all(c._segment == 2 for c in checkers)
+
+
+def test_audits_freeze_the_prebuilt_heap(monkeypatch, tmp_path):
+    """``check_trace`` and inline ``check_trace_parallel`` keep the cyclic
+    collector off the graph, trace and checkers, as a run does: a checker
+    hook sees a frozen heap, and the freeze is gone once the audit returns."""
+    import gc
+
+    from repro.conformance import check_trace_parallel
+
+    spec = get_scenario("star")
+    graph = families.make("ring", 20, seed=3)
+    trace = spec.runner(graph, collect_trace=True).trace
+    path = tmp_path / "run.jsonl"
+    path.write_text(trace.to_jsonl())
+    seen = []
+    real = conformance.make_checkers
+
+    def spied(names, **kwargs):
+        checkers = real(names, **kwargs)
+        for c in checkers:
+            def on_round(rec, _on_round=c.on_round):
+                seen.append(gc.get_freeze_count())
+                _on_round(rec)
+
+            c.on_round = on_round
+        return checkers
+
+    monkeypatch.setattr(conformance, "make_checkers", spied)
+    entry = gc.get_freeze_count()
+    verdicts = check_trace(graph, trace, conformance.make_checkers(spec.invariants))
+    assert all(v.ok for v in verdicts)
+    assert seen and all(count > 0 for count in seen)
+    assert gc.get_freeze_count() == entry
+    seen.clear()
+    verdicts = check_trace_parallel(graph, path, spec.invariants, jobs=1)
+    assert all(v.ok for v in verdicts)
+    assert seen and all(count > 0 for count in seen)
+    assert gc.get_freeze_count() == entry

@@ -148,3 +148,44 @@ def test_binary_sink_and_reader_4096_peak_rss_bounded(tmp_path):
         f"n=4096 archive (ceiling {RSS_CEILING_MIB} MiB): segments are "
         f"being materialized"
     )
+
+
+#: Peak-RSS ceiling for building ``families.make("ring", 200_000,
+#: seed=1)``, in MiB above the interpreter's footprint after import.
+#: Measured on the reference machine (CPython 3.11, networkx 3.6): the
+#: one-pass build adds 99 MiB — the graph itself plus two UID lists —
+#: while the generator-then-relabel chain it replaced (two full
+#: relabel copies) added 288 MiB.  The ceiling is the measured value
+#: plus ~40% headroom, far below the chain's.
+RING_BUILD_CEILING_MIB = 140
+
+_RING_BUILD_CHILD = r"""
+import resource
+
+from repro.graphs import families
+
+base_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+graph = families.make("ring", 200_000, seed=1)
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(f"nodes={graph.number_of_nodes()} base_kib={base_kib} peak_kib={peak_kib}")
+"""
+
+
+@pytest.mark.slow
+def test_family_build_ring_200k_peak_rss_bounded():
+    """A family graph is built once, under its final UIDs: no
+    intermediate relabel copy may come back."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RING_BUILD_CHILD],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = dict(pair.split("=") for pair in proc.stdout.split() if "=" in pair)
+    assert int(stats["nodes"]) == 200_000
+    added_mib = (int(stats["peak_kib"]) - int(stats["base_kib"])) / 1024
+    assert added_mib < RING_BUILD_CEILING_MIB, (
+        f"building the n=200000 ring added {added_mib:.0f} MiB of peak RSS "
+        f"(ceiling {RING_BUILD_CEILING_MIB} MiB): the build copies the graph"
+    )

@@ -429,3 +429,27 @@ def test_mixed_modes_match_reference(data):
         assert _observable_state(dense) == _observable_state(ref)
         for u in ref.nodes:
             assert list(dense.neighbors(u)) == list(ref.neighbors(u))
+
+
+@given(data=st.data())
+def test_activated_edge_counter_is_exact(data):
+    """The O(1) ``num_activated_edges`` counter equals a recount of
+    ``E(i) \\ E(1)`` after every per-edge round, array round and strike,
+    on the reference network and on ``DenseNetwork``."""
+    graph = data.draw(connected_graphs())
+    ref, dense = Network(graph), DenseNetwork(graph)
+    for step in data.draw(mixed_steps(graph.number_of_nodes())):
+        kind = step[0]
+        if kind == "strike":
+            ref.apply_external(**step[1])
+            dense.apply_external(**step[1])
+        else:
+            ref.apply(_batch(step[1], step[2]), strict=False)
+            if kind == "arrays" and dense._identity and (
+                len(dense._idx_of) == len(dense._uid_of)
+            ):
+                dense.apply_arrays(_arrays(step[1], step[2]), strict=False)
+            else:
+                dense.apply(_batch(step[1], step[2]), strict=False)
+        for net in (ref, dense):
+            assert net.num_activated_edges == len(net.activated_edges())
