@@ -2,8 +2,7 @@
 
 Each benchmark file reproduces one experiment from DESIGN.md's index;
 rows accumulate in a session-wide registry and are printed as markdown
-tables at the end of the session (this is the output EXPERIMENTS.md
-records).
+tables at the end of the session.
 
 Engine benchmarks additionally record machine-readable rows into
 ``BENCH_engine.json`` at the repo root (the ``bench_engine`` fixture):

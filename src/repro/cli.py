@@ -429,6 +429,11 @@ def _main_sweep(args) -> int:
     for family in families_:
         if family not in graphs.FAMILIES:
             return _error(f"unknown family {family!r}; known: {sorted(graphs.FAMILIES)}")
+        try:
+            for seed in args.seeds:  # fail fast, before any cell runs
+                graphs.families.check_seed(family, seed)
+        except ConfigurationError as exc:
+            return _error(exc)
     code = _check_cells(args, algorithms, families_)
     if code:
         return code

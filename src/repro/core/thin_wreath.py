@@ -16,8 +16,9 @@ paper is carried by the matchmaker pairing machinery, whose appendix
 description is too incomplete to reproduce exactly.  We therefore
 implement GraphToThinWreath as the k-ary-gadget member of the wreath
 family: identical phase structure, branching ``k = ceil(log2 n)``,
-polylog degree budget.  EXPERIMENTS.md reports the measured consequence
-honestly: near-wreath time at polylog (instead of constant) degree.
+polylog degree budget.  The E5 table (``benchmarks/test_e5_thin_wreath.py``)
+reports the measured consequence: near-wreath time at polylog (instead of
+constant) degree.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 A family maps a target size ``n`` to a concrete initial network with a UID
 scheme applied.  Benchmarks sweep families × sizes and report per-family
-rows, which is how the experiment tables in EXPERIMENTS.md are produced.
+rows, which is how the experiment tables of the ``benchmarks/`` suite
+are produced.
 """
 
 from __future__ import annotations
@@ -77,7 +78,20 @@ def _random_tree(n: int, seed: int) -> nx.Graph:
 
 
 def _gnp(n: int, seed: int) -> nx.Graph:
-    return _relabelled(gen.random_connected_gnp(n, seed=n), n + 1, seed)
+    # Each attempt inserts its pairs straight under their final UIDs: in
+    # combinations order, as a relabel copy of the generator graph
+    # re-inserts them.  Connectivity does not depend on the labels.
+    perm = _reseed(uids.random_permutation(n, n + 1), seed)
+    if n > 1:
+        p = gen.gnp_p(n)
+        g = gen.first_connected(
+            lambda s: _structured(gen.gnp_pairs(n, p, s), perm, kind="gnp"), n
+        )
+        if g is not None:
+            return g
+    # One node, or the generator's chain-connecting fallback, which picks
+    # nodes by their canonical labels.
+    return uids.relabel(gen.random_connected_gnp(n, seed=n), dict(enumerate(perm)))
 
 
 def _grid(n: int, seed: int) -> nx.Graph:
@@ -147,13 +161,27 @@ UID_STRUCTURED_FAMILIES = (
 )
 
 
+def check_seed(family: str, seed: int) -> None:
+    """Raise :class:`ConfigurationError` unless :func:`make` takes
+    ``seed`` for ``family`` (see there)."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if seed and family in UID_STRUCTURED_FAMILIES:
+        raise ConfigurationError(
+            f"family {family!r} is defined by its UID placement; re-permuting "
+            f"UIDs with seed={seed} would destroy the workload (use seed=0)"
+        )
+
+
 def make(family: str, n: int, seed: int = 0) -> nx.Graph:
     """Instantiate a named family at size ``n`` (actual size may differ
     slightly for structured families such as grids).
 
-    ``seed`` is 0 for the family's canonical instance; a non-zero seed
+    ``seed`` is 0 for the family's canonical instance; a positive seed
     deterministically re-permutes the UIDs, giving independent sweep
-    repetitions.  Families whose UID placement *is* the workload
+    repetitions.  A negative seed is rejected: ``random.Random`` seeds
+    with its absolute value, so it would repeat the positive one.
+    Families whose UID placement *is* the workload
     (:data:`UID_STRUCTURED_FAMILIES`) reject non-zero seeds, as reseeding
     would silently measure a different experiment.  ``n < 1`` is
     rejected for every family, including those that round small sizes up.
@@ -168,9 +196,5 @@ def make(family: str, n: int, seed: int = 0) -> nx.Graph:
     except KeyError:
         raise KeyError(f"unknown family {family!r}; known: {sorted(FAMILIES)}") from None
     gen._require_positive(n)
-    if seed and family in UID_STRUCTURED_FAMILIES:
-        raise ConfigurationError(
-            f"family {family!r} is defined by its UID placement; re-permuting "
-            f"UIDs with seed={seed} would destroy the workload (use seed=0)"
-        )
+    check_seed(family, seed)
     return factory(n, seed)

@@ -9,9 +9,12 @@ permute them.  Generators that embed orientation or geometry record it in
 
 from __future__ import annotations
 
+import math
 import random
+from typing import Callable
 
 import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -128,6 +131,71 @@ def random_tree(n: int, seed: int = 0) -> nx.Graph:
     return g
 
 
+#: How many seeds :func:`first_connected` tries (``seed``, ``seed + 1``, ...).
+CONNECT_ATTEMPTS = 60
+
+#: Node pairs per bulk draw in :func:`gnp_pairs` (two 32-bit words each).
+_GNP_CHUNK = 1 << 14
+
+
+def first_connected(attempt: Callable[[int], nx.Graph], seed: int) -> nx.Graph | None:
+    """The first connected graph among ``attempt(seed)``,
+    ``attempt(seed + 1)``, ... (:data:`CONNECT_ATTEMPTS` of them), or
+    ``None`` when every attempt is disconnected."""
+    for s in range(seed, seed + CONNECT_ATTEMPTS):
+        g = attempt(s)
+        if nx.is_connected(g):
+            return g
+    return None
+
+
+def gnp_p(n: int) -> float:
+    """:func:`random_connected_gnp`'s default ``p``: slightly above the
+    connectivity threshold."""
+    return min(1.0, 2.2 * math.log(max(2, n)) / n)
+
+
+def gnp_pairs(n: int, p: float, seed: int):
+    """The pairs ``nx.gnp_random_graph(n, p, seed=seed)`` keeps for
+    ``0 < p < 1``, in its ``itertools.combinations`` order (for other
+    ``p >= 0`` it keeps none or all, as networkx does).
+
+    That generator keeps pair ``i`` when the ``i``-th
+    ``random.Random(seed).random()`` is below ``p``.  Each ``random()``
+    call takes the next two 32-bit Mersenne Twister words ``(a, b)`` and
+    returns ``x / 2**53`` with ``x = (a >> 5) << 26 | b >> 6``, and
+    ``getrandbits(64 * k)`` returns the next ``2k`` words, the first in
+    the lowest bits.  So the same pairs are the ``x < ceil(p * 2**53)``
+    of the stream drawn in bulk, compared as integers in numpy chunks.
+    """
+    rng = random.Random(seed)
+    threshold = math.ceil(p * 2.0**53)
+    # x < threshold needs a >> 5 == x >> 26 <= (threshold - 1) >> 26.
+    cut = ((threshold - 1) >> 26) + 1
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1)
+    total = n * (n - 1) // 2
+    for lo in range(0, total, _GNP_CHUNK):
+        k = min(_GNP_CHUNK, total - lo)
+        words = np.frombuffer(
+            rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4"
+        ).reshape(k, 2)
+        high = words[:, 0] >> 5
+        near = np.flatnonzero(high < cut)
+        x = (high[near].astype(np.uint64) << np.uint64(26)) | (words[near, 1] >> 6)
+        kept = near[x < np.uint64(threshold)] + lo
+        u = np.searchsorted(starts, kept, side="right") - 1
+        yield from zip(u.tolist(), (kept - starts[u] + u + 1).tolist())
+
+
+def _gnp_graph(n: int, p: float, seed: int) -> nx.Graph:
+    """``nx.gnp_random_graph(n, p, seed=seed)``, with the pairs drawn by
+    :func:`gnp_pairs` when ``0 < p < 1``."""
+    if 0 < p < 1:
+        return _graph(n, gnp_pairs(n, p, seed))
+    return nx.gnp_random_graph(n, p, seed=seed)
+
+
 def random_connected_gnp(n: int, p: float | None = None, seed: int = 0) -> nx.Graph:
     """A connected Erdős–Rényi graph; retries until connected.
 
@@ -138,20 +206,17 @@ def random_connected_gnp(n: int, p: float | None = None, seed: int = 0) -> nx.Gr
         g = nx.Graph()
         g.add_node(0)
         return g
-    import math
-
     if p is None:
-        p = min(1.0, 2.2 * math.log(max(2, n)) / n)
-    for attempt in range(60):
-        g = nx.gnp_random_graph(n, p, seed=seed + attempt)
-        if nx.is_connected(g):
-            g.graph["kind"] = "gnp"
-            return g
-    # Fall back: connect components along a random spanning chain.
-    comps = [list(c) for c in nx.connected_components(g)]
-    rng = random.Random(seed)
-    for a, b in zip(comps, comps[1:]):
-        g.add_edge(rng.choice(a), rng.choice(b))
+        p = gnp_p(n)
+    g = first_connected(lambda s: _gnp_graph(n, p, s), seed)
+    if g is None:
+        # Fall back: connect the last attempt's components along a random
+        # spanning chain.
+        g = _gnp_graph(n, p, seed + CONNECT_ATTEMPTS - 1)
+        comps = [list(c) for c in nx.connected_components(g)]
+        rng = random.Random(seed)
+        for a, b in zip(comps, comps[1:]):
+            g.add_edge(rng.choice(a), rng.choice(b))
     g.graph["kind"] = "gnp"
     return g
 
@@ -167,12 +232,11 @@ def random_regular(n: int, d: int = 3, seed: int = 0) -> nx.Graph:
     """A connected random ``d``-regular graph."""
     if n <= d:
         raise ConfigurationError("need n > d for a d-regular graph")
-    for attempt in range(60):
-        g = nx.random_regular_graph(d, n, seed=seed + attempt)
-        if nx.is_connected(g):
-            g.graph["kind"] = "regular"
-            return g
-    raise ConfigurationError(f"could not generate a connected {d}-regular graph on {n} nodes")
+    g = first_connected(lambda s: nx.random_regular_graph(d, n, seed=s), seed)
+    if g is None:
+        raise ConfigurationError(f"could not generate a connected {d}-regular graph on {n} nodes")
+    g.graph["kind"] = "regular"
+    return g
 
 
 def caterpillar(spine: int, legs_per_node: int = 1) -> nx.Graph:

@@ -34,7 +34,8 @@ Rounds follow a three-beat cadence (activate / settle / deactivate); the
 extra settling beat makes relayed child counts at most as stale as the
 activation slot gap, so no target ever exceeds ``k`` children.  All of
 this changes constants relative to the paper's 2-round cadence, never
-shapes; measured constants are in EXPERIMENTS.md.
+shapes; the E2 table (``benchmarks/test_e2_line_to_cbt.py``) measures the
+constants.
 """
 
 from __future__ import annotations

@@ -43,6 +43,13 @@ class TestCli:
         assert main(["-a", "cut-in-half", "-f", "ring", "--n", "16"]) == 2
         assert "only supports families" in capsys.readouterr().err
 
+    def test_negative_seed_is_one_line_error(self, capsys):
+        # random.Random seeds with abs(seed): -1 would silently repeat 1.
+        assert main(["-a", "star", "-f", "ring", "--n", "16", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro: error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
     def test_parser_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["-a", "nope"])
@@ -157,6 +164,21 @@ class TestSweepCommand:
             "--seeds", "0,3", "--quiet",
         ]) == 0
         assert "2 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seeds", ["-1,1", "1,-1"])
+    def test_sweep_negative_seed_fails_fast(self, capsys, seeds):
+        # Without the check, -1 and 1 would be two rows of one instance.
+        assert main(["sweep", "-a", "star", "-f", "ring", "--sizes", "16",
+                     f"--seeds={seeds}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro: error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    def test_sweep_uid_structured_seed_fails_fast(self, capsys):
+        assert main(["sweep", "-a", "star", "-f", "line_adversarial",
+                     "--sizes", "16", "--seeds=0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UID placement" in err
 
     def test_sweep_unknown_algorithm_fails_fast(self, capsys):
         assert main(["sweep", "-a", "nope", "--quiet"]) == 2
