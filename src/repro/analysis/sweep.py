@@ -42,6 +42,7 @@ from ..dynamics.adversary import AdversarySpec, make_adversary
 from ..engine.runner import resolve_backend
 from ..errors import ConfigurationError
 from ..graphs import diameter, families, max_degree
+from ..graphs.validate import KeyGraph
 from ..registry import (
     ScenarioSpec,
     check_cell,
@@ -95,8 +96,17 @@ class SweepRow:
 
 
 def measure(algorithm: str, family: str, graph: nx.Graph, result) -> SweepRow:
-    """Build a row from any RunResult/PipelineResult."""
-    final = result.final_graph()
+    """Build a row from any RunResult/PipelineResult.
+
+    The final measures read the result's own key arrays
+    (``final_keys()``, wrapped as a :class:`~repro.graphs.validate.KeyGraph`);
+    ``final_graph()`` runs only for a final graph that is not a tree, or
+    a result type without ``final_keys``."""
+    final_keys = getattr(result, "final_keys", None)
+    if final_keys is None:
+        final = result.final_graph()
+    else:
+        final = KeyGraph(*final_keys(), result.final_graph)
     row = SweepRow(
         algorithm=algorithm,
         family=family,

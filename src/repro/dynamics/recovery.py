@@ -134,6 +134,15 @@ class SelfHealingResult:
         g.add_edges_from(self.graph.edges())
         return g
 
+    def final_keys(self):
+        """The final graph as ``(uids, keys)``, read from ``graph``'s
+        adjacency without a copy (its labels are a network's, so they
+        sort)."""
+        from ..engine.graph_keys import adjacency_keys
+
+        uids, _, keys, _ = adjacency_keys(self.graph._adj)
+        return uids, keys
+
 
 # ----------------------------------------------------------------------
 # the self-healing loop

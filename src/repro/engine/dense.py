@@ -38,8 +38,6 @@ network state") spells out the equivalence argument.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import networkx as nx
 
 from ..errors import ConfigurationError
@@ -80,45 +78,27 @@ class DenseNetwork(Network):
     def __init__(self, graph: nx.Graph, *, require_connected: bool = True) -> None:
         import numpy as np
 
-        from .edge_keys import MASK, both_dirs, uf_fold
+        from .edge_keys import MASK, uf_fold
+        from .graph_keys import adjacency_keys
 
         if graph.number_of_nodes() == 0:
             raise ConfigurationError("initial graph must have at least one node")
         self._nodes = frozenset(graph.nodes())
         # Intern in sorted uid order: when uids are exactly 0..n-1 (every
         # built-in workload family) the interning is the identity map and
-        # all index->uid translation vanishes from the hot paths.
+        # all index->uid translation vanishes from the hot paths.  The
+        # state starts in array mode (see key_arrays), built straight from
+        # the graph's adjacency (the dict of dicts behind graph.adj, read
+        # in C).
         try:
-            uid_of = sorted(self._nodes)
+            uid_of, idx_of, keys, dirs = adjacency_keys(graph._adj)
         except TypeError:
             _validate_label_comparability(self._nodes)
             raise
         n = len(uid_of)
-        idx_of = {u: i for i, u in enumerate(uid_of)}
         self._uid_of: list = uid_of
-        self._idx_of: dict = idx_of
-        self._identity: bool = all(type(u) is int for u in uid_of) and uid_of == list(
-            range(n)
-        )
-        # The state starts in array mode (see key_arrays), built straight
-        # from the graph's adjacency: every directed edge once, sorted,
-        # and the undirected keys are its (lo, hi) half.
-        adj = graph._adj  # the dict of dicts behind graph.adj, read in C
-        degrees = np.fromiter(map(len, adj.values()), np.int64, n)
-        total = int(degrees.sum())
-        if self._identity:
-            src = np.fromiter(adj, np.int64, n)
-            dst = np.fromiter(chain.from_iterable(adj.values()), np.int64, total)
-        else:
-            src = np.fromiter(map(idx_of.__getitem__, adj), np.int64, n)
-            dst = np.fromiter(
-                map(idx_of.__getitem__, chain.from_iterable(adj.values())), np.int64, total
-            )
-        dirs = (src.repeat(degrees) << _SHIFT) | dst
-        dirs.sort()
-        keys = dirs[(dirs >> _SHIFT) <= (dirs & MASK)]
-        if keys.size and (dirs.size != 2 * keys.size):  # self-loops
-            dirs = both_dirs(keys)
+        self._identity: bool = idx_of is None
+        self._idx_of: dict = {u: u for u in uid_of} if idx_of is None else idx_of
         if require_connected and n > 1:
             roots = uf_fold(np.arange(n, dtype=np.int64), keys >> _SHIFT, keys & MASK)
             if roots.any():
@@ -183,6 +163,13 @@ class DenseNetwork(Network):
     def edges(self):
         keys = self._keys
         return super().edges() if keys is None else self._uid_pairs(keys)
+
+    def slot_keys(self):
+        """The key arrays themselves while they lead (their slots are
+        the positions in the sorted uids), else the inherited read of
+        the uid-keyed state.  Never switches modes."""
+        keys = self._keys
+        return super().slot_keys() if keys is None else (self._uid_of, keys)
 
     @property
     def num_active_edges(self) -> int:

@@ -136,6 +136,17 @@ class Network:
         g.add_edges_from(self.edges())
         return g
 
+    def slot_keys(self):
+        """The current snapshot ``D(i)`` as ``(uids, keys)``: its sorted
+        labels and its sorted undirected packed keys over their
+        positions (:func:`~repro.engine.graph_keys.adjacency_keys`), read
+        from the state without copying it.  The labels sort: construction
+        and every join check that they are mutually comparable."""
+        from .graph_keys import adjacency_keys
+
+        uids, _, keys, _ = adjacency_keys(self._adj)
+        return uids, keys
+
     def is_connected(self) -> bool:
         if len(self._nodes) <= 1:
             return True

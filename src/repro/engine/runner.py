@@ -94,6 +94,11 @@ class RunResult:
     def final_graph(self) -> nx.Graph:
         return self.network.snapshot_graph()
 
+    def final_keys(self):
+        """The final graph as ``(uids, keys)``, read from the network's
+        own state (:meth:`Network.slot_keys`)."""
+        return self.network.slot_keys()
+
 
 class SynchronousRunner:
     """Drives node programs through synchronous rounds.

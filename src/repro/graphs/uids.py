@@ -14,6 +14,7 @@ import random
 import networkx as nx
 
 from ..errors import ConfigurationError
+from .validate import KeyGraph
 
 
 def relabel(graph: nx.Graph, mapping: dict) -> nx.Graph:
@@ -74,18 +75,16 @@ def max_far_permutation(count: int, far: int, seed: int = 0) -> list[int]:
 def eccentricities(graph: nx.Graph) -> dict:
     """Every node's eccentricity; exact, and linear time on a tree.
 
-    On a tree a double sweep finds a diameter pair ``(a, b)``, and every
-    node's farthest node is one of the two: ``ecc(v) = max(d(v, a),
-    d(v, b))``, three BFS passes in all.  Any other graph pays
-    ``nx.eccentricity``'s BFS from every node.
+    A tree takes the array double sweep
+    (:func:`~repro.engine.graph_keys.tree_pass`): three frontier BFS
+    passes in all.  Any other graph, or one whose labels do not sort,
+    pays ``nx.eccentricity``'s BFS from every node.
     """
-    if graph.number_of_edges() != len(graph) - 1 or not nx.is_connected(graph):
+    keyed = KeyGraph.read(graph)
+    ecc = keyed.shape[1] if keyed is not None else None
+    if ecc is None:
         return nx.eccentricity(graph)
-    bfs = nx.single_source_shortest_path_length
-    start = bfs(graph, next(iter(graph)))
-    dist_a = bfs(graph, max(start, key=start.get))
-    dist_b = bfs(graph, max(dist_a, key=dist_a.get))
-    return {v: max(dist_a[v], dist_b[v]) for v in graph}
+    return dict(zip(keyed.uids, ecc.tolist()))
 
 
 def adversarial_max_far(graph: nx.Graph, seed: int = 0) -> nx.Graph:

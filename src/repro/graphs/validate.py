@@ -8,36 +8,85 @@ a rooted tree of depth ``d`` (Depth-d Tree), a wreath, etc.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import networkx as nx
 
 
-def max_degree(graph: nx.Graph) -> int:
-    if graph.number_of_nodes() == 0:
-        return 0
-    return max(d for _, d in graph.degree())
+class KeyGraph:
+    """A graph as its sorted labels ``uids`` and its sorted undirected
+    packed ``keys`` over their positions (the
+    :mod:`repro.engine.edge_keys` layout), standing for the networkx
+    graph ``to_networkx()`` returns.
+
+    :func:`max_degree`, :func:`diameter` and
+    :func:`~repro.graphs.uids.eccentricities` read it with one array
+    pass (:func:`~repro.engine.graph_keys.tree_pass`, run once and kept);
+    ``to_networkx()`` is called only when the answer needs networkx: the
+    diameter of a graph that is not a tree.
+    """
+
+    def __init__(self, uids: list, keys, to_networkx: Callable[[], nx.Graph]) -> None:
+        self.uids = uids
+        self.keys = keys
+        self.to_networkx = to_networkx
+        self._shape = None
+
+    @classmethod
+    def read(cls, graph: nx.Graph) -> KeyGraph | None:
+        """``graph`` through :func:`~repro.engine.graph_keys.adjacency_keys`;
+        None when its labels do not sort."""
+        from ..engine.graph_keys import adjacency_keys
+
+        try:
+            uids, _, keys, _ = adjacency_keys(graph._adj)
+        except TypeError:
+            return None
+        return cls(uids, keys, lambda: graph)
+
+    @property
+    def shape(self) -> tuple:
+        """``(max_degree, ecc)``: ``ecc`` the slots' eccentricities on a
+        spanning tree, else None."""
+        if self._shape is None:
+            from ..engine.graph_keys import tree_pass
+
+            self._shape = tree_pass(len(self.uids), self.keys)
+        return self._shape
 
 
-def diameter(graph: nx.Graph) -> int:
+def _keyed(graph) -> KeyGraph | None:
+    return graph if isinstance(graph, KeyGraph) else KeyGraph.read(graph)
+
+
+def max_degree(graph: nx.Graph | KeyGraph) -> int:
+    """The largest degree, by one ``bincount`` over the key arrays."""
+    keyed = _keyed(graph)
+    if keyed is not None:
+        return keyed.shape[0]
+    return max((d for _, d in graph.degree()), default=0)
+
+
+def diameter(graph: nx.Graph | KeyGraph) -> int:
     """Exact diameter, with fast paths for the shapes final graphs take.
 
     ``nx.diameter`` runs a BFS from every node — ``O(n(n+m))``, hopeless
-    for the xlarge sweep tier's ``n = 1e5`` final stars.  Connected
-    trees admit the exact two-sweep answer and a single cycle is closed
-    form; everything else (initial graphs, mid-run snapshots) falls back
-    to the generic algorithm.
+    for the xlarge sweep tier's ``n = 1e5`` final stars.  A spanning
+    tree takes the array double sweep
+    (:func:`~repro.engine.graph_keys.tree_pass`) and a single cycle is
+    closed form; everything else (initial graphs, mid-run snapshots) and
+    graphs whose labels do not sort fall back to the generic algorithm.
     """
+    keyed = _keyed(graph)
+    if keyed is not None:
+        ecc = keyed.shape[1]
+        if ecc is not None:
+            return int(ecc.max())
+        graph = keyed.to_networkx()
     n = graph.number_of_nodes()
     if n <= 1:
         return 0
-    m = graph.number_of_edges()
-    if m == n - 1:  # connected => tree: double BFS sweep is exact
-        start = next(iter(graph))
-        ecc = nx.single_source_shortest_path_length(graph, start)
-        if len(ecc) == n:
-            far = max(ecc, key=ecc.get)
-            return max(nx.single_source_shortest_path_length(graph, far).values())
-    elif m == n and all(d == 2 for _, d in graph.degree()):
+    if graph.number_of_edges() == n and all(d == 2 for _, d in graph.degree()):
         # Connected 2-regular => a single cycle.
         if nx.is_connected(graph):
             return n // 2

@@ -108,6 +108,9 @@ class PipelineResult:
     def final_graph(self) -> nx.Graph:
         return self.stages[-1][1].final_graph()
 
+    def final_keys(self):
+        return self.stages[-1][1].final_keys()
+
     def stage_columns(self) -> dict:
         """Per-stage sweep-row columns (``<stage>_rounds``/``_activations``)."""
         cols = {}
