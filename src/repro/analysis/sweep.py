@@ -96,17 +96,12 @@ class SweepRow:
 
 
 def measure(algorithm: str, family: str, graph: nx.Graph, result) -> SweepRow:
-    """Build a row from any RunResult/PipelineResult.
+    """Build a row from any RunResult/PipelineResult/SelfHealingResult.
 
     The final measures read the result's own key arrays
     (``final_keys()``, wrapped as a :class:`~repro.graphs.validate.KeyGraph`);
-    ``final_graph()`` runs only for a final graph that is not a tree, or
-    a result type without ``final_keys``."""
-    final_keys = getattr(result, "final_keys", None)
-    if final_keys is None:
-        final = result.final_graph()
-    else:
-        final = KeyGraph(*final_keys(), result.final_graph)
+    ``final_graph()`` runs only for a final graph that is not a tree."""
+    final = KeyGraph(*result.final_keys(), result.final_graph)
     row = SweepRow(
         algorithm=algorithm,
         family=family,

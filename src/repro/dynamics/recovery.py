@@ -138,10 +138,9 @@ class SelfHealingResult:
         """The final graph as ``(uids, keys)``, read from ``graph``'s
         adjacency without a copy (its labels are a network's, so they
         sort)."""
-        from ..engine.graph_keys import adjacency_keys
+        from ..engine.graph_keys import slot_keys
 
-        uids, _, keys, _ = adjacency_keys(self.graph._adj)
-        return uids, keys
+        return slot_keys(self.graph._adj)
 
 
 # ----------------------------------------------------------------------

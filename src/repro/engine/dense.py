@@ -165,11 +165,14 @@ class DenseNetwork(Network):
         return super().edges() if keys is None else self._uid_pairs(keys)
 
     def slot_keys(self):
-        """The key arrays themselves while they lead (their slots are
-        the positions in the sorted uids), else the inherited read of
-        the uid-keyed state.  Never switches modes."""
-        keys = self._keys
-        return super().slot_keys() if keys is None else (self._uid_of, keys)
+        """The key arrays themselves while they lead and hold no
+        self-loop (:meth:`slot_key_arrays`), else the inherited read of
+        the uid-keyed state, brought up to date.  Never switches modes."""
+        arrays = self.slot_key_arrays()
+        if arrays is None:
+            self.views()
+            return super().slot_keys()
+        return arrays[:2]
 
     @property
     def num_active_edges(self) -> int:

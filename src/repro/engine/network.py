@@ -139,13 +139,12 @@ class Network:
     def slot_keys(self):
         """The current snapshot ``D(i)`` as ``(uids, keys)``: its sorted
         labels and its sorted undirected packed keys over their
-        positions (:func:`~repro.engine.graph_keys.adjacency_keys`), read
+        positions (:func:`~repro.engine.graph_keys.slot_keys`), read
         from the state without copying it.  The labels sort: construction
         and every join check that they are mutually comparable."""
-        from .graph_keys import adjacency_keys
+        from .graph_keys import slot_keys
 
-        uids, _, keys, _ = adjacency_keys(self._adj)
-        return uids, keys
+        return slot_keys(self._adj)
 
     def is_connected(self) -> bool:
         if len(self._nodes) <= 1:

@@ -76,15 +76,15 @@ def eccentricities(graph: nx.Graph) -> dict:
     """Every node's eccentricity; exact, and linear time on a tree.
 
     A tree takes the array double sweep
-    (:func:`~repro.engine.graph_keys.tree_pass`): three frontier BFS
-    passes in all.  Any other graph, or one whose labels do not sort,
-    pays ``nx.eccentricity``'s BFS from every node.
+    (:func:`~repro.engine.graph_keys.tree_pass`) and one more BFS:
+    three BFS passes in all.  Any other graph, or one whose labels do
+    not sort, pays ``nx.eccentricity``'s BFS from every node.
     """
     keyed = KeyGraph.read(graph)
-    ecc = keyed.shape[1] if keyed is not None else None
-    if ecc is None:
+    sweep = keyed.shape[1] if keyed is not None else None
+    if sweep is None:
         return nx.eccentricity(graph)
-    return dict(zip(keyed.uids, ecc.tolist()))
+    return dict(zip(keyed.uids, sweep.eccentricities().tolist()))
 
 
 def adversarial_max_far(graph: nx.Graph, seed: int = 0) -> nx.Graph:

@@ -34,20 +34,21 @@ class KeyGraph:
 
     @classmethod
     def read(cls, graph: nx.Graph) -> KeyGraph | None:
-        """``graph`` through :func:`~repro.engine.graph_keys.adjacency_keys`;
+        """``graph`` through :func:`~repro.engine.graph_keys.slot_keys`;
         None when its labels do not sort."""
-        from ..engine.graph_keys import adjacency_keys
+        from ..engine.graph_keys import slot_keys
 
         try:
-            uids, _, keys, _ = adjacency_keys(graph._adj)
+            uids, keys = slot_keys(graph._adj)
         except TypeError:
             return None
         return cls(uids, keys, lambda: graph)
 
     @property
     def shape(self) -> tuple:
-        """``(max_degree, ecc)``: ``ecc`` the slots' eccentricities on a
-        spanning tree, else None."""
+        """``(max_degree, sweep)``: ``sweep`` the double sweep
+        (:class:`~repro.engine.graph_keys.Sweep`) of a spanning tree,
+        else None."""
         if self._shape is None:
             from ..engine.graph_keys import tree_pass
 
@@ -79,9 +80,9 @@ def diameter(graph: nx.Graph | KeyGraph) -> int:
     """
     keyed = _keyed(graph)
     if keyed is not None:
-        ecc = keyed.shape[1]
-        if ecc is not None:
-            return int(ecc.max())
+        sweep = keyed.shape[1]
+        if sweep is not None:
+            return sweep.diameter
         graph = keyed.to_networkx()
     n = graph.number_of_nodes()
     if n <= 1:
