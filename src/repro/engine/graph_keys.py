@@ -130,7 +130,8 @@ class _Csr:
         flattened, less the slots already reached.  A leaf's one
         neighbor is reached already, so only inner slots expand, and
         only they can be reached twice in one level, which proves a
-        cycle.  A narrow level (deep trees: paths, caterpillars, the
+        cycle: the BFS stops there rather than expand a slot twice.  A
+        narrow level (deep trees: paths, caterpillars, the
         ends of a random tree) goes to :meth:`_walk` until a level is
         wide again.  The keys are a spanning tree exactly when every
         slot is reached: ``n - 1`` edges that connect ``n`` slots."""

@@ -1,14 +1,14 @@
 """Final-graph measures from key arrays.
 
 ``graph_keys.tree_pass`` (max degree by ``bincount``; on a spanning tree,
-every eccentricity by a frontier-BFS double sweep) backs
-``graphs.diameter``, ``graphs.max_degree``, ``uids.eccentricities`` and
-``sweep.measure``.  These tests hold it to networkx: on random trees,
-paths and stars under int and non-int labels, and on non-trees, which
-must take the networkx branch and give networkx's answer.  Sweep rows
-must equal rows measured on ``final_graph()`` with networkx, on both
-backends, and a tree's row must never copy the final network into
-networkx.
+a BFS double sweep) backs ``graphs.diameter``, ``graphs.max_degree``,
+``uids.eccentricities`` and ``sweep.measure``.  These tests hold it to
+networkx: on random trees, paths, stars and brooms under int and
+non-int labels, and on non-trees, which must take the networkx branch
+and give networkx's answer.  Sweep rows must equal rows measured on
+``final_graph()`` with networkx, on both backends, and a tree's row
+must never copy the final network into networkx.  A deep tree must
+keep networkx's speed.
 """
 
 import json
