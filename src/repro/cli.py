@@ -122,6 +122,17 @@ def _csv_ints(value: str) -> list[int]:
     return [int(item) for item in _csv_list(value)]
 
 
+def _positive_int(value: str) -> int:
+    """A process-pool size: an int of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 # argparse prints the type's __name__ in "invalid ... value" errors.
 _csv_list.__name__ = "name list"
 _csv_ints.__name__ = "integer list"
@@ -280,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
              "enable this by default — --quiet wins",
     )
     sweep.add_argument("--parallel", action="store_true", help="use a process pool")
-    sweep.add_argument("--workers", type=int, default=None, help="process-pool size")
+    sweep.add_argument(
+        "--workers", type=_positive_int, default=None, help="process-pool size"
+    )
     sweep.add_argument(
         "--resume", dest="resume_dir", default=None, metavar="DIR",
         help="cache one row per cell under DIR; a re-run executes only "
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="UID permutation seed of the recorded run",
     )
     chk.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="process-pool size for per-segment audits (default: the CPU "
              "count; 1 audits inline with no pool)",
     )

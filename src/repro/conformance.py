@@ -38,7 +38,9 @@ tightest constant — and are calibrated against the full registry corpus
 (``tests/test_conformance.py`` keeps them all-green).
 
 :func:`check_trace` replays a recorded trace through the same checkers,
-so archived JSONL can be audited offline with identical semantics.
+so an archive (JSONL or ``.rtb``) can be audited offline with identical
+semantics; :func:`check_trace_parallel` fans its segments across a
+process pool.  Both run one per-segment replay loop.
 """
 
 from __future__ import annotations
@@ -527,10 +529,11 @@ def enforce(checkers, context: str = "") -> None:
 def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
     """Replay ``trace`` (recorded on ``graph``) through ``checkers``.
 
-    Events are fed in ``Trace.to_jsonl`` interleave order (each
-    perturbation before the first round record it precedes), which is
-    execution order for every engine-produced trace.  Returns the
-    verdicts, one per checker.
+    ``trace`` is a :class:`Trace`, or a path to either archive format
+    (sniffed by content: ``.rtb`` binary or JSONL).  Events are fed in
+    ``Trace.to_jsonl`` interleave order (each perturbation before the
+    first round record it precedes), which is execution order for every
+    engine-produced trace.  Returns the verdicts, one per checker.
 
     Multi-segment archives (a composition pipeline streamed through one
     ``JsonlSink``, where each stage's records restart at round 1) are
@@ -562,52 +565,7 @@ def check_trace(graph, trace, checkers, *, baselines: str = "chained") -> list:
     path").
     """
     _check_baselines(baselines)
-    segments = _split_segments(trace)
-    _reject_multisegment_perts(len(segments), len(trace.perturbations))
-    initial = _ReplayNetwork(graph.nodes(), graph.edges())
-    net = initial
-    perts = sorted(trace.perturbations, key=lambda p: p.round)
-    pi = 0
-    for si, records in enumerate(segments):
-        for c in checkers:
-            c.on_run_start(net)
-        # The baseline tracker only runs when a later segment will consume its end state:
-        # single-segment archives — every large-n audit — skip the fold
-        # entirely, and restart mode never folds.
-        fold = baselines == "chained" and si + 1 < len(segments)
-        tracker = _make_tracker() if fold else None
-        if tracker is not None:
-            tracker.on_run_start(net)
-        for rec in records:
-            while pi < len(perts) and perts[pi].round <= rec.round:
-                for c in checkers:
-                    c.on_perturbation(perts[pi])
-                if tracker is not None:
-                    tracker.fold_strike(perts[pi])
-                pi += 1
-            for c in checkers:
-                c.on_round_start(rec.round)
-                c.on_round(rec)
-            if tracker is not None:
-                tracker.fold_round(rec)
-        # The replayed end state is the next segment's initial network
-        # (chained); restart mode replays every segment on the input.
-        if tracker is not None:
-            net = _ReplayNetwork(*tracker.snapshot())
-        else:
-            net = initial
-    for pert in perts[pi:]:
-        for c in checkers:
-            c.on_perturbation(pert)
-    for c in checkers:
-        c.on_run_end(None)
-    return [c.verdict() for c in checkers]
-
-
-def _split_segments(trace) -> list:
-    """Partition records into run segments (see
-    :func:`repro.engine.trace.split_segments`)."""
-    return split_segments(trace.records)
+    return _audit_inline(graph, _segment_plan(trace), checkers, baselines)
 
 
 def _check_baselines(baselines: str) -> None:
@@ -626,11 +584,6 @@ def _reject_multisegment_perts(n_segments: int, n_perts: int) -> None:
         )
 
 
-# ----------------------------------------------------------------------
-# parallel offline replay: fan per-segment audits across a process pool
-# ----------------------------------------------------------------------
-
-
 @frozen_heap()
 def check_trace_parallel(
     graph, source, invariants, *, jobs: int | None = None,
@@ -638,62 +591,55 @@ def check_trace_parallel(
 ) -> list:
     """Audit an archived trace with per-segment parallelism.
 
-    ``source`` is a :class:`Trace`, or a path to either archive format
-    (sniffed by content: ``.rtb`` binary or JSONL).  ``invariants`` are
+    ``source`` is as on :func:`check_trace`.  ``invariants`` are
     registry names as on :func:`make_checkers` — names, not instances,
     because each worker builds its own checkers.  ``jobs`` bounds the
-    process pool (default: the CPU count; ``1`` audits inline with no
-    pool at all, the honest single-core path).
+    process pool (default: the CPU count; it must be at least 1).  With
+    ``jobs=1`` or a single segment there is no pool: the audit is
+    :func:`check_trace`'s, inline, on the checkers built here.
 
-    Verdicts are **identical to the serial** ``check_trace`` for the
-    same ``baselines`` mode, by construction: every worker replays one
+    Pool verdicts are **identical to the inline ones** for the same
+    ``baselines`` mode, by construction: every worker replays one
     segment with its checkers' segment counter pre-offset (failure
-    strings match serially-produced ones), and the parent re-merges
-    per-segment failures in segment order under the same
-    ``_MAX_DETAILS`` cap and suppressed-count accounting the serial
-    accumulator applies.  Binary archives are where the parallelism
-    pays: workers seek straight to their segment through the index
-    footer and decode only what they audit.  In ``"chained"`` mode the
-    parent must still fold each segment's edge delta (one array fold
-    per round, cheap relative to checking it) before dispatching the
-    next; ``"restart"`` mode dispatches all segments immediately.
-    The pre-built heap is frozen for the audit, as in
-    :func:`check_trace`.
+    strings match inline ones), and the parent re-merges per-segment
+    failures in segment order under the same ``_MAX_DETAILS`` cap and
+    suppressed-count accounting one checker applies across segments.
+    Binary archives are where the parallelism pays: workers seek
+    straight to their segment through the index footer and decode only
+    what they audit.  In ``"chained"`` mode the parent must still fold
+    each segment's edge delta (one array fold per round, cheap relative
+    to checking it) before dispatching the next; ``"restart"`` mode
+    dispatches all segments immediately.  The pre-built heap is frozen
+    for the audit, as in :func:`check_trace`.
     """
     _check_baselines(baselines)
     names = list(invariants)
-    probe = make_checkers(names)  # validates the names in the parent
+    checkers = make_checkers(names)  # validates the names in the parent
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = max(1, int(jobs))
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    plan = _segment_plan(source)
+    if jobs == 1 or len(plan) <= 1:
+        return _audit_inline(graph, plan, checkers, baselines)
 
-    segment_sources, segment_streams, n_segments = _segment_plan(source)
-    initial = (list(graph.nodes()), [tuple(e) for e in graph.edges()])
+    from concurrent.futures import ProcessPoolExecutor
 
-    tasks = _baseline_tasks(
-        initial, segment_sources, segment_streams, n_segments, names, baselines
-    )
-    if jobs == 1 or n_segments == 1:
-        results = [_audit_segment_task(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, n_segments)) as pool:
-            # Submission is pipelined: each baseline fold (chained mode)
-            # happens while earlier segments are already auditing.
-            futures = [pool.submit(_audit_segment_task, task) for task in tasks]
-            results = [f.result() for f in futures]
-    return _merge_segment_results(probe, results)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(plan))) as pool:
+        # Submission is pipelined: each baseline fold (chained mode)
+        # happens while earlier segments are already auditing.
+        futures = [
+            pool.submit(_audit_segment_task, plan[i], i, nodes, edges, names)
+            for i, nodes, edges in _segment_baselines(graph, plan, baselines)
+        ]
+        results = [f.result() for f in futures]
+    return _merge_segment_results(checkers, results)
 
 
-def _segment_plan(source):
-    """Split ``source`` into per-segment record streams.
-
-    Returns ``(segment_sources, segment_streams, n_segments)`` where
-    ``segment_sources[i]`` is the picklable worker handle and
-    ``segment_streams[i]()`` lazily yields the segment's records in the
-    parent (for baseline folding).
-    """
+def _segment_plan(source) -> list:
+    """Split ``source`` into one picklable handle per segment;
+    :func:`_segment_events` opens a handle.  The one place that rejects
+    perturbed multi-segment archives."""
     from .engine.tracebin import BinaryTraceReader, is_binary_trace
 
     if isinstance(source, (str, os.PathLike)) and is_binary_trace(source):
@@ -703,35 +649,17 @@ def _segment_plan(source):
         _reject_multisegment_perts(
             len(segments), sum(s.n_perturbations for s in segments)
         )
-        n = len(segments)
-
-        def stream(i):
-            def run():
-                with BinaryTraceReader(path) as r:
-                    yield from r.iter_segment(i, arrays=True)
-
-            return run
-
-        return (
-            [("rtb", path, i) for i in range(n)],
-            [stream(i) for i in range(n)],
-            n,
-        )
+        return [("rtb", path, i) for i in range(len(segments))]
 
     trace = source if isinstance(source, Trace) else Trace.from_jsonl(source)
-    segments = _split_segments(trace)
+    segments = split_segments(trace.records)
     _reject_multisegment_perts(len(segments), len(trace.perturbations))
     perts = sorted(trace.perturbations, key=lambda p: p.round)
-    streams = _interleave_segments(segments, perts)
-    return (
-        [("mem", stream) for stream in streams],
-        [(lambda s=stream: iter(s)) for stream in streams],
-        len(segments),
-    )
+    return [("mem", events) for events in _interleave_segments(segments, perts)]
 
 
 def _interleave_segments(segments, perts) -> list:
-    """Materialize per-segment event lists in serial replay order (each
+    """Materialize per-segment event lists in replay order (each
     perturbation before the first round record it precedes; trailing
     perturbations end the last segment)."""
     streams = []
@@ -749,78 +677,91 @@ def _interleave_segments(segments, perts) -> list:
     return streams
 
 
-def _baseline_tasks(
-    initial, segment_sources, segment_streams, n_segments, names, baselines
-):
-    """Yield one worker task per segment, folding chained baselines
-    between yields so submission can pipeline."""
-    nodes, edges = initial
-    for i in range(n_segments):
-        yield (segment_sources[i], i, nodes, edges, names)
-        if baselines == "chained" and i + 1 < n_segments:
-            tracker = _make_tracker()
-            tracker.on_run_start(_ReplayNetwork(nodes, edges))
-            for item in segment_streams[i]():
-                if isinstance(item, PerturbationRecord):
-                    tracker.fold_strike(item)
-                else:
-                    tracker.fold_round(item)
-            nodes, edges = tracker.snapshot()
-
-
-def _make_tracker():
-    """A baseline-fold tracker: the array replay (which folds exactly
-    as the dict oracle's ``_EdgeReplay``; both fold strikes with
-    ``Network.apply_external``)."""
-    from .conformance_arrays import ArrayReplayTracker
-
-    return ArrayReplayTracker(directed=False)
-
-
-def _audit_segment_task(task):
-    """Worker: replay one segment, return raw failure accounting per
-    checker (in :func:`make_checkers` order)."""
-    (kind, *payload), seg_index, nodes, edges, names = task
-    if kind == "rtb":
+def _segment_events(handle):
+    """Yield one segment's events in replay order, from its plan handle
+    (opened afresh by each reader: a worker, the baseline fold)."""
+    kind, *payload = handle
+    if kind == "mem":
+        yield from payload[0]
+    else:
         from .engine.tracebin import BinaryTraceReader
 
         path, i = payload
-        reader = BinaryTraceReader(path)
-        # Array rounds feed the array checkers natively; every consumer
-        # sees the RoundRecord field surface either way.
-        stream = reader.iter_segment(i, arrays=True)
-    else:
-        reader = None
-        (stream,) = payload
-    checkers = make_checkers(names)
+        with BinaryTraceReader(path) as reader:
+            # Array rounds feed the array checkers natively; every
+            # consumer sees the RoundRecord field surface either way.
+            yield from reader.iter_segment(i, arrays=True)
+
+
+def _segment_baselines(graph, plan, baselines):
+    """Yield ``(i, nodes, edges)``: segment ``i`` and the graph it
+    replays against.  That is ``graph`` itself, or in ``"chained"`` mode
+    the replayed end state of segment ``i - 1``, folded between yields
+    (so pool submission pipelines) and only when a later segment
+    consumes it: single-segment archives, every large-n audit, skip the
+    fold."""
+    nodes, edges = list(graph.nodes()), list(graph.edges())
+    for i, handle in enumerate(plan):
+        yield i, nodes, edges
+        if baselines == "chained" and i + 1 < len(plan):
+            from .conformance_arrays import ArrayReplayTracker
+
+            # The array replay folds exactly as the dict oracle's
+            # ``_EdgeReplay``; both fold strikes with Network.apply_external.
+            tracker = ArrayReplayTracker(directed=False)
+            tracker.on_run_start(_ReplayNetwork(nodes, edges))
+            for event in _segment_events(handle):
+                if isinstance(event, PerturbationRecord):
+                    tracker.fold_strike(event)
+                else:
+                    tracker.fold_round(event)
+            nodes, edges = tracker.snapshot()
+
+
+def _replay_segment(checkers, nodes, edges, events) -> None:
+    """Feed one segment's ``events`` to ``checkers``, as a run on the
+    graph ``(nodes, edges)`` would: the one loop that dispatches
+    recorded events offline, inline and in every pool worker."""
     net = _ReplayNetwork(nodes, edges)
     for c in checkers:
-        # Offset so failure strings carry the archive-global segment
-        # number, matching serial output exactly.
-        c._segment = seg_index
         c.on_run_start(net)
-    try:
-        for item in stream:
-            if isinstance(item, PerturbationRecord):
-                for c in checkers:
-                    c.on_perturbation(item)
-            else:
-                for c in checkers:
-                    c.on_round_start(item.round)
-                    c.on_round(item)
-    finally:
-        if reader is not None:
-            reader.close()
+    for event in events:
+        if isinstance(event, PerturbationRecord):
+            for c in checkers:
+                c.on_perturbation(event)
+        else:
+            for c in checkers:
+                c.on_round_start(event.round)
+                c.on_round(event)
     for c in checkers:
         c.on_run_end(None)
+
+
+def _audit_inline(graph, plan, checkers, baselines) -> list:
+    """Replay every segment in order through one checker set, whose
+    failure accounting runs across segments."""
+    for i, nodes, edges in _segment_baselines(graph, plan, baselines):
+        _replay_segment(checkers, nodes, edges, _segment_events(plan[i]))
+    return [c.verdict() for c in checkers]
+
+
+def _audit_segment_task(handle, seg_index, nodes, edges, names):
+    """Worker: replay one segment on fresh checkers, return raw failure
+    accounting per checker (in :func:`make_checkers` order)."""
+    checkers = make_checkers(names)
+    for c in checkers:
+        # Offset so failure strings carry the archive-global segment
+        # number, matching inline output exactly.
+        c._segment = seg_index
+    _replay_segment(checkers, nodes, edges, _segment_events(handle))
     return [(list(c._failures), c._suppressed) for c in checkers]
 
 
 def _merge_segment_results(probe, results) -> list:
     """Deterministically merge per-segment failure accounting into the
-    verdicts serial replay would report: concatenate failures in segment
-    order under the ``_MAX_DETAILS`` cap, roll everything past the cap
-    (and each worker's own suppressed count) into ``+N more``."""
+    verdicts the inline audit would report: concatenate failures in
+    segment order under the ``_MAX_DETAILS`` cap, roll everything past
+    the cap (and each worker's own suppressed count) into ``+N more``."""
     verdicts = []
     for j, checker in enumerate(probe):
         failures: list = []

@@ -161,9 +161,10 @@ def _int_pairs(edges):
 class ArrayReplayTracker:
     """The replayed graph as packed int64 arrays, folded once per event.
 
-    The array twin of ``_EdgeReplay``'s fold/snapshot surface:
-    ``check_trace`` uses it bare to carry chained baselines between
-    segments, and the array checkers read it.  ``directed`` keeps the
+    The array twin of ``_EdgeReplay``'s fold/snapshot surface: the
+    offline audit's chained-baseline fold uses it bare to carry a
+    segment's end state to the next segment (inline and pooled alike),
+    and the array checkers read it.  ``directed`` keeps the
     edge set as the directed adjacency array (distance-2 queries, and
     membership: an undirected key is in it exactly when its edge is
     active), and derives the undirected key array only when asked

@@ -814,3 +814,34 @@ def test_usage_error_is_one_line_exit_2(argv, capsys, tmp_path):
     assert captured.err.count("\n") == 1, captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+_POOL_SIZES_BELOW_ONE = {
+    "sweep-workers-0": ["sweep", "-a", "star", "-f", "ring", "--sizes", "16",
+                        "--quiet", "--parallel", "--workers", "0"],
+    "check-trace-jobs-0": ["check-trace", "{archive}", "-a", "star", "-f", "ring",
+                           "--n", "16", "--jobs", "0"],
+    "check-trace-jobs-negative": ["check-trace", "{archive}", "-a", "star",
+                                  "-f", "ring", "--n", "16", "--jobs", "-1"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _POOL_SIZES_BELOW_ONE.values(), ids=_POOL_SIZES_BELOW_ONE.keys()
+)
+def test_pool_size_below_one_is_a_usage_error(argv, capsys, tmp_path):
+    """``--workers`` and ``--jobs`` below 1 are rejected by the parser:
+    exit 2 with one error line naming the flag, no traceback, before any
+    cell runs or any archive is read (the archive does not exist)."""
+    argv = [a.format(archive=tmp_path / "missing.rtb") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    flag, value = argv[-2:]
+    assert errors == [
+        f"repro {argv[0]}: error: argument {flag}: must be at least 1, got {value}"
+    ], captured.err
+    assert captured.out == ""

@@ -158,6 +158,40 @@ def test_parallel_rtb_verdicts_match_oracle(tmp_path):
     assert _vsig(va) == _vsig(vd)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in CORPUS if not n.endswith("-heal")))
+def test_offline_verdicts_equal_live(name, tmp_path):
+    """One run, recorded with live checkers attached to a JSONL and an
+    ``.rtb`` archive at once: every offline audit of it reports the
+    live verdicts — ``check_trace`` on the ``Trace`` and on the JSONL
+    path, ``check_trace_parallel`` on either path inline and through a
+    two-worker pool (pipelines have two segments, so they take it).
+
+    Heal scenarios are left out: their inter-episode strikes are not in
+    the trace, so offline they stay pinned as conservatively red by
+    ``tests/test_conformance.py::test_heal_archive_audits_conservatively``
+    until those strikes are recorded."""
+    from repro.engine import Trace, trace_sink_for
+
+    family, n = CORPUS[name]
+    spec = get_scenario(name)
+    jsonl, rtb = tmp_path / "run.jsonl", tmp_path / "run.rtb"
+    live = make_checkers(spec.invariants)
+    sinks = [trace_sink_for(jsonl), trace_sink_for(rtb)]
+    try:
+        spec.runner(families.make(family, n), observers=[*sinks, *live])
+    finally:
+        for sink in sinks:
+            sink.close()
+    expected = _sig(live)
+    graph = families.make(family, n)
+    for source in (Trace.from_jsonl(jsonl), jsonl):
+        assert _vsig(check_trace(graph, source, make_checkers(spec.invariants))) == expected
+    for path in (jsonl, rtb):
+        for jobs in (1, 2):
+            verdicts = check_trace_parallel(graph, path, spec.invariants, jobs=jobs)
+            assert _vsig(verdicts) == expected, (path.suffix, jobs)
+
+
 def test_default_resolves_to_arrays():
     conn, leg = make_checkers(("connectivity", "temporal-legality"))
     assert isinstance(conn, ArrayConnectivityChecker)

@@ -536,3 +536,54 @@ class TestParallelConformance:
         spec, graph, trace, rtb, jsonl = self._archive(tmp_path, runs=1)
         with pytest.raises(ConfigurationError):
             check_trace_parallel(graph, rtb, ["wormhole-legality"])
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_configuration_error(self, tmp_path, jobs):
+        spec, graph, trace, rtb, jsonl = self._archive(tmp_path, runs=1)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            check_trace_parallel(graph, rtb, spec.invariants, jobs=jobs)
+
+    def test_empty_archive_is_green_with_a_pool_size(self, tmp_path):
+        """A binary archive of no segments audits green (no replay at
+        all) whatever ``jobs`` is; a pool of zero workers is never asked
+        for."""
+        spec = get_scenario("wreath")
+        graph = graphs.make("ring", 8, seed=0)
+        rtb = tmp_path / "empty.rtb"
+        to_binary(Trace(), rtb)
+        for jobs in (1, 2):
+            verdicts = check_trace_parallel(graph, rtb, spec.invariants, jobs=jobs)
+            assert _verdict_tuples(verdicts) == [
+                (name, True, "") for name in spec.invariants
+            ]
+
+    def test_red_pipeline_through_the_pool(self, tmp_path):
+        """A real pipeline archive, tampered in its second stage, audits
+        through a two-worker pool with chained baselines to exactly the
+        inline text; the failure names segment 2."""
+        import dataclasses
+
+        spec = get_scenario("star+flood")
+        graph = graphs.make("line", 24, seed=0)
+        buf = io.StringIO()
+        spec.runner(graph, observers=[JsonlSink(buf)])
+        trace = Trace.from_jsonl(buf.getvalue())
+        resets = [i for i, r in enumerate(trace.records) if r.round == 1]
+        assert len(resets) == 2
+        target = resets[1] + 1
+        trace.records[target] = dataclasses.replace(
+            trace.records[target],
+            active_edges=trace.records[target].active_edges + 3,
+        )
+        rtb = tmp_path / "pipeline.rtb"
+        to_binary(trace, rtb)
+        inline = check_trace(graph, trace, make_checkers(spec.invariants))
+        assert not all(v.ok for v in inline)
+        assert all(
+            "segment 2" in v.detail and "segment 1" not in v.detail
+            for v in inline if not v.ok
+        )
+        parallel = check_trace_parallel(
+            graph, rtb, spec.invariants, jobs=2, baselines="chained"
+        )
+        assert _verdict_tuples(parallel) == _verdict_tuples(inline)
