@@ -124,10 +124,7 @@ def _csv_ints(value: str) -> list[int]:
 
 def _positive_int(value: str) -> int:
     """A process-pool size: an int of at least 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
     return number
@@ -136,6 +133,7 @@ def _positive_int(value: str) -> int:
 # argparse prints the type's __name__ in "invalid ... value" errors.
 _csv_list.__name__ = "name list"
 _csv_ints.__name__ = "integer list"
+_positive_int.__name__ = "positive integer"
 
 
 def _registry_params() -> dict:

@@ -700,7 +700,9 @@ def _segment_baselines(graph, plan, baselines):
     (so pool submission pipelines) and only when a later segment
     consumes it: single-segment archives, every large-n audit, skip the
     fold."""
-    nodes, edges = list(graph.nodes()), list(graph.edges())
+    # A comprehension, not list(): list() presizes by EdgeView.__len__,
+    # a second Python pass over every node.
+    nodes, edges = list(graph.nodes()), [e for e in graph.edges()]
     for i, handle in enumerate(plan):
         yield i, nodes, edges
         if baselines == "chained" and i + 1 < len(plan):
