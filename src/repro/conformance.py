@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cached_property
 
 import networkx as nx
 
@@ -629,8 +630,8 @@ def check_trace_parallel(
         # Submission is pipelined: each baseline fold (chained mode)
         # happens while earlier segments are already auditing.
         futures = [
-            pool.submit(_audit_segment_task, plan[i], i, nodes, edges, names)
-            for i, nodes, edges in _segment_baselines(graph, plan, baselines)
+            pool.submit(_audit_segment_task, plan[i], i, baseline, names)
+            for i, baseline in _segment_baselines(graph, plan, baselines)
         ]
         results = [f.result() for f in futures]
     return _merge_segment_results(checkers, results)
@@ -694,60 +695,67 @@ def _segment_events(handle):
 
 
 def _segment_baselines(graph, plan, baselines):
-    """Yield ``(i, nodes, edges)``: segment ``i`` and the graph it
-    replays against.  That is ``graph`` itself, or in ``"chained"`` mode
-    the replayed end state of segment ``i - 1``, folded between yields
-    (so pool submission pipelines) and only when a later segment
-    consumes it: single-segment archives, every large-n audit, skip the
-    fold."""
-    # A comprehension, not list(): list() presizes by EdgeView.__len__,
-    # a second Python pass over every node.
-    nodes, edges = list(graph.nodes()), [e for e in graph.edges()]
+    """Yield ``(i, baseline)``: segment ``i`` and the graph it replays
+    against, a :class:`_ReplayNetwork`.  That is ``graph`` itself, or in
+    ``"chained"`` mode the replayed end state of segment ``i - 1``,
+    folded between yields (so pool submission pipelines) and only when
+    a later segment consumes it: single-segment archives, every large-n
+    audit, skip the fold."""
+    baseline = _ReplayNetwork.of(graph)
     for i, handle in enumerate(plan):
-        yield i, nodes, edges
+        yield i, baseline
         if baselines == "chained" and i + 1 < len(plan):
-            from .conformance_arrays import ArrayReplayTracker
-
-            # The array replay folds exactly as the dict oracle's
-            # ``_EdgeReplay``; both fold strikes with Network.apply_external.
-            tracker = ArrayReplayTracker(directed=False)
-            tracker.on_run_start(_ReplayNetwork(nodes, edges))
-            for event in _segment_events(handle):
-                if isinstance(event, PerturbationRecord):
-                    tracker.fold_strike(event)
-                else:
-                    tracker.fold_round(event)
-            nodes, edges = tracker.snapshot()
+            baseline = _replay_segment((), baseline, _segment_events(handle), chain=True)
 
 
-def _replay_segment(checkers, nodes, edges, events) -> None:
-    """Feed one segment's ``events`` to ``checkers``, as a run on the
-    graph ``(nodes, edges)`` would: the one loop that dispatches
-    recorded events offline, inline and in every pool worker."""
-    net = _ReplayNetwork(nodes, edges)
+def _replay_segment(checkers, baseline, events, chain=False):
+    """Feed one segment's ``events`` to ``checkers``, as a run on
+    ``baseline`` would: the one loop that dispatches recorded events
+    offline, inline, in every pool worker and in the pool's baseline
+    fold.  With ``chain`` a bare array replay folds the same events in
+    the same pass, and its end state is returned as the next segment's
+    baseline (else None)."""
+    replay = None
+    if chain:
+        from .conformance_arrays import ArrayReplayTracker
+
+        # The array replay folds exactly as the dict oracle's
+        # ``_EdgeReplay``; both fold strikes with Network.apply_external.
+        replay = ArrayReplayTracker(directed=False)
+        replay.on_run_start(baseline)
     for c in checkers:
-        c.on_run_start(net)
+        c.on_run_start(baseline)
     for event in events:
         if isinstance(event, PerturbationRecord):
+            if replay is not None:
+                replay.fold_strike(event)
             for c in checkers:
                 c.on_perturbation(event)
         else:
+            if replay is not None:
+                replay.fold_round(event)
             for c in checkers:
                 c.on_round_start(event.round)
                 c.on_round(event)
     for c in checkers:
         c.on_run_end(None)
+    return None if replay is None else _ReplayNetwork(*replay.slot_keys())
 
 
 def _audit_inline(graph, plan, checkers, baselines) -> list:
     """Replay every segment in order through one checker set, whose
-    failure accounting runs across segments."""
-    for i, nodes, edges in _segment_baselines(graph, plan, baselines):
-        _replay_segment(checkers, nodes, edges, _segment_events(plan[i]))
+    failure accounting runs across segments; a chained baseline is
+    folded in the same pass that checks its segment."""
+    baseline = _ReplayNetwork.of(graph)
+    for i, handle in enumerate(plan):
+        chain = baselines == "chained" and i + 1 < len(plan)
+        folded = _replay_segment(checkers, baseline, _segment_events(handle), chain)
+        if chain:
+            baseline = folded
     return [c.verdict() for c in checkers]
 
 
-def _audit_segment_task(handle, seg_index, nodes, edges, names):
+def _audit_segment_task(handle, seg_index, baseline, names):
     """Worker: replay one segment on fresh checkers, return raw failure
     accounting per checker (in :func:`make_checkers` order)."""
     checkers = make_checkers(names)
@@ -755,7 +763,7 @@ def _audit_segment_task(handle, seg_index, nodes, edges, names):
         # Offset so failure strings carry the archive-global segment
         # number, matching inline output exactly.
         c._segment = seg_index
-    _replay_segment(checkers, nodes, edges, _segment_events(handle))
+    _replay_segment(checkers, baseline, _segment_events(handle))
     return [(list(c._failures), c._suppressed) for c in checkers]
 
 
@@ -784,11 +792,55 @@ def _merge_segment_results(probe, results) -> list:
 
 
 class _ReplayNetwork:
-    """The minimal network surface checkers read at ``on_run_start``."""
+    """A segment's baseline graph: the network surface checkers read at
+    ``on_run_start``.
 
-    def __init__(self, nodes, edges) -> None:
-        self.nodes = frozenset(nodes)
-        self._edges = tuple(edges)
+    It holds the sorted ``labels`` and the sorted undirected packed
+    ``keys`` over their positions, which the array replay adopts as they
+    are (:meth:`slot_key_arrays`, as from a live bulk network), or, for
+    labels that do not sort, the label ``edges``."""
+
+    def __init__(self, labels: list, keys=None, edges=None, dirs=None) -> None:
+        self._labels = labels
+        self._keys = keys
+        self._edges = edges
+        self._dirs = dirs
+
+    @classmethod
+    def of(cls, graph) -> _ReplayNetwork:
+        """``graph`` through :func:`~repro.engine.graph_keys.adjacency_keys`."""
+        from .engine.graph_keys import adjacency_keys
+
+        try:
+            uids, _, keys, dirs = adjacency_keys(graph)
+        except TypeError:
+            return cls(list(graph.nodes()), edges=list(graph.edges()))
+        return cls(uids, keys, dirs=dirs)
+
+    @cached_property
+    def nodes(self) -> frozenset:
+        return frozenset(self._labels)
 
     def edges(self):
-        return iter(self._edges)
+        keys = self._keys
+        if keys is None:
+            return iter(self._edges)
+        from .engine.edge_keys import MASK, SHIFT
+
+        labels = self._labels
+        return (
+            (labels[a], labels[b])
+            for a, b in zip((keys >> SHIFT).tolist(), (keys & MASK).tolist())
+        )
+
+    def slot_key_arrays(self):
+        """``(uids, keys, dirs)``, or None for label edges or a
+        self-loop (which the replay drops as it loads label pairs)."""
+        from .engine.edge_keys import MASK, SHIFT, both_dirs
+
+        keys = self._keys
+        if keys is None or ((keys >> SHIFT) == (keys & MASK)).any():
+            return None
+        if self._dirs is None:
+            self._dirs = both_dirs(keys)
+        return list(self._labels), keys, self._dirs

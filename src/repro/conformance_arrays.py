@@ -522,6 +522,11 @@ class ArrayReplayTracker:
         self._start(list(net.nodes), list(net.edges()))
         return uids, dropped, added
 
+    def slot_keys(self) -> tuple:
+        """The replayed graph as ``(uids, keys)``: its sorted labels and
+        its sorted undirected key array over their positions."""
+        return list(self._uids), self.keys()
+
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists."""
         uids = self._uids

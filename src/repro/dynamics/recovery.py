@@ -140,7 +140,7 @@ class SelfHealingResult:
         sort)."""
         from ..engine.graph_keys import slot_keys
 
-        return slot_keys(self.graph._adj)
+        return slot_keys(self.graph)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ ones directly).  What changes is the machinery, not the model:
 * node uids are interned to dense ints ``0..n-1`` once at construction
   (joins extend the index space; indices, like uids, are never reused);
 * the edge state starts as sorted arrays of packed int pairs
-  (``min_idx << 32 | max_idx``) built straight from the graph's
-  adjacency, and the array rounds
+  (``min_idx << 32 | max_idx``), the ones a family graph carries or
+  built straight from the graph's adjacency, and the array rounds
   (:meth:`DenseNetwork.apply_arrays`) keep it there;
 * the reference network's uid-keyed state is built from the arrays on
   first need and patched from key diffs afterwards; per-edge rounds
@@ -62,8 +62,9 @@ class DenseNetwork(Network):
 
     * uid interning (``_uid_of`` / ``_idx_of``), which the array rounds,
       the connectivity guard and the sparse scheduler index by;
-    * the key arrays (:meth:`key_arrays`), built straight from the
-      graph's adjacency, which :meth:`apply_arrays` keeps leading.  The
+    * the key arrays (:meth:`key_arrays`), read by
+      :func:`~repro.engine.graph_keys.adjacency_keys`, which
+      :meth:`apply_arrays` keeps leading.  The
       uid-keyed state is built from them on first need and afterwards
       patched from key diffs (:meth:`views`): the read methods that walk
       adjacency, :meth:`apply` and :meth:`apply_external` bring it up to
@@ -83,18 +84,21 @@ class DenseNetwork(Network):
 
         if graph.number_of_nodes() == 0:
             raise ConfigurationError("initial graph must have at least one node")
-        self._nodes = frozenset(graph.nodes())
         # Intern in sorted uid order: when uids are exactly 0..n-1 (every
         # built-in workload family) the interning is the identity map and
         # all index->uid translation vanishes from the hot paths.  The
-        # state starts in array mode (see key_arrays), built straight from
-        # the graph's adjacency (the dict of dicts behind graph.adj, read
-        # in C).
+        # state starts in array mode (see key_arrays): the key arrays a
+        # family graph carries, or built straight from the graph's
+        # adjacency (the dict of dicts behind graph.adj, read in C).
         try:
-            uid_of, idx_of, keys, dirs = adjacency_keys(graph._adj)
+            uid_of, idx_of, keys, dirs = adjacency_keys(graph)
         except TypeError:
-            _validate_label_comparability(self._nodes)
+            _validate_label_comparability(frozenset(graph.nodes()))
             raise
+        # The node set iterates as the reference Network's does: identity
+        # uids in one order however they were inserted, other labels in
+        # the graph's insertion order.
+        self._nodes = frozenset(uid_of if idx_of is None else graph.nodes())
         n = len(uid_of)
         self._uid_of: list = uid_of
         self._identity: bool = idx_of is None

@@ -1,7 +1,8 @@
 """Whole graphs as key arrays: one reader, one measure pass.
 
 :func:`adjacency_keys` reads a graph's adjacency (a networkx graph's or a
-reference network's) into the :mod:`repro.engine.edge_keys` layout.
+reference network's) into the :mod:`repro.engine.edge_keys` layout, or
+takes the key arrays a family graph carries.
 :class:`~repro.engine.dense.DenseNetwork` builds its initial arrays
 with it, and the final graph measures read networks and graphs with it.
 :func:`tree_pass` measures such an edge set: every degree by one
@@ -21,27 +22,34 @@ import numpy as np
 from .edge_keys import MASK, SHIFT, both_dirs, slice_starts
 
 
-def adjacency_keys(adj):
+def adjacency_keys(graph):
     """A graph's adjacency as key arrays: ``(uids, idx_of, keys, dirs)``.
 
-    ``adj`` maps every node to its neighbors: a networkx graph's
-    ``_adj``, or a reference network's.  Nodes are interned in sorted
-    label order (``uids``; a ``TypeError`` when the labels do not sort),
-    and ``idx_of`` maps label to slot — None when the labels are exactly
-    the ints ``0..n-1``, which are their own slots.  ``keys``/``dirs``
-    are the sorted undirected/directed packed keys: every directed edge
-    once, sorted, and the undirected keys are its ``(lo, hi)`` half (a
-    self-loop is one undirected key and two directed ones)."""
+    ``graph`` is a networkx graph or any mapping of node to neighbors (a
+    reference network's ``_adj``).  A graph that carries its key arrays
+    (``slot_key_arrays()``, as ``families.make``'s structured families
+    do) hands them over; any other is read from its adjacency.  Nodes
+    are interned in sorted label order (``uids``; a ``TypeError`` when
+    the labels do not sort), and ``idx_of`` maps label to slot — None
+    when the labels are exactly the ints ``0..n-1``, which are their
+    own slots.  ``keys``/``dirs`` are the sorted undirected/directed
+    packed keys: every directed edge once, sorted, and the undirected
+    keys are its ``(lo, hi)`` half (a self-loop is one undirected key
+    and two directed ones)."""
+    carried = getattr(graph, "slot_key_arrays", None)
+    if carried is not None:
+        uids, keys, dirs = carried()
+        return uids, _slot_index(uids), keys, dirs
+    adj = getattr(graph, "_adj", graph)
     n = len(adj)
     uids = sorted(adj)
     degrees = np.fromiter(map(len, adj.values()), np.int64, n)
     total = int(degrees.sum())
-    if all(type(u) is int for u in uids) and uids == list(range(n)):
-        idx_of = None
+    idx_of = _slot_index(uids)
+    if idx_of is None:
         src = np.fromiter(adj, np.int64, n)
         dst = np.fromiter(chain.from_iterable(adj.values()), np.int64, total)
     else:
-        idx_of = {u: i for i, u in enumerate(uids)}
         src = np.fromiter(map(idx_of.__getitem__, adj), np.int64, n)
         dst = np.fromiter(
             map(idx_of.__getitem__, chain.from_iterable(adj.values())), np.int64, total
@@ -54,11 +62,19 @@ def adjacency_keys(adj):
     return uids, idx_of, keys, dirs
 
 
-def slot_keys(adj):
+def _slot_index(uids: list):
+    """Label -> slot for the sorted labels ``uids``; None when they are
+    exactly the ints ``0..n-1``."""
+    if all(type(u) is int for u in uids) and uids == list(range(len(uids))):
+        return None
+    return {u: i for i, u in enumerate(uids)}
+
+
+def slot_keys(graph):
     """``(uids, keys)`` of :func:`adjacency_keys`: the sorted labels and
     the sorted undirected packed keys over their positions, the final
     measures' input (``Network.slot_keys``, ``KeyGraph.read``)."""
-    uids, _, keys, _ = adjacency_keys(adj)
+    uids, _, keys, _ = adjacency_keys(graph)
     return uids, keys
 
 

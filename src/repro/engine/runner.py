@@ -10,9 +10,9 @@ Hot-path design (see DESIGN.md, "Engine hot path"):
 * one :class:`RoundActions` batch is reused (cleared) across rounds;
 * the optional connectivity guard is incremental: activations fold into a
   union-find, and only rounds with deactivations pay a full recheck;
-* the heap built before round 1 is frozen for the round loop
-  (:func:`frozen_heap`), so the cyclic collector walks only what the
-  run itself allocates.
+* the caller's heap is frozen while the network and fleet are built
+  and for the whole run, setup included (:func:`frozen_heap`), so the
+  cyclic collector walks only what the runner itself allocates.
 """
 
 from __future__ import annotations
@@ -237,7 +237,6 @@ class SynchronousRunner:
                 f"({self.backend_name!r}); pass backend= to SynchronousRunner"
             )
         self.backend = self.backend_name
-        self.network = self._make_network(graph)
         self.knows_n = knows_n
         self.use_barrier = use_barrier
         self.check_connectivity = check_connectivity
@@ -252,7 +251,12 @@ class SynchronousRunner:
         self._contexts: dict = {}
         self._dirty: set = set()
         self._actions = RoundActions()
-        self._init_fleet()
+        # The network and the fleet are built off the collector's books,
+        # as the run is: a full collection here would walk the caller's
+        # whole heap.
+        with frozen_heap():
+            self.network = self._make_network(graph)
+            self._init_fleet()
         self._conn = self._make_tracker() if check_connectivity else None
         self._n_dynamic = adversary is not None
         # Telemetry probe (repro.telemetry): discovered from the observer
@@ -362,6 +366,7 @@ class SynchronousRunner:
                 ctx.n = self.network.n if self.knows_n else None
         return ctx
 
+    @frozen_heap()
     def run(self, adversary=None) -> RunResult:
         net = self.network
         limit = self.max_rounds if self.max_rounds is not None else _default_round_limit(net.n)
@@ -402,16 +407,15 @@ class SynchronousRunner:
                 for obs in observers:
                     obs.on_run_start(net)
             recorder = MetricsRecorder(net)
-            with frozen_heap():
-                while self._live:
-                    if net.round > limit:
-                        raise ExecutionError(
-                            f"round limit {limit} exceeded; "
-                            f"{len(self._live)} nodes still running"
-                        )
-                    self._run_round(recorder, round_observers)
-                    if adversary is not None and self._live:
-                        self._apply_adversary(adversary, recorder, observers)
+            while self._live:
+                if net.round > limit:
+                    raise ExecutionError(
+                        f"round limit {limit} exceeded; "
+                        f"{len(self._live)} nodes still running"
+                    )
+                self._run_round(recorder, round_observers)
+                if adversary is not None and self._live:
+                    self._apply_adversary(adversary, recorder, observers)
         finally:
             if probe is not None:
                 probe.unbind_runner()

@@ -12,6 +12,7 @@ import math
 from typing import Callable
 
 import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
 from . import generators as gen
@@ -31,15 +32,83 @@ def _reseed(perm: list[int], seed: int) -> list[int]:
     return [again[uid] for uid in perm]
 
 
-def _structured(edges, perm: list[int], **meta) -> nx.Graph:
-    """Insert nodes ``0..len(perm)-1`` and ``edges`` (listed as
-    :mod:`.generators` states them) once, each node already under its
-    final UID ``perm[v]``."""
-    g = nx.Graph()
-    g.add_nodes_from(perm)
-    g.add_edges_from((perm[u], perm[v]) for u, v in edges)
-    g.graph.update(meta)
-    return g
+class _Unbuilt:
+    """``ArrayGraph``'s ``_node``/``_adj``: the first read or write builds
+    the networkx graph, which then answers as a plain ``nx.Graph``."""
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        graph._materialize()
+        return getattr(graph, self.name)
+
+    def __set__(self, graph, value) -> None:
+        graph._materialize()
+        setattr(graph, self.name, value)
+
+
+class ArrayGraph(nx.Graph):
+    """A structured family's graph, held as arrays until networkx is
+    asked for.
+
+    It carries the final UIDs, ``0..n-1`` in the order the nodes are
+    inserted, and the sorted packed undirected keys over them (the
+    :mod:`repro.engine.edge_keys` layout: ``lo << 32 | hi``).  The bulk
+    engine, the array checkers and the offline audit read those through
+    :meth:`slot_key_arrays` (the one reader,
+    :func:`repro.engine.graph_keys.adjacency_keys`).  ``len()``,
+    ``number_of_nodes()`` and ``graph.graph`` read no networkx state;
+    the first access to ``_node`` or ``_adj`` (any other networkx use)
+    inserts the nodes and edges once, in the generator's order under
+    their final UIDs, and the graph becomes a plain ``nx.Graph`` that
+    no longer carries the arrays.  Built directly (``copy()`` and
+    networkx's views do that), the class is a plain ``nx.Graph``.
+    """
+
+    _node = _Unbuilt()
+    _adj = _Unbuilt()
+
+    @classmethod
+    def of(cls, edges, perm: list, **meta) -> ArrayGraph:
+        """Nodes ``0..len(perm)-1`` and ``edges`` (endpoint arrays, as
+        :mod:`.generators` lists them), node ``v`` under UID ``perm[v]``."""
+        g = cls.__new__(cls)
+        g.graph = meta
+        g.__networkx_cache__ = {}
+        uid = np.array(perm, dtype=np.int64)
+        a, b = uid[edges[0]], uid[edges[1]]
+        keys = (np.minimum(a, b) << 32) | np.maximum(a, b)
+        keys.sort()
+        keys.flags.writeable = False
+        g._perm, g._ends, g._keys = perm, (a, b), keys
+        return g
+
+    def __len__(self) -> int:
+        return len(self._perm)
+
+    def number_of_nodes(self) -> int:
+        return len(self._perm)
+
+    def slot_key_arrays(self):
+        """``(uids, keys, dirs)``: the sorted UIDs (exactly ``0..n-1``),
+        and the sorted undirected and directed packed keys."""
+        from ..engine.edge_keys import both_dirs
+
+        keys = self._keys
+        return list(range(len(self._perm))), keys, both_dirs(keys)
+
+    def _materialize(self) -> None:
+        state = self.__dict__
+        perm, ends = state.pop("_perm", None), state.pop("_ends", None)
+        state.pop("_keys", None)
+        self.__class__ = nx.Graph
+        self._node, self._adj = {}, {}
+        if perm is not None:
+            self.add_nodes_from(perm)
+            self.add_edges_from(gen.pairs(ends))
 
 
 def _relabelled(graph: nx.Graph, uid_seed: int, seed: int) -> nx.Graph:
@@ -51,26 +120,26 @@ def _relabelled(graph: nx.Graph, uid_seed: int, seed: int) -> nx.Graph:
 
 def _line(n: int, seed: int) -> nx.Graph:
     perm = _reseed(uids.random_permutation(n, n), seed)
-    return _structured(gen.line_edges(n), perm, order=perm, kind="line")
+    return ArrayGraph.of(gen.line_edges(n), perm, order=perm, kind="line")
 
 
 def _line_adversarial(n: int, seed: int) -> nx.Graph:
     # A line's two ends tie for the largest eccentricity; the tie goes to
     # the larger label, n - 1.
     perm = uids.max_far_permutation(n, n - 1, seed=n)
-    return _structured(gen.line_edges(n), perm, order=perm, kind="line")
+    return ArrayGraph.of(gen.line_edges(n), perm, order=perm, kind="line")
 
 
 def _ring(n: int, seed: int) -> nx.Graph:
     count = max(3, n)
     perm = _reseed(uids.random_permutation(count, n), seed)
-    return _structured(gen.ring_edges(count), perm, order=perm, kind="ring")
+    return ArrayGraph.of(gen.ring_edges(count), perm, order=perm, kind="ring")
 
 
 def _increasing_ring(n: int, seed: int) -> nx.Graph:
     count = max(3, n)
     perm = list(range(count))  # UIDs increase along the ring's order
-    return _structured(gen.ring_edges(count), perm, order=perm, kind="ring")
+    return ArrayGraph.of(gen.ring_edges(count), perm, order=perm, kind="ring")
 
 
 def _random_tree(n: int, seed: int) -> nx.Graph:
@@ -78,17 +147,17 @@ def _random_tree(n: int, seed: int) -> nx.Graph:
 
 
 def _gnp(n: int, seed: int) -> nx.Graph:
-    # Each attempt inserts its pairs straight under their final UIDs: in
-    # combinations order, as a relabel copy of the generator graph
-    # re-inserts them.  Connectivity does not depend on the labels.
+    # Each attempt is tested by one array fold; the connected one keeps
+    # its pairs in combinations order, as a relabel copy of the generator
+    # graph re-inserts them.  Connectivity does not depend on the labels.
     perm = _reseed(uids.random_permutation(n, n + 1), seed)
     if n > 1:
         p = gen.gnp_p(n)
-        g = gen.first_connected(
-            lambda s: _structured(gen.gnp_pairs(n, p, s), perm, kind="gnp"), n
+        edges = gen.first_connected(
+            lambda s: gen.gnp_edges(n, p, s), n, lambda e: gen.spans(n, e)
         )
-        if g is not None:
-            return g
+        if edges is not None:
+            return ArrayGraph.of(edges, perm, kind="gnp")
     # One node, or the generator's chain-connecting fallback, which picks
     # nodes by their canonical labels.
     return uids.relabel(gen.random_connected_gnp(n, seed=n), dict(enumerate(perm)))
@@ -97,7 +166,7 @@ def _gnp(n: int, seed: int) -> nx.Graph:
 def _grid(n: int, seed: int) -> nx.Graph:
     side = max(2, int(math.isqrt(n)))
     perm = _reseed(uids.random_permutation(side * side, n), seed)
-    return _structured(gen.grid_edges(side, side), perm, kind="grid")
+    return ArrayGraph.of(gen.grid_edges(side, side), perm, kind="grid")
 
 
 def _regular3(n: int, seed: int) -> nx.Graph:
@@ -108,17 +177,17 @@ def _regular3(n: int, seed: int) -> nx.Graph:
 def _caterpillar(n: int, seed: int) -> nx.Graph:
     spine = max(1, n // 2)
     perm = _reseed(uids.random_permutation(2 * spine, n), seed)
-    return _structured(gen.caterpillar_edges(spine, 1), perm, kind="caterpillar")
+    return ArrayGraph.of(gen.caterpillar_edges(spine, 1), perm, kind="caterpillar")
 
 
 def _star(n: int, seed: int) -> nx.Graph:
     perm = _reseed(uids.random_permutation(n, n), seed)
-    return _structured(gen.star_edges(n, n - 1), perm, center=perm[n - 1], kind="star")
+    return ArrayGraph.of(gen.star_edges(n, n - 1), perm, center=perm[n - 1], kind="star")
 
 
 def _cbt(n: int, seed: int) -> nx.Graph:
     perm = _reseed(uids.random_permutation(n, n), seed)
-    return _structured(gen.cbt_edges(n), perm, root=perm[0], kind="cbt")
+    return ArrayGraph.of(gen.cbt_edges(n), perm, root=perm[0], kind="cbt")
 
 
 FAMILIES: dict[str, Family] = {
@@ -190,6 +259,9 @@ def make(family: str, n: int, seed: int = 0) -> nx.Graph:
     equals the generator graph relabelled by the family's UID scheme and
     then by ``random_uids(..., seed=seed)``, node order, adjacency order
     and metadata included, without building either intermediate graph.
+    Every family but random_tree, regular3 and the gnp fallback returns
+    an :class:`ArrayGraph`: its key arrays are built here, and its
+    networkx state only on first networkx access.
     """
     try:
         factory = FAMILIES[family]

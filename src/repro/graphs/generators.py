@@ -24,58 +24,74 @@ def _require_positive(n: int) -> None:
         raise ConfigurationError(f"n must be >= 1, got {n}")
 
 
-# Structures.  Each structured generator's edges, stated once, in the order
-# a relabel copy (``nx.relabel_nodes(copy=True)``) re-inserts them: node by
-# node in label order, each node's not-yet-listed neighbours in adjacency
-# order.  The generators below insert them as listed, and
-# ``families.make`` inserts the same lists straight under their final UIDs,
-# so a one-pass family graph equals the relabelled generator graph down to
-# each node's adjacency order (DESIGN.md, "Graph families").
+# Structures.  Each structured generator's edges, stated once as two
+# endpoint arrays ``(u, v)``, in the order a relabel copy
+# (``nx.relabel_nodes(copy=True)``) re-inserts them: node by node in label
+# order, each node's not-yet-listed neighbours in adjacency order.  The
+# generators below insert them as listed, and ``families.make`` inserts
+# the same lists straight under their final UIDs, so a one-pass family
+# graph equals the relabelled generator graph down to each node's
+# adjacency order (DESIGN.md, "Graph families").
 
 
 def line_edges(n: int):
-    return zip(range(n - 1), range(1, n))
+    u = np.arange(max(n - 1, 0), dtype=np.int64)
+    return u, u + 1
 
 
 def ring_edges(n: int):
     """The ring's closing edge comes second, where a relabelled
     ``cycle_graph`` lists it (:func:`ring_graph` itself inserts it last)."""
-    yield 0, 1
-    yield 0, n - 1
-    yield from zip(range(1, n - 1), range(2, n))
+    inner = np.arange(1, n - 1, dtype=np.int64)
+    return np.concatenate(([0, 0], inner)), np.concatenate(([1, n - 1], inner + 1))
 
 
 def star_edges(n: int, center: int):
-    return ((center, v) for v in range(n) if v != center)
+    v = np.arange(n - 1, dtype=np.int64)
+    v[center:] += 1
+    return np.full(n - 1, center, dtype=np.int64), v
 
 
 def cbt_edges(n: int):
-    return (((v - 1) // 2, v) for v in range(1, n))
+    v = np.arange(1, n, dtype=np.int64)
+    return (v - 1) // 2, v
+
+
+def _rows(u, nbrs, keep):
+    """Node ``u[i]``'s edges to ``nbrs[i, j]`` where ``keep[i, j]``, row
+    by row: the relabel order of a generator listing each node's
+    neighbours in column order."""
+    keep = keep.ravel()
+    return u.repeat(nbrs.shape[1])[keep], nbrs.ravel()[keep]
 
 
 def grid_edges(rows: int, cols: int):
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                yield v, v + 1
-            if r + 1 < rows:
-                yield v, v + cols
+    v = np.arange(rows * cols, dtype=np.int64)
+    return _rows(
+        v,
+        np.column_stack((v + 1, v + cols)),
+        np.column_stack((v % cols + 1 < cols, v < (rows - 1) * cols)),
+    )
 
 
 def caterpillar_edges(spine: int, legs_per_node: int):
-    for s in range(spine):
-        if s + 1 < spine:
-            yield s, s + 1
-        first = spine + s * legs_per_node
-        for leg in range(first, first + legs_per_node):
-            yield s, leg
+    s = np.arange(spine, dtype=np.int64)
+    legs = spine + s[:, None] * legs_per_node + np.arange(legs_per_node)
+    keep = np.ones((spine, 1 + legs_per_node), dtype=bool)
+    keep[:, 0] = s + 1 < spine
+    return _rows(s, np.column_stack((s + 1, legs)), keep)
+
+
+def pairs(edges):
+    """The ``(u, v)`` endpoint arrays as Python int pairs, in order."""
+    u, v = edges
+    return zip(u.tolist(), v.tolist())
 
 
 def _graph(count: int, edges, **meta) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(range(count))
-    g.add_edges_from(edges)
+    g.add_edges_from(pairs(edges))
     g.graph.update(meta)
     return g
 
@@ -134,17 +150,17 @@ def random_tree(n: int, seed: int = 0) -> nx.Graph:
 #: How many seeds :func:`first_connected` tries (``seed``, ``seed + 1``, ...).
 CONNECT_ATTEMPTS = 60
 
-#: Node pairs per bulk draw in :func:`gnp_pairs` (two 32-bit words each).
+#: Node pairs per bulk draw in :func:`gnp_edges` (two 32-bit words each).
 _GNP_CHUNK = 1 << 14
 
 
-def first_connected(attempt: Callable[[int], nx.Graph], seed: int) -> nx.Graph | None:
-    """The first connected graph among ``attempt(seed)``,
-    ``attempt(seed + 1)``, ... (:data:`CONNECT_ATTEMPTS` of them), or
-    ``None`` when every attempt is disconnected."""
+def first_connected(attempt: Callable, seed: int, connected=nx.is_connected):
+    """The first attempt among ``attempt(seed)``, ``attempt(seed + 1)``,
+    ... (:data:`CONNECT_ATTEMPTS` of them) that ``connected`` accepts,
+    or ``None`` when every attempt is disconnected."""
     for s in range(seed, seed + CONNECT_ATTEMPTS):
         g = attempt(s)
-        if nx.is_connected(g):
+        if connected(g):
             return g
     return None
 
@@ -155,10 +171,11 @@ def gnp_p(n: int) -> float:
     return min(1.0, 2.2 * math.log(max(2, n)) / n)
 
 
-def gnp_pairs(n: int, p: float, seed: int):
+def gnp_edges(n: int, p: float, seed: int):
     """The pairs ``nx.gnp_random_graph(n, p, seed=seed)`` keeps for
-    ``0 < p < 1``, in its ``itertools.combinations`` order (for other
-    ``p >= 0`` it keeps none or all, as networkx does).
+    ``0 < p < 1``, in its ``itertools.combinations`` order, as two
+    endpoint arrays ``(u, v)`` (for other ``p >= 0`` it keeps none or
+    all, as networkx does).
 
     That generator keeps pair ``i`` when the ``i``-th
     ``random.Random(seed).random()`` is below ``p``.  Each ``random()``
@@ -175,6 +192,7 @@ def gnp_pairs(n: int, p: float, seed: int):
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1)
     total = n * (n - 1) // 2
+    kept = [np.empty(0, dtype=np.int64)]
     for lo in range(0, total, _GNP_CHUNK):
         k = min(_GNP_CHUNK, total - lo)
         words = np.frombuffer(
@@ -183,16 +201,31 @@ def gnp_pairs(n: int, p: float, seed: int):
         high = words[:, 0] >> 5
         near = np.flatnonzero(high < cut)
         x = (high[near].astype(np.uint64) << np.uint64(26)) | (words[near, 1] >> 6)
-        kept = near[x < np.uint64(threshold)] + lo
-        u = np.searchsorted(starts, kept, side="right") - 1
-        yield from zip(u.tolist(), (kept - starts[u] + u + 1).tolist())
+        kept.append(near[x < np.uint64(threshold)] + lo)
+    kept = np.concatenate(kept)
+    u = np.searchsorted(starts, kept, side="right") - 1
+    return u, kept - starts[u] + u + 1
+
+
+def gnp_pairs(n: int, p: float, seed: int):
+    """:func:`gnp_edges` as Python int pairs."""
+    return pairs(gnp_edges(n, p, seed))
+
+
+def spans(n: int, edges) -> bool:
+    """Do the ``(u, v)`` endpoint arrays connect nodes ``0..n-1``?  One
+    union-find fold (:func:`~repro.engine.edge_keys.uf_fold`): every
+    node's root is the smallest label of its component."""
+    from ..engine.edge_keys import uf_fold
+
+    return not uf_fold(np.arange(n, dtype=np.int64), *edges).any()
 
 
 def _gnp_graph(n: int, p: float, seed: int) -> nx.Graph:
     """``nx.gnp_random_graph(n, p, seed=seed)``, with the pairs drawn by
-    :func:`gnp_pairs` when ``0 < p < 1``."""
+    :func:`gnp_edges` when ``0 < p < 1``."""
     if 0 < p < 1:
-        return _graph(n, gnp_pairs(n, p, seed))
+        return _graph(n, gnp_edges(n, p, seed))
     return nx.gnp_random_graph(n, p, seed=seed)
 
 

@@ -39,7 +39,7 @@ class KeyGraph:
         from ..engine.graph_keys import slot_keys
 
         try:
-            uids, keys = slot_keys(graph._adj)
+            uids, keys = slot_keys(graph)
         except TypeError:
             return None
         return cls(uids, keys, lambda: graph)

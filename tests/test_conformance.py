@@ -124,6 +124,37 @@ def test_multi_segment_archive_replays_green():
     ]
 
 
+def test_chained_audit_decodes_each_segment_once(monkeypatch, tmp_path):
+    """An inline chained audit folds each segment's baseline in the pass
+    that checks it: every segment of a pipeline archive is decoded once,
+    in order, and the verdicts stay the live ones."""
+    from repro.conformance import check_trace_parallel
+    from repro.engine.tracebin import BinaryTraceReader, trace_sink_for
+
+    spec = get_scenario("star+flood")
+    graph = families.make("line", 64)
+    path = str(tmp_path / "run.rtb")
+    live = make_checkers(spec.invariants)
+    sink = trace_sink_for(path)
+    try:
+        spec.runner(graph, observers=[sink, *live])
+    finally:
+        sink.close()
+    decoded = []
+    real = BinaryTraceReader.iter_segment
+
+    def counted(self, i, *args, **kwargs):
+        decoded.append(i)
+        return real(self, i, *args, **kwargs)
+
+    monkeypatch.setattr(BinaryTraceReader, "iter_segment", counted)
+    verdicts = check_trace_parallel(graph, path, spec.invariants, jobs=1)
+    assert decoded == [0, 1]
+    assert [(v.invariant, v.ok, v.detail) for v in verdicts] == [
+        (c.name, True, "") for c in live
+    ]
+
+
 def test_multi_segment_tamper_still_caught_offline():
     """Re-segmentation must not weaken the audit: tampering a record in
     the *second* stage of a pipeline archive is still flagged."""

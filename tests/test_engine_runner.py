@@ -417,6 +417,23 @@ class FreezeProbe(NodeProgram):
         self.halt()
 
 
+class FrozenFleetProbe(NodeProgram):
+    """Records whether the heap is frozen while it is built and while
+    its ``setup()`` runs."""
+
+    seen: list = []
+
+    def __init__(self, uid):
+        super().__init__(uid)
+        FrozenFleetProbe.seen.append(("init", gc.get_freeze_count() > 0))
+
+    def setup(self, ctx):
+        FrozenFleetProbe.seen.append(("setup", gc.get_freeze_count() > 0))
+
+    def transition(self, ctx, inbox):
+        self.halt()
+
+
 class CyclePerRound(NodeProgram):
     """Builds reference cycles every round; at the last round, collects
     and records whether the earlier rounds' cycles are gone."""
@@ -496,6 +513,14 @@ class TestFrozenHeap:
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
+
+    def test_fleet_construction_and_setup_run_frozen(self, backend):
+        # A full collection while the fleet is built or set up would walk
+        # the caller's whole heap.
+        FrozenFleetProbe.seen = []
+        run_program(nx.path_graph(3), FrozenFleetProbe, backend=backend)
+        assert FrozenFleetProbe.seen == [("init", True)] * 3 + [("setup", True)] * 3
+        assert gc.get_freeze_count() == 0
 
     def test_run_garbage_is_still_collected(self, backend):
         young = []
