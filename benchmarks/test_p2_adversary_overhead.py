@@ -42,23 +42,28 @@ def _run_straggler(n: int, rounds: int = ROUNDS, adversary=None):
     )
 
 
-def _best_of(fn, *args, reps: int = 3, **kwargs) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn(*args, **kwargs)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _no_adversary():
+    return None
 
 
-def _marginal_round_cost(n: int, adversary_factory) -> float:
-    short = _best_of(
-        lambda: _run_straggler(n, rounds=5, adversary=adversary_factory()), reps=5
-    )
-    long = _best_of(
-        lambda: _run_straggler(n, rounds=ROUNDS, adversary=adversary_factory()), reps=5
-    )
-    return max(long - short, 0.0) / (ROUNDS - 5)
+def _paired_marginal_costs(cases, pairs: int = 9) -> list:
+    """Each case's marginal per-round cost, a case being ``(n,
+    adversary_factory)``: the median over ``pairs`` passes, each pass
+    timing one short and one long run per case in turn.  Alternating
+    the cases exposes them to the same host slowdowns (the e2e
+    harness's paired method), and the median drops the passes a
+    collection or a neighbour spoils."""
+    costs = [[] for _ in cases]
+    for _ in range(pairs):
+        for cost, (n, adversary) in zip(costs, cases):
+            short, long = adversary(), adversary()
+            t0 = time.perf_counter()
+            _run_straggler(n, rounds=5, adversary=short)
+            t1 = time.perf_counter()
+            _run_straggler(n, rounds=ROUNDS, adversary=long)
+            t2 = time.perf_counter()
+            cost.append(max((t2 - t1) - (t1 - t0), 0.0) / (ROUNDS - 5))
+    return [statistics.median(cost) for cost in costs]
 
 
 def test_p2_adversary_none_matches_silent_adversary():
@@ -71,8 +76,9 @@ def test_p2_adversary_none_matches_silent_adversary():
     timer noise in both directions.
     """
     _run_straggler(512)  # warm up
-    none_cost = _marginal_round_cost(512, lambda: None)
-    silent_cost = _marginal_round_cost(512, lambda: ScriptedAdversary({}))
+    none_cost, silent_cost = _paired_marginal_costs(
+        ((512, _no_adversary), (512, lambda: ScriptedAdversary({})))
+    )
     floor = 2e-6
     assert none_cost < 1.5 * max(silent_cost, floor) + floor, (
         f"adversary=None slower than a never-firing adversary: "
@@ -80,29 +86,11 @@ def test_p2_adversary_none_matches_silent_adversary():
     )
 
 
-def _paired_marginal_costs(sizes, pairs: int = 9) -> list:
-    """Each size's marginal per-round cost with ``adversary=None``: the
-    median over ``pairs`` passes, each pass timing one short and one
-    long run per size in turn.  Alternating the sizes exposes them to
-    the same host slowdowns (the e2e harness's paired method), and the
-    median drops the passes a collection or a neighbour spoils."""
-    costs = {n: [] for n in sizes}
-    for _ in range(pairs):
-        for n in sizes:
-            t0 = time.perf_counter()
-            _run_straggler(n, rounds=5)
-            t1 = time.perf_counter()
-            _run_straggler(n, rounds=ROUNDS)
-            t2 = time.perf_counter()
-            costs[n].append(max((t2 - t1) - (t1 - t0), 0.0) / (ROUNDS - 5))
-    return [statistics.median(costs[n]) for n in sizes]
-
-
 def test_p2_straggler_property_survives_with_none():
     """P1's core property, restated with adversary=None passed explicitly:
     marginal per-round cost with one live node must not scale with n."""
     _run_straggler(256)
-    small, large = _paired_marginal_costs((256, 2048))
+    small, large = _paired_marginal_costs(((256, _no_adversary), (2048, _no_adversary)))
     assert large < 4 * max(small, 2e-6), (
         f"straggler round cost scaled with halted nodes under adversary=None: "
         f"n=256 {small*1e6:.1f}us/round vs n=2048 {large*1e6:.1f}us/round"

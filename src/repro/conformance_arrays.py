@@ -673,7 +673,7 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
         self._orig = self._replay.keys()  # E(1), in slot space
-        self._act_keys = EMPTY  # activated-only edges (E(i) \ E(1))
+        self._n_activated = 0  # |E(i) \ E(1)|
 
     def on_round(self, record) -> None:
         where = self._where(record.round)
@@ -719,20 +719,16 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
                 break
             u, v = step.dlbl(int(k))
             self._fail(f"{where}: deactivated inactive edge ({_lbl(u)}, {_lbl(v)})")
-        # -- the applied sets: adds first, then drops (dict loop order) -
-        # A re-activated E(1) edge is not an activated edge.
-        added = step.added
-        if added.size:
-            self._act_keys = merge_in(
-                self._act_keys, added[~member(self._orig, added)]
+        # -- |E(i) \ E(1)|, counted against E(1) as the dict oracle does:
+        # a re-activated E(1) edge is not activated, and a dropped edge
+        # was active, so it was activated exactly when it is not in E(1).
+        added, gone = step.added, step.gone
+        if added.size or gone.size:
+            orig = self._orig
+            self._n_activated += int(
+                np.count_nonzero(~member(orig, added))
+                - np.count_nonzero(~member(orig, gone))
             )
-        gone = step.gone
-        if gone.size:
-            act = self._act_keys
-            if act.size:
-                at = act.searchsorted(gone)
-                hit = act.take(at, mode="clip") == gone
-                self._act_keys = delete_from(act, gone[hit], at[hit])
         # -- the tamper check: committed counters vs the replay ---------
         n_active = self._replay.n_edges
         if record.active_edges != n_active:
@@ -740,17 +736,17 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
                 f"{where}: active_edges says {record.active_edges}, "
                 f"replay says {n_active}"
             )
-        if record.activated_edges != self._act_keys.size:
+        if record.activated_edges != self._n_activated:
             self._fail(
                 f"{where}: activated_edges says {record.activated_edges}, "
-                f"replay says {self._act_keys.size}"
+                f"replay says {self._n_activated}"
             )
 
     def on_perturbation(self, record) -> None:
         # Strikes fold into E(1) as Network.apply_external folds them:
         # applied drops and every edge of a crashed node leave it, the
         # applied adds and joins enter it.  E(1) decodes against the
-        # pre-strike interning; the activated keys are the active keys
+        # pre-strike interning; the activated edges are the active ones
         # outside it.
         uids, dropped, added = self._read(self._replay.fold_strike, record)
         crashed = set(record.crashes)
@@ -759,5 +755,4 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
         orig = {e for e in orig - dropped if e[0] not in crashed and e[1] not in crashed}
         replay = self._replay
         self._orig = replay._pack_pairs(orig | added)
-        keys = replay.keys()
-        self._act_keys = keys[~member(self._orig, keys)]
+        self._n_activated = int(np.count_nonzero(~member(self._orig, replay.keys())))

@@ -6,8 +6,10 @@
 
 The recorder is fed the effective activation/deactivation sets of every
 round — as uid-pair sets, or on the bulk kernel path as sorted packed
-keys (:meth:`MetricsRecorder.record_keys`) — and maintains the
-activated-only subgraph incrementally.
+keys (:meth:`MetricsRecorder.record_keys`).  It stores no copy of the
+activated-only subgraph: the edge measure reads the network's
+``|E(i) \\ E(1)|`` counter, and the degree measure keeps a per-node
+tally counted against ``E(1)``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .network import Network
+from .observers import _PairsView
 
 
 @dataclass
@@ -94,14 +97,15 @@ def aggregate_metrics(parts) -> Metrics:
 
 
 class MetricsRecorder:
-    """Incrementally tracks the activated-only subgraph ``D(i) \\ D(1)``."""
+    """Incrementally tracks the measures of the activated-only subgraph
+    ``D(i) \\ D(1)``.  An active edge is in it exactly when it is not
+    in ``E(1)``, so nothing of it is stored."""
 
     def __init__(self, network: Network) -> None:
         self._network = network
         #: ``E(1)`` as uid edge keys, read on first need (the per-edge
         #: rounds and strikes; array rounds never read it).
         self._original = None
-        self._activated_now: set = set(network.activated_edges())
         self.metrics = Metrics()
         # Identity-interned networks (uids == indices 0..n-1, canonical
         # (lo, hi) edge tuples) start with array-backed degree counters,
@@ -111,23 +115,41 @@ class MetricsRecorder:
         # scalar indexing, and packing a round's edge tuples into arrays
         # costs more than the loop it replaces.
         self._np = None
-        if getattr(network, "_identity", False) and not self._activated_now:
+        if getattr(network, "_identity", False) and not network.num_activated_edges:
             import numpy  # lazy: reference-network runs never need it
 
             self._np = numpy
             self._orig_arr = network.original_keys()
             self._degree_arr = numpy.zeros(network.n, numpy.int64)
-            # Activated-only keys, for runs fed by record_keys.
-            self._act_keys = self._orig_arr[:0]
             return
-        degree = self._activated_degree = {u: 0 for u in network.nodes}
-        for u, v in self._activated_now:
-            degree[u] += 1
-            degree[v] += 1
+        self._recount()
+
+    def _recount(self) -> None:
+        """Build the degree dict from the network's activated edges."""
+        net, m = self._network, self.metrics
+        degree = self._activated_degree = dict.fromkeys(net.nodes, 0)
+        if net.num_activated_edges:  # only then list the edges
+            for u, v in net.activated_edges():
+                degree[u] += 1
+                degree[v] += 1
+        m.max_activated_edges = max(m.max_activated_edges, net.num_activated_edges)
+        m.max_activated_degree = max(m.max_activated_degree, max(degree.values(), default=0))
+
+    def _count(self, k: int, d: int, per_node_max: int) -> None:
+        """A committed round's totals and watermarks, all but the degree
+        (the network has already counted its activated edges)."""
         m = self.metrics
-        m.max_activated_edges = len(self._activated_now)
-        if degree:
-            m.max_activated_degree = max(degree.values())
+        m.rounds += 1
+        m.total_activations += k
+        m.total_deactivations += d
+        m.per_round_activations.append(k)
+        m.max_activations_per_round = max(m.max_activations_per_round, k)
+        m.max_activations_per_node_round = max(
+            m.max_activations_per_node_round, per_node_max
+        )
+        m.max_activated_edges = max(
+            m.max_activated_edges, self._network.num_activated_edges
+        )
 
     def record_round(
         self,
@@ -135,46 +157,45 @@ class MetricsRecorder:
         deactivations: set,
         per_node_counts: dict | None = None,
     ) -> None:
-        m = self.metrics
-        m.rounds += 1
-        m.total_activations += len(activations)
-        m.total_deactivations += len(deactivations)
-        m.per_round_activations.append(len(activations))
-        m.max_activations_per_round = max(m.max_activations_per_round, len(activations))
-        if per_node_counts:
-            m.max_activations_per_node_round = max(
-                m.max_activations_per_node_round, max(per_node_counts.values())
-            )
+        self._count(
+            len(activations),
+            len(deactivations),
+            max(per_node_counts.values()) if per_node_counts else 0,
+        )
         if self._np is not None:
             self._leave_arrays()
-        # Both extremes are high-watermarks: they can only rise through this
-        # round's activations, so only the touched degrees need re-checking
-        # (keeps idle rounds O(1) instead of O(n)).
+        self._tally(activations, deactivations)
+
+    def _tally(self, activations, deactivations) -> None:
+        """Move the degree dict by a committed round's edges outside
+        ``E(1)``; a deactivated edge was active, so it was activated
+        exactly when it is outside ``E(1)``."""
+        if not activations and not deactivations:
+            return
+        original = self._original
+        if original is None:
+            original = self._original = self._network.original_edges
         degree = self._activated_degree
-        now = self._activated_now
-        top = m.max_activated_degree
-        if activations:
-            original = self._original
-            if original is None:
-                original = self._original = self._network.original_edges
-            for e in activations:
-                if e not in original:
-                    now.add(e)
-                    du = degree[e[0]] + 1
-                    dv = degree[e[1]] + 1
-                    degree[e[0]] = du
-                    degree[e[1]] = dv
-                    if du > top:
-                        top = du
-                    if dv > top:
-                        top = dv
-        m.max_activated_degree = top
+        # The degree watermark is read between the round's activations
+        # and its deactivations, over E(i-1) | E(i) outside E(1).  It
+        # only rises through the activations, so only their endpoints
+        # need re-checking (keeps idle rounds O(1) instead of O(n)).
+        top = self.metrics.max_activated_degree
+        for e in activations:
+            if e not in original:
+                du = degree[e[0]] + 1
+                dv = degree[e[1]] + 1
+                degree[e[0]] = du
+                degree[e[1]] = dv
+                if du > top:
+                    top = du
+                if dv > top:
+                    top = dv
         for e in deactivations:
-            if e in now:
-                now.discard(e)
+            if e not in original:
                 degree[e[0]] -= 1
                 degree[e[1]] -= 1
-        m.max_activated_edges = max(m.max_activated_edges, len(now))
+        self.metrics.max_activated_degree = top
 
     def record_keys(self, activations, deactivations, per_node_max: int) -> None:
         """:meth:`record_round` for array rounds (the bulk kernel path).
@@ -182,41 +203,32 @@ class MetricsRecorder:
         ``activations`` / ``deactivations`` are the committed sets as
         sorted packed keys (:meth:`DenseNetwork.apply_arrays`, identity
         interning) and ``per_node_max`` is the round's largest per-actor
-        activation request count.  The activated-only subgraph is one
-        sorted key array here, so a run feeds either this method or
-        :meth:`record_round`, never both.
+        activation request count.
         """
-        from .edge_keys import MASK, SHIFT, delete_from, member, merge_in
+        from .edge_keys import MASK, SHIFT, member
 
-        np = self._np
-        m = self.metrics
         k = activations.size
-        m.rounds += 1
-        m.total_activations += k
-        m.total_deactivations += deactivations.size
-        m.per_round_activations.append(k)
-        m.max_activations_per_round = max(m.max_activations_per_round, k)
-        m.max_activations_per_node_round = max(
-            m.max_activations_per_node_round, per_node_max
-        )
+        self._count(k, deactivations.size, per_node_max)
         if not k and not deactivations.size:
             return  # an idle round: the activated-only subgraph is unchanged
+        np = self._np
+        if np is None:  # a per-edge round or a strike came first
+            self._tally(_PairsView.of_keys(activations), _PairsView.of_keys(deactivations))
+            return
         degree = self._degree_arr
         fresh = activations[~member(self._orig_arr, activations)]
         if fresh.size:
             u, v = fresh >> SHIFT, fresh & MASK
             np.add.at(degree, u, 1)
             np.add.at(degree, v, 1)
+            m = self.metrics
             m.max_activated_degree = max(
                 m.max_activated_degree, int(degree[u].max()), int(degree[v].max())
             )
-            self._act_keys = merge_in(self._act_keys, fresh)
-        gone = deactivations[member(self._act_keys, deactivations)]
+        gone = deactivations[~member(self._orig_arr, deactivations)]
         if gone.size:
             np.add.at(degree, gone >> SHIFT, -1)
             np.add.at(degree, gone & MASK, -1)
-            self._act_keys = delete_from(self._act_keys, gone)
-        m.max_activated_edges = max(m.max_activated_edges, self._act_keys.size)
 
     def _leave_arrays(self) -> None:
         """Fall back from the array counters to the degree dict for good."""
@@ -226,13 +238,11 @@ class MetricsRecorder:
     def record_external(self, dropped: set, added: set, crashes, joins) -> None:
         """Fold one adversary strike into the recorder's state.
 
-        Adversary events never count toward the paper's cost measures —
-        they only keep the activated-only subgraph consistent: an
-        activated edge the adversary removed stops contributing to the
-        degree watermark, crashed nodes leave the degree map, and joined
-        nodes enter it.  ``E(1)`` is re-read from the network because
-        adversary-created edges fold into it (see
-        :meth:`Network.apply_external`).
+        Adversary events never count toward the paper's cost measures.
+        The degree tally is recounted from the network's activated
+        edges, as :meth:`Network.apply_external` recounts its counter:
+        the strike folds its edges into ``E(1)``, and crashes and joins
+        change the node set, which the arrays cannot follow.
         """
         m = self.metrics
         m.adversary_events += 1
@@ -240,18 +250,6 @@ class MetricsRecorder:
         m.adversary_edge_adds += len(added)
         m.adversary_crashes += len(crashes)
         m.adversary_joins += len(joins)
-        if self._np is not None:
-            # Adversary wiring retires/extends the uid space and folds
-            # edges into E(1): the arrays cannot follow.
-            self._leave_arrays()
+        self._np = None
         self._original = self._network.original_edges
-        degree = self._activated_degree
-        for e in dropped:
-            if e in self._activated_now:
-                self._activated_now.discard(e)
-                degree[e[0]] -= 1
-                degree[e[1]] -= 1
-        for u in crashes:
-            degree.pop(u, None)
-        for uid, _ in joins:
-            degree.setdefault(uid, 0)
+        self._recount()

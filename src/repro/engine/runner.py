@@ -295,6 +295,7 @@ class SynchronousRunner:
         self._live: dict = {
             uid: None for uid, prog in self.programs.items() if not prog.halted
         }
+        self._live_built = len(self._live)
 
     def _setup(self, adversary) -> None:
         """Run every program's ``setup()`` before round 1."""
@@ -439,6 +440,11 @@ class SynchronousRunner:
         net = self.network
         programs = self.programs
         live = self._live
+        if 2 * len(live) < self._live_built:
+            # CPython never shrinks a dict: iterating one scans every slot
+            # it ever held, so rebuild it, in order, once half is gone.
+            live = self._live = dict.fromkeys(live)
+            self._live_built = len(live)
         actions = self._actions
         actions.clear()
 

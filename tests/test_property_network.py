@@ -22,6 +22,8 @@ illegal) ``RoundActions`` batches, checking after every round:
   directions).
 """
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 
@@ -31,6 +33,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from repro.engine import ConnectivityTracker, Network, RoundActions, edge_key  # noqa: E402
 from repro.engine.actions import RequestArrays  # noqa: E402
 from repro.engine.dense import DenseConnectivityTracker, DenseNetwork  # noqa: E402
+from repro.engine.metrics import MetricsRecorder  # noqa: E402
 from repro.errors import ProtocolViolation  # noqa: E402
 
 
@@ -342,14 +345,16 @@ def test_dense_external_mutation_matches_reference(data):
 
 
 @st.composite
-def mixed_steps(draw, n):
+def mixed_steps(draw, n, near=()):
     """A sequence of per-edge rounds, array rounds and strikes.  Labels
     run from ``-1`` to ``n + 3``, so requests name unknown, crashed and
     joined nodes; a join of uid ``len(uids)`` keeps the interning the
     identity (array rounds stay possible), any other uid or a crash
-    ends it."""
+    ends it.  Round requests also draw from the pairs ``near``, so
+    that legal activations, and drops of them, are common."""
     node = st.integers(min_value=-1, max_value=n + 3)
     pair = st.tuples(node, node)
+    request = st.sampled_from(near) | pair if near else pair
     join = st.tuples(st.integers(min_value=n, max_value=n + 3), st.lists(node, max_size=3))
     steps = []
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
@@ -363,8 +368,8 @@ def mixed_steps(draw, n):
                 "joins": [(uid, tuple(att)) for uid, att in draw(st.lists(join, max_size=2))],
             }))
         else:
-            acts = draw(st.lists(pair, max_size=8))
-            steps.append((kind, acts, draw(st.lists(pair, max_size=4))))
+            acts = draw(st.lists(request, max_size=8))
+            steps.append((kind, acts, draw(st.lists(request, max_size=4))))
     return steps
 
 
@@ -435,21 +440,49 @@ def test_mixed_modes_match_reference(data):
 def test_activated_edge_counter_is_exact(data):
     """The O(1) ``num_activated_edges`` counter equals a recount of
     ``E(i) \\ E(1)`` after every per-edge round, array round and strike,
-    on the reference network and on ``DenseNetwork``."""
+    on the reference network and on ``DenseNetwork``; so do a
+    :class:`MetricsRecorder`'s two activated-subgraph watermarks, fed
+    each step as the runners feed it (``record_round``, ``record_keys``
+    on array rounds, ``record_external`` on strikes).  The degree
+    watermark is the recorder's: read between a round's activations and
+    its deactivations, over ``E(i-1) | E(i)`` outside ``E(1)``."""
     graph = data.draw(connected_graphs())
     ref, dense = Network(graph), DenseNetwork(graph)
-    for step in data.draw(mixed_steps(graph.number_of_nodes())):
+    near = sorted({  # the pairs at distance 2 in G_s
+        (u, w) for u in graph for v in graph[u] for w in graph[v]
+        if w != u and w not in graph[u]
+    })
+    recorders = {ref: MetricsRecorder(ref), dense: MetricsRecorder(dense)}
+    tops = {ref: (0, 0), dense: (0, 0)}
+    before = {ref: set(), dense: set()}
+    for step in data.draw(mixed_steps(graph.number_of_nodes(), near)):
         kind = step[0]
         if kind == "strike":
-            ref.apply_external(**step[1])
-            dense.apply_external(**step[1])
+            for net in (ref, dense):
+                dropped, added = net.apply_external(**step[1])
+                recorders[net].record_external(
+                    dropped, added, step[1]["crashes"], step[1]["joins"]
+                )
         else:
-            ref.apply(_batch(step[1], step[2]), strict=False)
+            recorders[ref].record_round(*ref.apply(_batch(step[1], step[2]), strict=False))
             if kind == "arrays" and dense._identity and (
                 len(dense._idx_of) == len(dense._uid_of)
             ):
-                dense.apply_arrays(_arrays(step[1], step[2]), strict=False)
+                akeys, dkeys = dense.apply_arrays(_arrays(step[1], step[2]), strict=False)
+                recorders[dense].record_keys(akeys, dkeys, 0)
             else:
-                dense.apply(_batch(step[1], step[2]), strict=False)
+                recorders[dense].record_round(
+                    *dense.apply(_batch(step[1], step[2]), strict=False)
+                )
         for net in (ref, dense):
-            assert net.num_activated_edges == len(net.activated_edges())
+            activated = net.activated_edges()
+            assert net.num_activated_edges == len(activated)
+            degree = Counter(u for e in activated | before[net] for u in e)
+            before[net] = activated
+            edges_top, degree_top = tops[net]
+            tops[net] = (
+                max(edges_top, len(activated)),
+                max(degree_top, max(degree.values(), default=0)),
+            )
+            m = recorders[net].metrics
+            assert (m.max_activated_edges, m.max_activated_degree) == tops[net]

@@ -125,7 +125,7 @@ def _assert_match(net, replays):
         assert _canon(edges) == _canon(net.edges())
     dict_checker, array_checker = replays.checkers
     assert dict_checker._n_activated == net.num_activated_edges
-    assert array_checker._act_keys.size == net.num_activated_edges
+    assert array_checker._n_activated == net.num_activated_edges
     for c in replays.checkers:
         assert c.ok, c.verdict().detail
 
