@@ -23,11 +23,14 @@ conformance", for the paper references):
 * ``rounds:log`` / ``rounds:polylog`` — round-count envelopes
   ``c*log2(n) + k`` / ``c*log2(n)^2 + k`` per run segment (O(log n)
   GraphToStar, O(log^2 n) wreath constructions).
-* ``edges:linear`` / ``edges:nlogn`` / ``edges:quadratic`` — per-round
-  budget on ``|E(i) \\ E(1)|`` (activated edges watermark).
+* ``edges:linear`` / ``edges:nlogn`` — per-round budget on
+  ``|E(i) \\ E(1)|`` (activated edges watermark).
 * ``activations:nlogn`` / ``activations:quadratic`` — cumulative
   total-activation budget per segment (O(n log n) for the
   edge-efficient transforms vs Theta(n^2) for the clique baseline).
+
+The three budget families are one :class:`BudgetChecker`, which the
+name's family keys.
 
 Checkers recompute their size-dependent bounds at every
 ``on_run_start`` from the segment's own network, so multi-segment
@@ -61,12 +64,9 @@ from .errors import ConfigurationError, InvariantViolation
 __all__ = [
     "BUDGETS",
     "ConnectivityChecker",
-    "EdgeBudgetChecker",
     "InvariantChecker",
     "InvariantViolation",
-    "RoundBoundChecker",
     "TemporalLegalityChecker",
-    "TotalActivationChecker",
     "Verdict",
     "check_trace",
     "check_trace_parallel",
@@ -352,75 +352,52 @@ class TemporalLegalityChecker(_EdgeReplay):
 # ----------------------------------------------------------------------
 
 
-class RoundBoundChecker(InvariantChecker):
-    """Per-segment round-count envelope ``bound_fn(n)``; flags online at
-    the first round past the envelope."""
+#: Per budget family: how one round moves the measured count, and what
+#: a failure calls the count (None: the round envelope's own wording).
+_BUDGET_FAMILIES = {
+    "rounds": (lambda count, record: count + 1, None),
+    "edges": (lambda count, record: record.activated_edges, "activated edges"),
+    "activations": (
+        lambda count, record: count + len(record.activations),
+        "cumulative activations",
+    ),
+}
+
+
+class BudgetChecker(InvariantChecker):
+    """A per-segment budget ``bound_fn(n)`` on one measure of the record
+    stream, flagged online once, at the first round past it.  The name's
+    family picks the measure: the segment's round count (``rounds``,
+    an envelope), the round's activated-edge watermark ``|E(i) \\ E(1)|``
+    (``edges``) or the segment's cumulative activations
+    (``activations``)."""
 
     def __init__(self, bound_fn, label: str) -> None:
         super().__init__()
         self._bound_fn = bound_fn
         self.name = label
+        self._step, self._what = _BUDGET_FAMILIES[label.split(":", 1)[0]]
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
         self._bound = self._bound_fn(len(network.nodes))
-        self._rounds = 0
+        self._count = 0
         self._flagged = False
 
     def on_round(self, record) -> None:
-        self._rounds += 1
-        if self._rounds > self._bound and not self._flagged:
+        self._count = count = self._step(self._count, record)
+        if count > self._bound and not self._flagged:
             self._flagged = True
-            self._fail(
-                f"segment {self._segment}: exceeded the {self._bound}-round "
-                f"envelope at round {record.round}"
-            )
-
-
-class EdgeBudgetChecker(InvariantChecker):
-    """Per-round activated-edge watermark budget ``bound_fn(n)``."""
-
-    def __init__(self, bound_fn, label: str) -> None:
-        super().__init__()
-        self._bound_fn = bound_fn
-        self.name = label
-
-    def on_run_start(self, network) -> None:
-        super().on_run_start(network)
-        self._bound = self._bound_fn(len(network.nodes))
-        self._flagged = False
-
-    def on_round(self, record) -> None:
-        if record.activated_edges > self._bound and not self._flagged:
-            self._flagged = True
-            self._fail(
-                f"{self._where(record.round)}: {record.activated_edges} "
-                f"activated edges exceed the budget {self._bound}"
-            )
-
-
-class TotalActivationChecker(InvariantChecker):
-    """Per-segment cumulative total-activation budget ``bound_fn(n)``."""
-
-    def __init__(self, bound_fn, label: str) -> None:
-        super().__init__()
-        self._bound_fn = bound_fn
-        self.name = label
-
-    def on_run_start(self, network) -> None:
-        super().on_run_start(network)
-        self._bound = self._bound_fn(len(network.nodes))
-        self._total = 0
-        self._flagged = False
-
-    def on_round(self, record) -> None:
-        self._total += len(record.activations)
-        if self._total > self._bound and not self._flagged:
-            self._flagged = True
-            self._fail(
-                f"{self._where(record.round)}: {self._total} cumulative "
-                f"activations exceed the budget {self._bound}"
-            )
+            if self._what is None:
+                self._fail(
+                    f"segment {self._segment}: exceeded the {self._bound}-round "
+                    f"envelope at round {record.round}"
+                )
+            else:
+                self._fail(
+                    f"{self._where(record.round)}: {count} {self._what} "
+                    f"exceed the budget {self._bound}"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -445,12 +422,6 @@ BUDGETS: dict = {
     # declare that one.
     "activations:nlogn": lambda n: 5 * n * _log2ceil(n) + 40,
     "activations:quadratic": lambda n: n * (n - 1) // 2,
-}
-
-_BUDGET_CHECKERS = {
-    "rounds": RoundBoundChecker,
-    "edges": EdgeBudgetChecker,
-    "activations": TotalActivationChecker,
 }
 
 
@@ -495,15 +466,13 @@ def make_checkers(invariants, *, arrays: bool = True) -> list:
         elif name == "temporal-legality":
             checkers.append(legality_cls())
         else:
-            family = name.split(":", 1)[0]
-            cls = _BUDGET_CHECKERS.get(family)
             bound_fn = BUDGETS.get(name)
-            if cls is None or bound_fn is None:
+            if bound_fn is None:
                 known = ["connectivity", "temporal-legality", *sorted(BUDGETS)]
                 raise ConfigurationError(
                     f"unknown invariant {name!r}; known invariants: {known}"
                 )
-            checkers.append(cls(bound_fn, name))
+            checkers.append(BudgetChecker(bound_fn, name))
     return checkers
 
 
@@ -721,7 +690,7 @@ def _replay_segment(checkers, baseline, events, chain=False):
 
         # The array replay folds exactly as the dict oracle's
         # ``_EdgeReplay``; both fold strikes with Network.apply_external.
-        replay = ArrayReplayTracker(directed=False)
+        replay = ArrayReplayTracker()
         replay.on_run_start(baseline)
     for c in checkers:
         c.on_run_start(baseline)

@@ -12,19 +12,21 @@ registry corpus).
 Representation (see DESIGN.md, "Observer pipeline & conformance"):
 
 * One :class:`ArrayReplayTracker` folds the record stream — node
-  interning, the active edge set, the directed adjacency — and the
-  checkers only read it.  ``make_checkers`` links both structural
-  checkers to one replay, so each round is slotted, deduped and merged
-  once, whichever checker's hook runs first; a checker built alone owns
-  a private replay.
+  interning and the active edge set — and the checkers only read it.
+  ``make_checkers`` links both structural checkers to one replay, so
+  each round is slotted, deduped and merged once, whichever checker's
+  hook runs first; a checker built alone owns a private replay, and the
+  offline audit's chained-baseline fold a bare one.
 * Node labels are interned to slots ``0..n-1`` in sorted order; int
   labels map through a sorted ``np.searchsorted`` (no Python dict in
   the hot path), anything else falls back to a label->slot dict.
-* The active edge set is the sorted directed packed-key array of
-  :mod:`repro.engine.edge_keys` (slot space) — the same primitives the
-  bulk engine's array rounds commit with.  Folds build new arrays and
-  never write in place, so a round's pre-round arrays stay valid for
-  every checker that reads them.
+* The active edge set is an :class:`~repro.engine.edge_keys.EdgeKeys`
+  state in slot space — the sorted directed packed-key array and the
+  slot degrees, with the undirected keys derived when read — the state
+  class the bulk engine holds, folded by the same ``EdgeKeys.fold``.
+  Folds build new arrays and never write into the old ones, so a
+  round's pre-round arrays stay valid for every checker that reads
+  them.
 * A whole round's legality is classified by the shared
   :func:`~repro.engine.edge_keys.classify`, or, for a round of a few
   requests, by the replay's own scalar fold; connectivity keeps a
@@ -60,6 +62,7 @@ from .engine.edge_keys import (
     SELF_LOOP,
     SHIFT,
     UNKNOWN,
+    EdgeKeys,
     both_dirs,
     classify,
     delete_from,
@@ -68,7 +71,6 @@ from .engine.edge_keys import (
     member,
     merge_in,
     pack,
-    slice_starts,
     uf_fold,
     unique,
     walk3_witness,
@@ -85,13 +87,6 @@ __all__ = [
 #: Slot ids must leave the packed key positive in an int64 (and the
 #: ``(slot + 1) << 32`` adjacency-slice bound representable).
 _MAX_SLOTS = (1 << 31) - 1
-
-#: A batch of ``k`` distance queries over ``n`` slots reads its slice
-#: bounds off a :func:`slice_starts` table when ``k * _STARTS_PER_QUERY
-#: >= n``: one cumulative sum over the slots (about 1 ns a slot) then
-#: costs less than the four ``searchsorted`` probes per query it saves
-#: (about 60 ns each on star rounds at n=1e5).
-_STARTS_PER_QUERY = 256
 
 #: Rounds with at most this many activations (or deactivations) slot
 #: them through a Python sort (:meth:`ArrayReplayTracker._to_slots`):
@@ -120,15 +115,15 @@ class _RoundStep:
     recover the k-th activation's and deactivation's label pair, and
     ``a_on``/``d_on`` say per request whether its edge was active before
     the round (each probed once, for every reader); ``dirs`` is the
-    *pre-round* directed key array (``starts`` its
-    :func:`slice_starts` table, or None when the round's batches are too
-    small to want one), and ``added``/``gone`` the keys the round
-    actually applied.  ``codes`` holds the activations' legality codes
-    when the fold computed them (a tiny round, whose ``su``/``sv`` stay
-    empty), else None.  The post-round state is the replay's own: linked
-    checkers read a step before the replay may fold the next event.
-    An idle round (no activations, no deactivations) is all empty arrays
-    over the unchanged state.
+    *pre-round* directed key array (``starts`` its slice-start table,
+    :meth:`~repro.engine.edge_keys.EdgeKeys.starts`, or None when the
+    round's batches are too small to want one), and ``added``/``gone``
+    the keys the round actually applied.  ``codes`` holds the
+    activations' legality codes when the fold computed them (a tiny
+    round, whose ``su``/``sv`` stay empty), else None.  The post-round
+    state is the replay's own: linked checkers read a step before the
+    replay may fold the next event.  An idle round (no activations, no
+    deactivations) is all empty arrays over the unchanged state.
     """
 
     __slots__ = (
@@ -159,17 +154,17 @@ def _int_pairs(edges):
 
 
 class ArrayReplayTracker:
-    """The replayed graph as packed int64 arrays, folded once per event.
+    """The replayed graph as an :class:`~repro.engine.edge_keys.EdgeKeys`
+    state over interned slots, folded once per event.
 
     The array twin of ``_EdgeReplay``'s fold/snapshot surface: the
     offline audit's chained-baseline fold uses it bare to carry a
     segment's end state to the next segment (inline and pooled alike),
-    and the array checkers read it.  ``directed`` keeps the
-    edge set as the directed adjacency array (distance-2 queries, and
-    membership: an undirected key is in it exactly when its edge is
-    active), and derives the undirected key array only when asked
-    (:meth:`keys`); a bare baseline fold keeps the undirected array
-    alone.
+    and the array checkers read it.  The state is the one the bulk
+    network holds, folded by the same
+    :meth:`~repro.engine.edge_keys.EdgeKeys.fold`; the replay never
+    reads the engine's, but may start from its arrays (folds build new
+    ones) and counts its own degrees.
 
     Linked checkers (:meth:`_read`) share one fold per event: the first
     checker whose hook sees an event folds it, every other linked
@@ -179,8 +174,7 @@ class ArrayReplayTracker:
     it — linked checkers must observe the same stream in lockstep.
     """
 
-    def __init__(self, *, directed: bool = True) -> None:
-        self._directed = directed
+    def __init__(self) -> None:
         self._links = 0  # checkers reading this replay
         self._seq = 0  # events folded so far
         self._pending = 0  # links yet to read event ``_seq``
@@ -215,7 +209,7 @@ class ArrayReplayTracker:
         arrays = arrays() if arrays is not None else None
         if arrays is None:
             self._start(list(network.nodes), list(network.edges()))
-        else:  # the bulk network's own arrays are this replay's state
+        else:  # the bulk network's own arrays start this replay's state
             self._start(*arrays)
 
     def _start(self, nodes, edges, dirs=None) -> None:
@@ -251,17 +245,8 @@ class ArrayReplayTracker:
         )
         if dirs is None:
             edges = self._pack_pairs(edges)
-            dirs = both_dirs(edges) if self._directed else EMPTY
-        if self._directed:
-            self._keys = edges  # derived from _dir on demand once it moves on
-            self._dir = dirs
-            # Slot degrees, kept current by every fold: the slice bounds
-            # of large distance-query batches (starts()).
-            self._deg = np.bincount(dirs >> SHIFT, minlength=n)
-            self._starts = None
-        else:
-            self._keys = edges
-            self._dir = EMPTY
+            dirs = both_dirs(edges)
+        self._state = EdgeKeys(n, dirs, edges)
 
     def _pack_pairs(self, edges):
         """The sorted undirected slot keys of the label pairs ``edges``
@@ -269,28 +254,6 @@ class ArrayReplayTracker:
         su, sv, _ = self._to_slots(edges)
         valid = (su >= 0) & (sv >= 0) & (su != sv)
         return unique(pack(su[valid], sv[valid])) if valid.any() else EMPTY
-
-    def keys(self):
-        """The active edges as a sorted undirected key array."""
-        if self._keys is None:
-            dirs = self._dir
-            self._keys = dirs[(dirs >> SHIFT) < (dirs & MASK)]
-        return self._keys
-
-    @property
-    def n_edges(self) -> int:
-        """The number of active edges."""
-        return self._dir.size >> 1 if self._directed else self._keys.size
-
-    def starts(self, k: int):
-        """The :func:`slice_starts` table of the current directed array
-        for a batch of ``k`` distance queries, or None when the batch is
-        too small to want one."""
-        if k * _STARTS_PER_QUERY < self._n:
-            return None
-        if self._starts is None:
-            self._starts = slice_starts(self._deg)
-        return self._starts
 
     def _label_index(self) -> dict:
         if self._index is None:
@@ -389,38 +352,29 @@ class ArrayReplayTracker:
         A round of at most :data:`_TINY` int-labelled requests under
         identity interning folds in :meth:`_fold_tiny` instead.
         """
-        dirs = self._dir
+        state = self._state
+        dirs = state.dirs
         acts, deas = record.activations, record.deactivations
         if not acts and not deas:
             return _RoundStep(dirs)
-        if self._ident and self._directed and len(acts) + len(deas) <= _TINY:
+        if self._ident and len(acts) + len(deas) <= _TINY:
             apairs, dpairs = _int_pairs(acts), _int_pairs(deas)
             if apairs is not None and dpairs is not None:
                 return self._fold_tiny(apairs, dpairs)
         # The directed array holds every active edge's undirected key.
-        base = dirs if self._directed else self._keys
         su, sv, albl = self._to_slots(acts)
         du, dv, dlbl = self._to_slots(deas)
         apacked = pack(su, sv)
-        a_on = member(base, apacked)
+        a_on = member(dirs, apacked)
         added = unique(apacked[(su >= 0) & (sv >= 0) & (su != sv) & ~a_on])
         dpacked = pack(du, dv)
-        d_on = member(base, dpacked)
+        d_on = member(dirs, dpacked)
         hit = (d_on | member(added, dpacked)) if added.size else d_on
         gone = unique(dpacked[hit])
-        starts = None
-        if self._directed:
-            starts = self.starts(su.size)
-            self._dir = delete_from(merge_in(dirs, both_dirs(added)), both_dirs(gone))
-            self._keys = None
-            deg = self._deg
-            for ends, step in ((added, 1), (gone, -1)):
-                if ends.size:
-                    np.add.at(deg, ends >> SHIFT, step)
-                    np.add.at(deg, ends & MASK, step)
-            self._starts = None
-        else:
-            self._keys = delete_from(merge_in(base, added), gone)
+        # The pre-round slice-start table, for the legality checker; a
+        # bare replay (the audit's baseline fold) has no reader for it.
+        starts = state.starts(su.size) if self._links else None
+        state.fold(added, gone)
         return _RoundStep(dirs, su, sv, albl, a_on, dlbl, d_on, added, gone, starts)
 
     def _fold_tiny(self, apairs, dpairs) -> _RoundStep:
@@ -431,7 +385,7 @@ class ArrayReplayTracker:
         candidate's slice bounds; a second probes the candidates'
         ``(neighbor, other)`` keys.  The step carries the activations'
         legality codes, as :func:`classify` would give them."""
-        n, dirs, m = self._n, self._dir, int(MASK)
+        n, dirs, m = self._n, self._state.dirs, int(MASK)
 
         def keys(pairs):  # packed keys; None: unknown node or self-loop
             return [
@@ -497,13 +451,7 @@ class ArrayReplayTracker:
                     j += 1
                 prev = p + drop
             pieces.append(dirs[prev:])
-            self._dir = np.concatenate(pieces)
-            self._keys = self._starts = None
-            deg = self._deg
-            for ends, step in ((ins, 1), (dels, -1)):
-                for k in ends:
-                    deg[k >> SHIFT] += step
-                    deg[k & m] += step
+            self._state.fold(ins, dels, np.concatenate(pieces))
         return _RoundStep(
             dirs, albl=apairs.__getitem__, a_on=np.array([k in on for k in akeys], bool),
             dlbl=dpairs.__getitem__, d_on=np.array([k in on for k in dkeys], bool),
@@ -525,12 +473,12 @@ class ArrayReplayTracker:
     def slot_keys(self) -> tuple:
         """The replayed graph as ``(uids, keys)``: its sorted labels and
         its sorted undirected key array over their positions."""
-        return list(self._uids), self.keys()
+        return list(self._uids), self._state.keys
 
     def snapshot(self) -> tuple:
         """The replayed graph as ``(nodes, edges)`` lists."""
         uids = self._uids
-        keys = self.keys()
+        keys = self._state.keys
         lo = (keys >> SHIFT).tolist()
         hi = (keys & MASK).tolist()
         return list(uids), [(uids[a], uids[b]) for a, b in zip(lo, hi)]
@@ -592,7 +540,7 @@ class ArrayConnectivityChecker(_ReplayChecker):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        keys = self._replay.keys()
+        keys = self._replay._state.keys
         self._parent, picked = uf_fold(
             np.arange(self._replay._n, dtype=np.int64),
             keys >> SHIFT, keys & MASK, forest=True,
@@ -629,15 +577,15 @@ class ArrayConnectivityChecker(_ReplayChecker):
         detours through the post-round graph; False when one has
         neither.  The 3-hop search gives up past the size of the
         directed array, where a rebuild costs less."""
-        replay = self._replay
-        dirs = replay._dir
+        state = self._replay._state
+        dirs = state.dirs
         a, b = cut >> SHIFT, cut & MASK
-        w = dist2_witness(dirs, a, b, replay.starts(a.size))
+        w = dist2_witness(dirs, a, b, state.starts(a.size))
         two = w >= 0
         paths = [pack(a[two], w[two]), pack(w[two], b[two])]
         if not two.all():
             a, b = a[~two], b[~two]
-            walk = walk3_witness(dirs, a, b, replay.starts(a.size), budget=dirs.size)
+            walk = walk3_witness(dirs, a, b, state.starts(a.size), budget=dirs.size)
             if walk is None or (walk[0] < 0).any():
                 return False
             x, y = walk
@@ -672,7 +620,7 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
 
     def on_run_start(self, network) -> None:
         super().on_run_start(network)
-        self._orig = self._replay.keys()  # E(1), in slot space
+        self._orig = self._replay._state.keys  # E(1), in slot space
         self._n_activated = 0  # |E(i) \ E(1)|
 
     def on_round(self, record) -> None:
@@ -730,7 +678,7 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
                 - np.count_nonzero(~member(orig, gone))
             )
         # -- the tamper check: committed counters vs the replay ---------
-        n_active = self._replay.n_edges
+        n_active = self._replay._state.size
         if record.active_edges != n_active:
             self._fail(
                 f"{where}: active_edges says {record.active_edges}, "
@@ -755,4 +703,4 @@ class ArrayTemporalLegalityChecker(_ReplayChecker):
         orig = {e for e in orig - dropped if e[0] not in crashed and e[1] not in crashed}
         replay = self._replay
         self._orig = replay._pack_pairs(orig | added)
-        self._n_activated = int(np.count_nonzero(~member(self._orig, replay.keys())))
+        self._n_activated = int(np.count_nonzero(~member(self._orig, replay._state.keys)))

@@ -126,7 +126,7 @@ class StarDenseKernel(StarPhaseKernel):
     * committee membership is the ``cid`` array itself (leader of
       committee ``c`` is node ``c``, a paper invariant);
     * the boundary adjacency is read straight off the network's sorted
-      directed key array (:meth:`DenseNetwork.key_arrays`), which the
+      directed key array (:meth:`DenseNetwork.key_state`), which the
       network's array apply keeps current — the kernel holds no
       adjacency of its own;
     * the r2 candidate selection is one masked lexicographic reduction
@@ -180,7 +180,7 @@ class StarDenseKernel(StarPhaseKernel):
             "n": n,
             "net": net,
             # E(1) never changes on the kernel path (no adversary).
-            "orig": net.key_arrays()[2],
+            "orig": net.original_keys(),
             "no_requests": RequestArrays(*[idx[:0]] * 6),
             # program state: every node starts as a singleton leader
             "cid": idx.copy(),
@@ -230,7 +230,7 @@ class StarDenseKernel(StarPhaseKernel):
         """The active edges as parallel directed ``(src, dst)`` arrays."""
         from ..engine.edge_keys import MASK, SHIFT
 
-        dirs = st["net"].key_arrays()[1]
+        dirs = st["net"].key_state().dirs
         return dirs >> SHIFT, dirs & MASK
 
     @staticmethod
@@ -399,10 +399,10 @@ class StarDenseKernel(StarPhaseKernel):
 
         # --- the raw requests, by group: transfers, the termination
         # fan-out, first hops, pulling jumps (each group in row order) --
-        keys = st["net"].key_arrays()[0]
-        hop = ~member(keys, pack(sel_L, sel_y))  # first-hop edge not yet active
+        dirs = st["net"].key_state().dirs  # holds every active edge's key
+        hop = ~member(dirs, pack(sel_L, sel_y))  # first-hop edge not yet active
         st["act1_done"][sel_L[hop]] = True
-        drop_p = member(keys, pack(pj, pj_p)) & ~pj_orig
+        drop_p = member(dirs, pack(pj, pj_p)) & ~pj_orig
         act_u = np.concatenate([mg, sel_L[hop], pj])
         dea_u = np.concatenate([mg[~mg_keep], t_u, pj[drop_p]])
         requests = RequestArrays(

@@ -12,10 +12,14 @@ ones directly).  What changes is the machinery, not the model:
 
 * node uids are interned to dense ints ``0..n-1`` once at construction
   (joins extend the index space; indices, like uids, are never reused);
-* the edge state starts as sorted arrays of packed int pairs
-  (``min_idx << 32 | max_idx``), the ones a family graph carries or
-  built straight from the graph's adjacency, and the array rounds
-  (:meth:`DenseNetwork.apply_arrays`) keep it there;
+* the edge state starts as an :class:`~repro.engine.edge_keys.EdgeKeys`
+  state — the sorted directed packed-key array (``i << 32 | j`` for
+  both orientations of every edge), which a family graph carries or
+  which is built straight from the graph's adjacency, and the slot
+  degrees — and the array rounds (:meth:`DenseNetwork.apply_arrays`)
+  keep it there, through the same
+  :meth:`~repro.engine.edge_keys.EdgeKeys.fold` the array replay folds
+  with;
 * the reference network's uid-keyed state is built from the arrays on
   first need and patched from key diffs afterwards; per-edge rounds
   and strikes then run the inherited :meth:`Network.apply` and
@@ -39,20 +43,18 @@ network state") spells out the equivalence argument.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from ..errors import ConfigurationError
+from . import edge_keys as ek
 from .actions import RoundActions, edge_key
 from .network import ConnectivityTracker, Network, _illegal, _validate_label_comparability
 
-#: Bits reserved for the minor index in a packed edge pair.  2**32 nodes
-#: is far beyond any simulable size, and packed keys stay machine-sized.
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
-
 
 class DenseNetwork(Network):
-    """The reference :class:`~repro.engine.network.Network`, held as sorted
-    packed-key arrays while the bulk backend's array rounds lead.
+    """The reference :class:`~repro.engine.network.Network`, held as an
+    :class:`~repro.engine.edge_keys.EdgeKeys` state while the bulk
+    backend's array rounds lead.
 
     Its Python-side state *is* the reference's uid-keyed ``_adj``,
     ``_active``, ``_original`` and ``_frozen``, so per-edge rounds
@@ -62,10 +64,10 @@ class DenseNetwork(Network):
 
     * uid interning (``_uid_of`` / ``_idx_of``), which the array rounds,
       the connectivity guard and the sparse scheduler index by;
-    * the key arrays (:meth:`key_arrays`), read by
+    * the edge-key state (:meth:`key_state`), built from
       :func:`~repro.engine.graph_keys.adjacency_keys`, which
       :meth:`apply_arrays` keeps leading.  The
-      uid-keyed state is built from them on first need and afterwards
+      uid-keyed state is built from it on first need and afterwards
       patched from key diffs (:meth:`views`): the read methods that walk
       adjacency, :meth:`apply` and :meth:`apply_external` bring it up to
       date first, while :meth:`edges`, :meth:`activated_edges` and the
@@ -77,9 +79,6 @@ class DenseNetwork(Network):
     """
 
     def __init__(self, graph: nx.Graph, *, require_connected: bool = True) -> None:
-        import numpy as np
-
-        from .edge_keys import MASK, uf_fold
         from .graph_keys import adjacency_keys
 
         if graph.number_of_nodes() == 0:
@@ -87,7 +86,7 @@ class DenseNetwork(Network):
         # Intern in sorted uid order: when uids are exactly 0..n-1 (every
         # built-in workload family) the interning is the identity map and
         # all index->uid translation vanishes from the hot paths.  The
-        # state starts in array mode (see key_arrays): the key arrays a
+        # state starts in array mode (see key_state): the key arrays a
         # family graph carries, or built straight from the graph's
         # adjacency (the dict of dicts behind graph.adj, read in C).
         try:
@@ -104,18 +103,19 @@ class DenseNetwork(Network):
         self._identity: bool = idx_of is None
         self._idx_of: dict = {u: u for u in uid_of} if idx_of is None else idx_of
         if require_connected and n > 1:
-            roots = uf_fold(np.arange(n, dtype=np.int64), keys >> _SHIFT, keys & MASK)
+            roots = ek.uf_fold(np.arange(n, dtype=np.int64), keys >> ek.SHIFT, keys & ek.MASK)
             if roots.any():
                 raise ConfigurationError("initial graph G_s must be connected")
-        #: Sorted undirected / directed / baseline key arrays (index
-        #: space) while the arrays lead; all None once per-edge
-        #: mutation has made the uid-keyed state lead (see key_arrays).
-        self._keys, self._dir, self._orig_keys = keys, dirs, keys
+        #: The active edge set (index space) and E(1) as sorted packed
+        #: keys while the arrays lead; both None once per-edge mutation
+        #: has made the uid-keyed state lead (see key_state).
+        self._state = ek.EdgeKeys(n, dirs, keys)
+        self._orig_keys = keys
         #: The uid-keyed state, built on first need (_sync_views);
-        #: ``_view_keys`` is the key array ``_adj``/``_active`` reflect.
-        #: ``_original`` is built on its own (original_edges).
+        #: ``_view_dirs`` is the directed key array ``_adj``/``_active``
+        #: reflect.  ``_original`` is built on its own (original_edges).
         self._adj = self._active = self._original = None
-        self._view_keys = None
+        self._view_dirs = None
         self._frozen: dict = {}
         #: ``|E(i) \ E(1)|``: every edge of G_s is original.
         self._n_activated: int = 0
@@ -135,38 +135,35 @@ class DenseNetwork(Network):
     def original_keys(self):
         """``E(1)`` as a sorted packed-key array (identity interning)."""
         keys = self._orig_keys
-        return _pack_pairs(self._original) if keys is None else keys
+        return ek.pack_pairs(self._original) if keys is None else keys
 
     def _uid_pairs(self, keys):
         """The uid edge keys of a sorted packed-key array, in its order."""
-        lo = (keys >> _SHIFT).tolist()
-        hi = (keys & _MASK).tolist()
+        lo = (keys >> ek.SHIFT).tolist()
+        hi = (keys & ek.MASK).tolist()
         if self._identity:
             return zip(lo, hi)
         uid_of = self._uid_of
         return (edge_key(uid_of[i], uid_of[j]) for i, j in zip(lo, hi))
 
     def neighbors(self, u) -> frozenset:
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        self.views()
         return super().neighbors(u)
 
     def degree(self, u) -> int:
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        self.views()
         return super().degree(u)
 
     def has_edge(self, u, v) -> bool:
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        self.views()
         return super().has_edge(u, v)
 
     def is_original(self, u, v) -> bool:
         return edge_key(u, v) in self.original_edges
 
     def edges(self):
-        keys = self._keys
-        return super().edges() if keys is None else self._uid_pairs(keys)
+        state = self._state
+        return super().edges() if state is None else self._uid_pairs(state.keys)
 
     def slot_keys(self):
         """The key arrays themselves while they lead and hold no
@@ -180,30 +177,26 @@ class DenseNetwork(Network):
 
     @property
     def num_active_edges(self) -> int:
-        keys = self._keys
-        return len(self._active) if keys is None else keys.size
+        state = self._state
+        return len(self._active) if state is None else state.size
 
     def activated_edges(self) -> set:
-        keys = self._keys
-        if keys is None:
+        state = self._state
+        if state is None:
             return super().activated_edges()
-        from .edge_keys import member
-
-        return set(self._uid_pairs(keys[~member(self._orig_keys, keys)]))
+        keys = state.keys
+        return set(self._uid_pairs(keys[~ek.member(self._orig_keys, keys)]))
 
     def potential_neighbors(self, u) -> set:
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        self.views()
         return super().potential_neighbors(u)
 
     def common_neighbor_exists(self, u, v) -> bool:
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        self.views()
         return super().common_neighbor_exists(u, v)
 
     def is_connected(self) -> bool:
-        if self._keys is not self._view_keys:
-            self._sync_views()
+        self.views()
         return super().is_connected()
 
     # ------------------------------------------------------------------
@@ -225,9 +218,10 @@ class DenseNetwork(Network):
     # array rounds (the bulk backend's kernel path)
     # ------------------------------------------------------------------
 
-    def key_arrays(self) -> tuple:
-        """The state as sorted packed-key arrays ``(active, directed,
-        original)`` (:mod:`repro.engine.edge_keys` layout, index space).
+    def key_state(self) -> ek.EdgeKeys:
+        """The active edge set as an
+        :class:`~repro.engine.edge_keys.EdgeKeys` state (index space);
+        ``E(1)`` is :meth:`original_keys`.
 
         A network starts in array mode, and :meth:`apply_arrays` keeps
         it there: the arrays lead, and the uid-keyed state follows on
@@ -238,14 +232,12 @@ class DenseNetwork(Network):
         """
         if not self._identity or len(self._idx_of) != len(self._uid_of):
             raise ConfigurationError("array rounds need uids 0..n-1 with none crashed")
-        if self._keys is None:
-            from .edge_keys import both_dirs
-
-            keys = _pack_pairs(self._active)
-            self._keys = self._view_keys = keys
-            self._dir = both_dirs(keys)
-            self._orig_keys = _pack_pairs(self._original)
-        return self._keys, self._dir, self._orig_keys
+        if self._state is None:
+            keys = ek.pack_pairs(self._active)
+            self._state = ek.EdgeKeys(len(self._uid_of), ek.both_dirs(keys), keys)
+            self._view_dirs = self._state.dirs
+            self._orig_keys = ek.pack_pairs(self._original)
+        return self._state
 
     def apply_arrays(self, requests, *, strict: bool = True) -> tuple:
         """Apply one round's :class:`~repro.engine.actions.RequestArrays`.
@@ -262,18 +254,13 @@ class DenseNetwork(Network):
         deactivations as sorted packed keys (identity interning makes
         them uid pairs too).
         """
-        import numpy as np
-
-        from . import edge_keys as ek
-
         if not requests.act_u.size and not requests.dea_u.size:
             self.round += 1
             return ek.EMPTY, ek.EMPTY
-        keys, dirs, orig = self.key_arrays()
-        size = len(self._uid_of)
+        state = self.key_state()
+        size = state.n
         codes, packed = ek.legality_codes(
-            keys,
-            dirs,
+            state,
             ek.identity_slots(requests.act_u, size),
             ek.identity_slots(requests.act_v, size),
         )
@@ -304,12 +291,10 @@ class DenseNetwork(Network):
         act = ek.unique(packed[codes == 0])
         requested_off = ek.unique(ek.pack(du[dknown], dv[dknown]))
         act = act[~ek.member(requested_off, act)]
-        dea = requested_off[ek.member(keys, requested_off)]
+        dea = requested_off[ek.member(state.dirs, requested_off)]
         if act.size or dea.size:
-            self._keys = ek.merge_in(ek.delete_from(keys, dea), act)
-            self._dir = ek.merge_in(
-                ek.delete_from(dirs, ek.both_dirs(dea)), ek.both_dirs(act)
-            )
+            state.fold(act, dea)
+            orig = self._orig_keys
             self._n_activated += int(
                 np.count_nonzero(~ek.member(orig, act))
                 - np.count_nonzero(~ek.member(orig, dea))
@@ -321,59 +306,60 @@ class DenseNetwork(Network):
         """Bring the uid-keyed state up to the key arrays: built in full
         on first need, afterwards patched — only the edges that changed
         since it was last current are committed."""
-        from .edge_keys import member
-
-        old, new = self._view_keys, self._keys
         if self._adj is None:
             self._build_views()
             return
+        old, new = self._view_dirs, self._state.dirs
+        # The directed diff holds both orientations of each changed edge.
+        added, gone = new[~ek.member(old, new)], old[~ek.member(new, old)]
         self.commit(
-            self._uid_pairs(new[~member(old, new)]),
-            self._uid_pairs(old[~member(new, old)]),
+            self._uid_pairs(added[(added >> ek.SHIFT) <= (added & ek.MASK)]),
+            self._uid_pairs(gone[(gone >> ek.SHIFT) <= (gone & ek.MASK)]),
         )
-        self._view_keys = new
+        self._view_dirs = new
 
     def _build_views(self) -> None:
         """The uid-keyed state, built in full from the key arrays."""
-        import numpy as np
-
-        keys, dirs, uid_of = self._keys, self._dir, self._uid_of
-        bounds = np.searchsorted(
-            dirs, np.arange(len(uid_of) + 1, dtype=np.int64) << _SHIFT
-        ).tolist()
-        dst = (dirs & _MASK).tolist()
+        state, uid_of = self._state, self._uid_of
+        dirs = state.dirs
+        bounds = ek.slice_starts(state.deg).tolist()
+        dst = (dirs & ek.MASK).tolist()
         if not self._identity:
             dst = [uid_of[j] for j in dst]
         self._adj = dict(zip(uid_of, (set(dst[a:b]) for a, b in zip(bounds, bounds[1:]))))
-        self._active = set(self._uid_pairs(keys))
+        self._active = set(self._uid_pairs(state.keys))
         self.original_edges  # built alongside: per-node paths read _original
-        self._view_keys = keys
+        self._view_dirs = dirs
 
     def slot_key_arrays(self):
         """``(uids, keys, dirs)`` while the key arrays lead and hold no
         self-loop, else None: the sorted uids and the active undirected
         and directed key arrays over their positions — the array
         checkers' replay state at run start, handed over without
-        unpacking an edge (both sides build new arrays, never write in
-        place)."""
-        keys = self._keys
-        if keys is None or ((keys >> _SHIFT) == (keys & _MASK)).any():
+        unpacking an edge (folds build new arrays, never write into
+        these; the replay counts its own degrees)."""
+        state = self._state
+        if state is None:
             return None
-        return list(self._uid_of), keys, self._dir
+        keys = state.keys
+        if ((keys >> ek.SHIFT) == (keys & ek.MASK)).any():
+            return None
+        return list(self._uid_of), keys, state.dirs
 
     def views(self) -> None:
         """Bring the uid-keyed state up to date.  Per-node round paths
         read ``_adj``/``_frozen``/``_original`` directly (contexts, the
         sparse scheduler), so the bulk runner calls this before building
         any of their machinery."""
-        if self._keys is not self._view_keys:
+        state = self._state
+        if state is not None and state.dirs is not self._view_dirs:
             self._sync_views()
 
     def _drop_arrays(self) -> None:
         """Leave array mode: the uid-keyed state leads again."""
-        if self._keys is not None:
+        if self._state is not None:
             self.views()
-            self._keys = self._dir = self._orig_keys = self._view_keys = None
+            self._state = self._orig_keys = self._view_dirs = None
 
     # ------------------------------------------------------------------
     # external (adversarial) mutation: the inherited strike fold
@@ -403,16 +389,6 @@ class DenseNetwork(Network):
         return result
 
 
-def _pack_pairs(pairs):
-    """The sorted packed-key array of canonical int edge keys
-    (identity interning: uids are the slots)."""
-    import numpy as np
-
-    keys = np.fromiter(((u << _SHIFT) | v for u, v in pairs), np.int64, len(pairs))
-    keys.sort()
-    return keys
-
-
 class DenseConnectivityTracker(ConnectivityTracker):
     """The connectivity guard on the interned index space.
 
@@ -426,13 +402,10 @@ class DenseConnectivityTracker(ConnectivityTracker):
         while its key arrays lead, a per-pair union otherwise."""
         net = self._network
         size = len(net._uid_of)
-        keys = net._keys
-        if keys is not None:
-            import numpy as np
-
-            from .edge_keys import MASK, uf_fold
-
-            roots = uf_fold(np.arange(size, dtype=np.int64), keys >> _SHIFT, keys & MASK)
+        state = net._state
+        if state is not None:
+            keys = state.keys
+            roots = ek.uf_fold(np.arange(size, dtype=np.int64), keys >> ek.SHIFT, keys & ek.MASK)
             # Every node points at its root, so rank 1 bounds every
             # tree's height.
             self._parent = roots.tolist()
@@ -456,7 +429,8 @@ class DenseConnectivityTracker(ConnectivityTracker):
     def update_keys(self, activations, deactivations) -> bool:
         """Fold one array round's committed sets (sorted packed keys,
         :meth:`DenseNetwork.apply_arrays`)."""
+        m = int(ek.MASK)
         return super().update(
-            ((pair >> _SHIFT, pair & _MASK) for pair in activations.tolist()),
+            ((pair >> ek.SHIFT, pair & m) for pair in activations.tolist()),
             deactivations.size,
         )

@@ -8,15 +8,18 @@ reference :meth:`repro.engine.network.Network.apply` (the oracle), which
 the bulk backend's per-edge rounds inherit.
 
 * An undirected edge between slots ``i`` and ``j`` packs to
-  ``(min << 32) | max`` — the layout of
-  :class:`~repro.engine.dense.DenseNetwork`'s key arrays.  An edge set is
-  one sorted unique ``int64`` array.
-* Adjacency is a second sorted array of *directed* keys (both
-  orientations), so a slot's neighbor slice is two ``searchsorted``
-  probes and "do ``a`` and ``b`` share a neighbor" is a flat expansion of
-  the smaller slice plus one membership pass.
-* Rounds update both by sorted merge/delete (O(E + k) memcpy), never by
-  rebuilding.
+  ``(min << 32) | max``.  An edge set is one sorted unique ``int64``
+  array of such keys.
+* A live edge set is held as :class:`EdgeKeys`: the sorted array of
+  *directed* keys (both orientations), which answers membership too,
+  and every slot's degree.  A slot's neighbor slice is two
+  ``searchsorted`` probes, or two reads of the degrees' cumulative sum,
+  and "do ``a`` and ``b`` share a neighbor" is a flat expansion of the
+  smaller slice plus one membership pass.  The undirected half is
+  derived only when read.
+* Rounds update the directed array by one sorted merge and one delete
+  (O(E + k) memcpy), never by rebuilding: :meth:`EdgeKeys.fold`, the
+  one fold of the bulk network and the array replay.
 
 A round's requests travel as :class:`~repro.engine.actions.RequestArrays`
 and its committed sets as sorted key arrays; DESIGN.md, "Dense-activity
@@ -45,6 +48,14 @@ UNKNOWN, SELF_LOOP, ACTIVE, NOT_DIST2 = 1, 2, 3, 4
 #: below.
 SMALL_BATCH = 256
 
+#: A batch of ``k`` distance queries over ``n`` slots reads its slice
+#: bounds off a :func:`slice_starts` table when ``k * STARTS_PER_QUERY
+#: >= n`` (:meth:`EdgeKeys.starts`): one cumulative sum over the slots
+#: (about 1 ns a slot) then costs less than the four ``searchsorted``
+#: probes per query it saves (about 60 ns each on star rounds at
+#: n=1e5).
+STARTS_PER_QUERY = 256
+
 #: Merges and deletes of at most this many keys splice slices of the
 #: base array with one ``np.concatenate``; larger ones build a boolean
 #: mask.  Measured as above: splicing one key into 2e3-3e4 keys costs
@@ -56,6 +67,14 @@ SPLICE_MAX = 8
 #: base on, the sort's run merge beats a binary search per key, by 1.6x
 #: at 1/16 and 3.5x at 1/4.
 MERGE_BY_SORT = 64
+
+
+def pack_pairs(pairs):
+    """The sorted packed-key array of canonical ``(lo, hi)`` int pairs
+    (slot pairs, or uids under identity interning)."""
+    keys = np.fromiter(((u << SHIFT) | v for u, v in pairs), np.int64, len(pairs))
+    keys.sort()
+    return keys
 
 
 def pack(su, sv):
@@ -136,9 +155,10 @@ def merge_in(base, add):
 
 
 def delete_from(base, rem, at=None):
-    """``base`` without ``rem`` (sorted, a subset of ``base``), as a
-    new array.  ``at``: ``rem``'s positions in ``base``, when the caller
-    has probed them already."""
+    """``base`` without ``rem`` (sorted, a sub-multiset of ``base``: a
+    key ``base`` holds twice, as a directed array holds a self-loop, may
+    be removed twice), as a new array.  ``at``: ``rem``'s positions in
+    ``base``, when the caller has probed them already."""
     if rem.size == 0:
         return base
     if at is None:
@@ -146,10 +166,14 @@ def delete_from(base, rem, at=None):
     if rem.size <= SPLICE_MAX:
         pieces, prev = [], 0
         for p in at.tolist():
+            p = max(p, prev)  # a repeated key: the next copy
             pieces.append(base[prev:p])
             prev = p + 1
         pieces.append(base[prev:])
         return np.concatenate(pieces)
+    # A repeated key probes to its first copy; the k-th repeat moves k on.
+    steps = np.arange(rem.size)
+    at = np.maximum.accumulate(at - steps) + steps
     keep = np.ones(base.size, dtype=bool)
     keep[at] = False
     return base[keep]
@@ -163,12 +187,100 @@ def identity_slots(labels, size: int):
 def slice_starts(degrees):
     """Where each slot's slice starts in a directed key array, given
     every slot's degree: ``starts[s]:starts[s + 1]`` is slot ``s``'s
-    slice.  One cumulative sum; callers that keep the degrees current
-    (the array replay) hand it to :func:`dist2_ok` in place of two
-    probes per endpoint."""
+    slice.  One cumulative sum; :class:`EdgeKeys` keeps the degrees
+    current and hands it to :func:`dist2_ok` in place of two probes per
+    endpoint."""
     starts = np.zeros(degrees.size + 1, dtype=np.int64)
     np.cumsum(degrees, out=starts[1:])
     return starts
+
+
+class EdgeKeys:
+    """An active edge set over slots ``0..n-1``: the state the bulk
+    network (:class:`~repro.engine.dense.DenseNetwork`) and the array
+    replay (:class:`~repro.conformance_arrays.ArrayReplayTracker`) each
+    hold, and its one fold.
+
+    * ``dirs`` — the sorted directed key array: both orientations of
+      every edge (a self-loop's one key twice).  An undirected key is in
+      it exactly when its edge is active, so it answers membership too.
+    * ``deg`` — every slot's degree, its slice length in ``dirs``; kept
+      current by :meth:`fold`, in place.
+    * :attr:`keys` — the sorted undirected keys, derived from ``dirs``
+      and cached when read.
+    * :meth:`starts` — the :func:`slice_starts` table, for distance
+      batches large enough to want it.
+
+    A fold builds a new ``dirs`` and never writes into the old one, so a
+    directed or undirected array read before a fold stays valid after
+    it, and two holders may start from the same arrays.  ``deg`` is
+    written in place: each holder counts its own.
+    """
+
+    __slots__ = ("n", "dirs", "deg", "_keys", "_starts")
+
+    def __init__(self, n: int, dirs, keys=None) -> None:
+        self.n = n
+        self.dirs = dirs
+        self.deg = np.bincount(dirs >> SHIFT, minlength=n)
+        #: The undirected half, when known (``keys`` as given, else
+        #: derived on first read).
+        self._keys = keys
+        self._starts = None
+
+    @property
+    def size(self) -> int:
+        """The number of active edges."""
+        return self.dirs.size >> 1
+
+    @property
+    def keys(self):
+        """The active edges as a sorted undirected key array."""
+        if self._keys is None:
+            dirs = self.dirs
+            keys = dirs[(dirs >> SHIFT) <= (dirs & MASK)]
+            if keys.size != dirs.size >> 1:  # a self-loop's key twice
+                keys = unique(keys)
+            self._keys = keys
+        return self._keys
+
+    def starts(self, k: int):
+        """The :func:`slice_starts` table of ``dirs`` for a batch of
+        ``k`` distance queries, or None when the batch is too small to
+        want one (:data:`STARTS_PER_QUERY`)."""
+        if k * STARTS_PER_QUERY < self.n:
+            return None
+        if self._starts is None:
+            self._starts = slice_starts(self.deg)
+        return self._starts
+
+    def fold(self, added, gone, spliced=None) -> None:
+        """Commit one round: add the undirected keys ``added`` (none of
+        them active), then drop ``gone`` (each active after the adds;
+        a drop may undo an add), both sorted ``int64`` arrays.
+
+        ``spliced`` is the resulting directed array when the caller has
+        built it already (the array replay splices a tiny round's few
+        keys in one ``concatenate``); ``added``/``gone`` are then
+        disjoint collections of int keys, and the degrees move by scalar
+        writes."""
+        deg = self.deg
+        if spliced is None:
+            self.dirs = delete_from(
+                merge_in(self.dirs, both_dirs(added)), both_dirs(gone)
+            )
+            for ends, step in ((added, 1), (gone, -1)):
+                if ends.size:
+                    np.add.at(deg, ends >> SHIFT, step)
+                    np.add.at(deg, ends & MASK, step)
+        else:
+            self.dirs = spliced
+            m = int(MASK)
+            for ends, step in ((added, 1), (gone, -1)):
+                for k in ends:
+                    deg[k >> SHIFT] += step
+                    deg[k & m] += step
+        self._keys = self._starts = None
 
 
 def _smaller_slices(dirs, a, b, starts=None, budget=None):
@@ -289,18 +401,20 @@ def classify(dirs, su, sv, active, starts=None):
     return codes
 
 
-def legality_codes(keys, dirs, su, sv):
+def legality_codes(state, su, sv):
     """Classify activation requests against the pre-round state.
 
-    ``su``/``sv`` are endpoint slots (-1: unknown node); ``keys``/``dirs``
-    the active undirected/directed key arrays.  Returns ``(codes,
-    packed)``: one code per request with precedence unknown node →
-    self-loop → already active → not at distance 2 (0 when legal), and
-    the requests' packed keys (meaningful where the code is 0 or
+    ``su``/``sv`` are endpoint slots (-1: unknown node); ``state`` the
+    active edge set (:class:`EdgeKeys`).  Returns ``(codes, packed)``:
+    one code per request with precedence unknown node → self-loop →
+    already active → not at distance 2 (0 when legal), and the
+    requests' packed keys (meaningful where the code is 0 or
     :data:`ACTIVE`).
     """
     packed = pack(su, sv)
-    return classify(dirs, su, sv, member(keys, packed)), packed
+    dirs = state.dirs
+    codes = classify(dirs, su, sv, member(dirs, packed), state.starts(su.size))
+    return codes, packed
 
 
 def uf_fold(parent, uu, vv, forest=False):

@@ -279,8 +279,8 @@ class PhaseKernel:
       the runner pushes the requests through the network's array
       legality pipeline (:meth:`DenseNetwork.apply_arrays`, the same
       rules the per-node round paths apply edge by edge).  The kernel reads
-      adjacency from the network's key arrays
-      (:meth:`DenseNetwork.key_arrays`) rather than keeping its own.
+      adjacency from the network's directed key array
+      (:meth:`DenseNetwork.key_state`) rather than keeping its own.
 
     Either way the observable execution — raw action requests, effective
     action sets, round records, metrics, halting rounds — must be

@@ -63,7 +63,7 @@ class FloodPhaseKernel(PhaseKernel):
         # Static adjacency in CSR form over interned indices: the
         # network's sorted directed key array (index space; a fresh
         # network's arrays lead) is that form already.
-        dirs = net._dir
+        dirs = net._state.dirs
         indptr = np.searchsorted(dirs, np.arange(n + 1, dtype=np.int64) << SHIFT)
         indices = dirs & MASK
         return {

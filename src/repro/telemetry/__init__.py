@@ -12,7 +12,7 @@ Public surface:
   round heartbeats and ``repro sweep --progress``.
 * :func:`build_provenance` / :func:`git_sha` — the measurement stamp.
 * :mod:`repro.telemetry.bench` — the versioned ``BENCH_engine.json``
-  schema (v2 writer, v1 compat reader).
+  schema (v2 rows, written and read).
 """
 
 from .heartbeat import format_heartbeat

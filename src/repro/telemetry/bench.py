@@ -1,6 +1,6 @@
 """The ``BENCH_engine.json`` schema: versioned engine-benchmark rows.
 
-Schema v2 (``repro-bench-engine/2``) extends the v1 wall/RSS rows with
+Schema v2 (``repro-bench-engine/2``) rows carry the wall and peak RSS,
 the paper's own measures and a provenance stamp::
 
     {"scenario": "wreath", "n": 8192, "backend": "bulk",
@@ -10,11 +10,10 @@ the paper's own measures and a provenance stamp::
      "provenance": {"git_sha": ..., "python": ..., "numpy": ...,
                     "platform": ..., "backend": "bulk"}}
 
-:func:`read_bench` is the compat reader: v1 files load fine, their rows
-normalized to the v2 shape with the new fields as None — so a CI
-archive written before the migration merges cleanly with fresh rows.
-Perf gates still read their anchors from constants, never from this
-file, so a stale row can never relax a gate.
+:func:`bench_row` writes every field (None where unmeasured), and
+:func:`read_bench` reads v2 files only.  Perf gates read their anchors
+from constants, never from this file, so a stale row can never relax a
+gate.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ import os
 
 #: Current schema tag (written by :func:`write_bench`).
 BENCH_SCHEMA = "repro-bench-engine/2"
-#: The legacy wall/RSS-only schema (still readable).
-BENCH_SCHEMA_V1 = "repro-bench-engine/1"
-
-#: v2 fields absent from v1 rows, with their normalized defaults.
-_V2_FIELDS = ("rounds", "activations", "phases", "provenance")
 
 
 def bench_row(
@@ -44,11 +38,10 @@ def bench_row(
     provenance: dict | None = None,
     **extra,
 ) -> dict:
-    """One normalized v2 row (the merge key is (scenario, n, backend)).
+    """One complete v2 row (the merge key is (scenario, n, backend)).
 
     Extra keyword fields (e.g. archive-size measures) ride along in the
-    row; :func:`normalize_row` preserves unknown keys, so they survive
-    merges and compat reads.
+    row and survive merges.
     """
     row = {
         "scenario": scenario,
@@ -78,48 +71,35 @@ def sweep_totals(rows) -> tuple[int, int]:
     )
 
 
-def normalize_row(row: dict) -> dict:
-    """A v1 or v2 row dict, completed to the v2 shape (missing fields
-    become None; extra keys are preserved)."""
-    out = dict(row)
-    out.setdefault("peak_rss_kb", None)
-    for name in _V2_FIELDS:
-        out.setdefault(name, None)
-    return out
-
-
 def row_key(row: dict) -> tuple:
     return (row["scenario"], int(row["n"]), row["backend"])
 
 
 def read_bench(path) -> list[dict]:
-    """Rows of a BENCH_engine.json file (v1 or v2), normalized to v2.
+    """Rows of a v2 BENCH_engine.json file.
 
-    Raises ``ValueError`` on an unknown schema tag, ``OSError`` when the
+    Raises ``ValueError`` on any other schema tag, ``OSError`` when the
     file is absent/unreadable.
     """
     with open(os.fspath(path)) as fh:
         payload = json.load(fh)
     schema = payload.get("schema")
-    if schema not in (BENCH_SCHEMA, BENCH_SCHEMA_V1):
-        raise ValueError(
-            f"unknown BENCH schema {schema!r}; expected "
-            f"{BENCH_SCHEMA!r} or {BENCH_SCHEMA_V1!r}"
-        )
-    return [normalize_row(row) for row in payload.get("rows", [])]
+    if schema != BENCH_SCHEMA:
+        raise ValueError(f"unknown BENCH schema {schema!r}; expected {BENCH_SCHEMA!r}")
+    return payload.get("rows", [])
 
 
 def write_bench(path, rows: list) -> None:
     """Write rows as a v2 file, sorted by (scenario, n, backend)."""
-    ordered = sorted((normalize_row(r) for r in rows), key=row_key)
+    ordered = sorted(rows, key=row_key)
     with open(path, "w") as fh:
         fh.write(json.dumps({"schema": BENCH_SCHEMA, "rows": ordered}, indent=2) + "\n")
 
 
 def merge_bench(path, new_rows: list) -> list[dict]:
     """Merge fresh rows into the file (fresh rows win on key collision,
-    previous rows — v1 or v2 — survive), write v2, return all rows."""
-    merged = {row_key(normalize_row(r)): normalize_row(r) for r in new_rows}
+    previous rows survive), write v2, return all rows."""
+    merged = {row_key(r): r for r in new_rows}
     try:
         for row in read_bench(path):
             merged.setdefault(row_key(row), row)

@@ -4,9 +4,11 @@ Hypothesis profiles
 -------------------
 ``ci`` (the default) is pinned for reproducible runs: a fixed derandomized
 seed and a bounded example budget, so CI failures replay locally and the
-tier-1 suite's runtime stays predictable.  ``dev`` explores more examples
-with fresh entropy — select it with ``HYPOTHESIS_PROFILE=dev`` when
-hunting for new counterexamples.
+tier-1 suite's runtime stays predictable.  ``deep`` is as pinned, with
+ten times the examples: CI runs the property tests that hold the array
+edge state (the bulk network and the array replay) to the reference
+under it.  ``dev`` explores more examples with fresh entropy — select it
+with ``HYPOTHESIS_PROFILE=dev`` when hunting for new counterexamples.
 
 Slow tier
 ---------
@@ -24,6 +26,13 @@ try:
     settings.register_profile(
         "ci",
         max_examples=50,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    settings.register_profile(
+        "deep",
+        max_examples=500,
         derandomize=True,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],

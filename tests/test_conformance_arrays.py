@@ -864,7 +864,7 @@ if given is not None:
                     [step.albl(k) for k in range(step.a_on.size)],
                     [step.dlbl(k) for k in range(step.d_on.size)],
                     *(a.tolist() for a in (step.a_on, step.d_on, step.added, step.gone)),
-                    codes.tolist(), replay._dir.tolist(), replay._deg.tolist(),
+                    codes.tolist(), replay._state.dirs.tolist(), replay._state.deg.tolist(),
                 ))
         return out
 

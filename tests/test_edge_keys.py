@@ -148,7 +148,7 @@ def test_legality_codes(data, n):
             return ek.ACTIVE
         return 0 if adj.get(x, set()) & adj.get(y, set()) else ek.NOT_DIST2
 
-    codes, packed = ek.legality_codes(keys, dirs, su, sv)
+    codes, packed = ek.legality_codes(ek.EdgeKeys(n, dirs), su, sv)
     assert codes.tolist() == [code(x, y) for x, y in zip(su.tolist(), sv.tolist())]
     assert packed.tolist() == ek.pack(su, sv).tolist()
 
@@ -255,3 +255,35 @@ def test_uf_fold_spanning_forest(data, n):
     assert len({find(x) for x in range(n)}) == len(comps)
     for members in comps.values():
         assert len({find(x) for x in members}) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=N)
+def test_edge_keys_fold(data, n):
+    """:meth:`~repro.engine.edge_keys.EdgeKeys.fold` is set arithmetic,
+    vector and spliced alike: after each round the directed array, the
+    degrees, the derived undirected half, the size and the slice-start
+    table are those of the live set.  Start sets may hold self-loops,
+    whose key the directed array holds twice, and rounds may drop them
+    (or undo their own adds)."""
+    loops = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+    live = set(data.draw(key_sets(n)).tolist()) | {(s << ek.SHIFT) | s for s in loops}
+    state = ek.EdgeKeys(n, ek.both_dirs(_keys(live)), _keys(live))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        outside = set(data.draw(key_sets(n)).tolist()) - live
+        added = _keys(outside)
+        gone = _keys(data.draw(st.sets(st.sampled_from(sorted(live | outside))))
+                     if live | outside else ())
+        after = (live | outside) - set(gone.tolist())
+        if data.draw(st.booleans()):
+            state.fold(added, gone)
+        else:  # a splice: the caller built the directed array
+            ins, dels = outside - set(gone.tolist()), live & set(gone.tolist())
+            state.fold(ins, dels, ek.both_dirs(_keys(after)))
+        live = after
+        expected = ek.both_dirs(_keys(live))
+        assert state.dirs.tolist() == expected.tolist()
+        assert state.keys.tolist() == sorted(live)
+        assert state.size == len(live)
+        assert state.deg.tolist() == np.bincount(expected >> ek.SHIFT, minlength=n).tolist()
+        assert state.starts(n).tolist() == ek.slice_starts(state.deg).tolist()

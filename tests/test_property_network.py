@@ -287,6 +287,25 @@ def test_array_apply_matches_reference(data):
         assert list(ref.neighbors(u)) == list(dense.neighbors(u))
 
 
+def test_array_round_drops_a_self_loop_of_g_s():
+    """A self-loop of G_s sits twice in the directed key array; an array
+    round that drops it removes both copies, as the reference drops the
+    edge."""
+    np = pytest.importorskip("numpy")
+    graph = nx.Graph([(0, 1), (1, 2), (2, 3), (1, 1)])
+    ref, dense = Network(graph), DenseNetwork(graph)
+    acts, dacts = [(0, 2)], [(1, 1)]
+    ra, rd = ref.apply(_batch(acts, dacts), strict=False)
+    da, dd = dense.apply_arrays(_arrays(acts, dacts), strict=False)
+    assert (_pairs(da), _pairs(dd)) == (ra, rd) == ({(0, 2)}, {(1, 1)})
+    assert sorted(dense.edges()) == sorted(ref.edges())
+    assert dense.num_active_edges == ref.num_active_edges == 4
+    assert dense.key_state().deg.tolist() == np.bincount(
+        dense.key_state().dirs >> 32, minlength=4
+    ).tolist() == [2, 2, 3, 1]
+    assert _observable_state(dense) == _observable_state(ref)
+
+
 @given(data=st.data())
 def test_array_apply_strict_matches_reference(data):
     """Strict mode: the same first offender, the same message, and the
@@ -445,7 +464,10 @@ def test_activated_edge_counter_is_exact(data):
     each step as the runners feed it (``record_round``, ``record_keys``
     on array rounds, ``record_external`` on strikes).  The degree
     watermark is the recorder's: read between a round's activations and
-    its deactivations, over ``E(i-1) | E(i)`` outside ``E(1)``."""
+    its deactivations, over ``E(i-1) | E(i)`` outside ``E(1)``.  The
+    recorder's per-node degree tally itself (its array form, then its
+    dict form) must equal the recount after every step, so a wrong
+    decrement shows even where no watermark moves."""
     graph = data.draw(connected_graphs())
     ref, dense = Network(graph), DenseNetwork(graph)
     near = sorted({  # the pairs at distance 2 in G_s
@@ -484,5 +506,14 @@ def test_activated_edge_counter_is_exact(data):
                 max(edges_top, len(activated)),
                 max(degree_top, max(degree.values(), default=0)),
             )
-            m = recorders[net].metrics
+            recorder = recorders[net]
+            m = recorder.metrics
             assert (m.max_activated_edges, m.max_activated_degree) == tops[net]
+            tally = (
+                recorder._activated_degree
+                if recorder._np is None
+                else dict(enumerate(recorder._degree_arr.tolist()))
+            )
+            assert {u: d for u, d in tally.items() if d} == Counter(
+                u for e in activated for u in e
+            )

@@ -67,11 +67,7 @@ class _Replays:
     events the engine applies to it."""
 
     def __init__(self, net):
-        self.replays = [
-            _EdgeReplay(),
-            ArrayReplayTracker(),
-            ArrayReplayTracker(directed=False),
-        ]
+        self.replays = [_EdgeReplay(), ArrayReplayTracker()]
         self.checkers = [TemporalLegalityChecker(), ArrayTemporalLegalityChecker()]
         for r in (*self.replays, *self.checkers):
             r.on_run_start(net)

@@ -13,7 +13,7 @@ Covers the tentpole guarantees of the telemetry PR:
   dispatch/occupancy/wake-cause accounting per backend, JSON round-trip,
   and exact multi-segment merging;
 * **surfaces** — the shared heartbeat line format and the versioned
-  ``BENCH_engine.json`` schema (v2 writer, v1 compat reader).
+  ``BENCH_engine.json`` schema (v2 writer and reader).
 """
 
 import gc
@@ -40,7 +40,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.bench import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
     bench_row,
     merge_bench,
     read_bench,
@@ -473,32 +472,27 @@ class TestBenchSchema:
         star = rows[0]
         assert star["peak_rss_kb"] is None and star["phases"] is None
 
-    def test_v1_compat_reader(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({
-            "schema": BENCH_SCHEMA_V1,
-            "rows": [{"scenario": "wreath", "n": 8192, "backend": "bulk",
-                      "wall_ms": 9000.1, "peak_rss_kb": 12345}],
-        }))
-        (row,) = read_bench(path)
-        assert row["wall_ms"] == 9000.1
-        for name in ("rounds", "activations", "phases", "provenance"):
-            assert row[name] is None
-
     def test_merge_fresh_wins_old_survives(self, tmp_path):
         path = tmp_path / "bench.json"
-        path.write_text(json.dumps({
-            "schema": BENCH_SCHEMA_V1,
-            "rows": [
-                {"scenario": "wreath", "n": 64, "backend": "bulk", "wall_ms": 99.0},
-                {"scenario": "legacy", "n": 1, "backend": "dense", "wall_ms": 1.0},
-            ],
-        }))
+        write_bench(path, [
+            bench_row("wreath", 64, "bulk", 99.0),
+            bench_row("legacy", 1, "dense", 1.0),
+        ])
         merged = merge_bench(path, self._rows())
         by_key = {(r["scenario"], r["n"], r["backend"]): r for r in merged}
         assert by_key[("wreath", 64, "bulk")]["wall_ms"] == 12.3  # fresh won
         assert by_key[("legacy", 1, "dense")]["wall_ms"] == 1.0  # survived
         assert json.loads(path.read_text())["schema"] == BENCH_SCHEMA
+
+    def test_v1_file_is_refused(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({
+            "schema": "repro-bench-engine/1",
+            "rows": [{"scenario": "wreath", "n": 8192, "backend": "bulk",
+                      "wall_ms": 9000.1, "peak_rss_kb": 12345}],
+        }))
+        with pytest.raises(ValueError, match="unknown BENCH schema 'repro-bench-engine/1'"):
+            read_bench(path)
 
     def test_unknown_schema_raises_but_merge_recovers(self, tmp_path):
         path = tmp_path / "bench.json"
